@@ -15,56 +15,72 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from decimal import Decimal
 from functools import partial
-
-import numpy as np
 
 from . import __version__
 from .catstates import approximation_fidelity_sweep
-from .fock import coherent_state, fock_basis_state
-from .catstates import cat_state, r_opt, r_opt_v, squeezed_single_photon, squeezed_vacuum
-from .loss import LossConfig, run_lossy_entswap, run_lossy_teleportation
+from .loss import LOSS_CUTOFFS, LossConfig, loss_cell_fidelity
 from .protocols import (
-    INPUT_FAMILIES,
+    RESOURCE_KINDS,
+    STATE_KINDS,
     InputSpec,
     ResourceSpec,
     run_entanglement_swap,
     run_teleportation,
+    state_kinds,
+    success_probability_sweep,
 )
 from .wigner import PhaseGrid, wigner_grid
 
-INPUT_KINDS = (
-    "coherent",
-    "odd-cat",
-    "even-cat",
-    "squeezed-single-photon",
-    "squeezed-vacuum",
-)
-RESOURCE_CHOICES = (
-    "ideal-odd-cat",
-    "ideal-even-cat",
-    "squeezed-single-photon",
-    "squeezed-vacuum",
-)
-WIGNER_STATES = ("vacuum", "single-photon", "coherent", "odd-cat", "even-cat", "sq1", "sq0")
+# Larger grids are refused rather than left to exhaust memory.
+MAX_GRID_POINTS = 10**6
 
 
 class UsageError(Exception):
     pass
 
 
-def _parse_grid(text: str) -> np.ndarray:
-    """Parse 'start:stop:step' into an inclusive grid."""
+def _parse_grid(text: str) -> list:
+    """Parse 'start:stop:step' into the inclusive grid start + i * step.
+
+    The points are computed in decimal from the text, so that 0:1:0.05 holds
+    0.15 and 0.05:1.2:0.05 ends exactly on 1.2.
+    """
     try:
-        start, stop, step = (float(tok) for tok in text.split(":"))
+        start, stop, step = (Decimal(tok) for tok in text.split(":"))
+        finite = all(value.is_finite() for value in (start, stop, step))
+        count = int((stop - start) / step) + 1 if finite and step > 0 and stop >= start else 0
+    except (ValueError, ArithmeticError):
+        count = 0
+    if count < 1:
+        raise UsageError(
+            f"bad grid {text!r}, expected start:stop:step of finite numbers"
+            " with step > 0 and stop >= start"
+        )
+    if count > MAX_GRID_POINTS:
+        raise UsageError(f"grid {text!r} has {count} points, more than {MAX_GRID_POINTS}")
+    return [float(start + i * step) for i in range(count)]
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
     except ValueError:
-        raise UsageError(f"bad grid {text!r}, expected start:stop:step")
-    if step <= 0 or stop < start:
-        raise UsageError(f"bad grid {text!r}: need step > 0 and stop >= start")
-    grid = np.arange(start, stop + step / 2, step)
-    if grid.size == 0:
-        raise UsageError(f"grid {text!r} is empty")
-    return grid
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _fmt(value) -> str:
@@ -94,7 +110,12 @@ def _jobs(args) -> int:
     if args.jobs is not None:
         return args.jobs
     env = os.environ.get("CSKIT_JOBS")
-    return int(env) if env else 1
+    if not env:
+        return 1
+    try:
+        return _positive_int(env)
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"CSKIT_JOBS: {exc}")
 
 
 def _pmap(fn, items, jobs):
@@ -114,19 +135,14 @@ def _header(args, extra):
 
 # Row workers are module-level so a process pool can pickle them.
 
-def _teleport_row(beta, input_kind, resource_kind, cutoff):
+def _teleport_rows(beta, input_kind, resource_kind, cutoff, m_max):
+    """The (beta, avg_fidelity, p_success) row, or with ``m_max`` the (beta, m, fidelity) rows."""
     alpha = beta / math.sqrt(2.0)
     summary = run_teleportation(
         InputSpec(input_kind, alpha), ResourceSpec(resource_kind, beta), cutoff
     )
-    return (float(beta), summary.average_fidelity, summary.success_probability)
-
-
-def _per_outcome_rows(beta, input_kind, resource_kind, cutoff, m_max):
-    alpha = beta / math.sqrt(2.0)
-    summary = run_teleportation(
-        InputSpec(input_kind, alpha), ResourceSpec(resource_kind, beta), cutoff
-    )
+    if m_max is None:
+        return [(float(beta), summary.average_fidelity, summary.success_probability)]
     return [
         (float(beta), m, summary.outcome(0, m).fidelity) for m in range(1, m_max + 1)
     ]
@@ -137,34 +153,6 @@ def _entswap_row(beta, phi_kind, resource_kind, cutoff):
         InputSpec(phi_kind, beta), ResourceSpec(resource_kind, beta), cutoff
     )
     return (float(beta), summary.average_fidelity, summary.success_probability)
-
-
-def _success_rows(beta, resource_kinds, cutoff):
-    rows = []
-    alpha = beta / math.sqrt(2.0)
-    for name, (mu, nu) in INPUT_FAMILIES.items():
-        for kind in resource_kinds:
-            summary = run_teleportation(
-                InputSpec("superposition", alpha, mu, nu), ResourceSpec(kind, beta), cutoff
-            )
-            rows.append((float(beta), name, kind, summary.success_probability))
-    return rows
-
-
-def _loss_cell(cell, protocol, input_kind, resource_kind, amplitude, cutoff):
-    eta1, eta2 = cell
-    loss = LossConfig(eta1, eta2)
-    if protocol == "teleport":
-        summary = run_lossy_teleportation(
-            InputSpec(input_kind, amplitude), ResourceSpec(resource_kind, math.sqrt(2.0) * amplitude),
-            loss, cutoff,
-        )
-    else:
-        summary = run_lossy_entswap(
-            InputSpec(input_kind, amplitude), ResourceSpec(resource_kind, amplitude),
-            loss, beta=amplitude, cutoff=cutoff,
-        )
-    return (eta1, eta2, summary.average_fidelity)
 
 
 def _cmd_approx(args):
@@ -180,7 +168,8 @@ def _cmd_approx(args):
 def _cmd_success_prob(args):
     grid = _parse_grid(args.beta)
     kinds = tuple(args.resource)
-    chunks = _pmap(partial(_success_rows, resource_kinds=kinds, cutoff=args.cutoff), grid, _jobs(args))
+    sweep = partial(success_probability_sweep, resource_kinds=kinds, cutoff=args.cutoff)
+    chunks = _pmap(sweep, [[beta] for beta in grid], _jobs(args))
     rows = [row for chunk in chunks for row in chunk]
     extra = [
         ("resource", " ".join(kinds)),
@@ -196,6 +185,8 @@ def _cmd_success_prob(args):
 
 
 def _cmd_teleport(args):
+    if args.per_outcome and not 1 <= args.m_max <= args.cutoff:
+        raise UsageError(f"--m-max {args.m_max} outside [1, cutoff={args.cutoff}]")
     grid = _parse_grid(args.beta)
     extra = [
         ("input", args.input),
@@ -203,28 +194,21 @@ def _cmd_teleport(args):
         ("beta-grid", args.beta),
         ("cutoff", args.cutoff),
     ]
-    if args.per_outcome:
-        chunks = _pmap(
-            partial(
-                _per_outcome_rows,
-                input_kind=args.input,
-                resource_kind=args.resource,
-                cutoff=args.cutoff,
-                m_max=args.m_max,
-            ),
-            grid,
-            _jobs(args),
-        )
-        rows = [row for chunk in chunks for row in chunk]
-        extra.append(("m-max", args.m_max))
-        _emit(args.output, _header(args, extra), ["beta", "m", "fidelity"], rows)
-        return
-    rows = _pmap(
-        partial(_teleport_row, input_kind=args.input, resource_kind=args.resource, cutoff=args.cutoff),
-        grid,
-        _jobs(args),
+    m_max = args.m_max if args.per_outcome else None
+    rows_of = partial(
+        _teleport_rows,
+        input_kind=args.input,
+        resource_kind=args.resource,
+        cutoff=args.cutoff,
+        m_max=m_max,
     )
-    _emit(args.output, _header(args, extra), ["beta", "avg_fidelity", "p_success"], rows)
+    rows = [row for chunk in _pmap(rows_of, grid, _jobs(args)) for row in chunk]
+    if args.per_outcome:
+        extra.append(("m-max", args.m_max))
+        columns = ["beta", "m", "fidelity"]
+    else:
+        columns = ["beta", "avg_fidelity", "p_success"]
+    _emit(args.output, _header(args, extra), columns, rows)
 
 
 def _cmd_entswap(args):
@@ -245,23 +229,25 @@ def _cmd_entswap(args):
 
 def _cmd_loss(args):
     grid = _parse_grid(args.eta)
-    cutoff = args.cutoff if args.cutoff is not None else (6 if args.protocol == "teleport" else 5)
+    if grid[0] < 0.0 or grid[-1] > 1.0:
+        raise UsageError(f"eta grid {args.eta!r} leaves [0, 1]")
+    cutoff = args.cutoff if args.cutoff is not None else LOSS_CUTOFFS[args.protocol]
     if args.diagonal:
-        cells = [(float(e), float(e)) for e in grid]
+        cells = [(e, e) for e in grid]
     else:
-        cells = [(float(e1), float(e2)) for e1 in grid for e2 in grid]
-    rows = _pmap(
-        partial(
-            _loss_cell,
-            protocol=args.protocol,
-            input_kind=args.input,
-            resource_kind=args.resource,
-            amplitude=args.amplitude,
-            cutoff=cutoff,
-        ),
-        cells,
-        _jobs(args),
+        cells = [(e1, e2) for e1 in grid for e2 in grid]
+    amplitude = args.amplitude
+    resource_beta = math.sqrt(2.0) * amplitude if args.protocol == "teleport" else amplitude
+    fidelity_of = partial(
+        loss_cell_fidelity,
+        args.protocol,
+        InputSpec(args.input, amplitude),
+        ResourceSpec(args.resource, resource_beta),
+        amplitude,
+        cutoff=cutoff,
     )
+    fids = _pmap(fidelity_of, [LossConfig(*cell) for cell in cells], _jobs(args))
+    rows = [(e1, e2, fid) for (e1, e2), fid in zip(cells, fids)]
     extra = [
         ("protocol", args.protocol),
         ("input", args.input),
@@ -274,31 +260,13 @@ def _cmd_loss(args):
     _emit(args.output, _header(args, extra), ["eta1", "eta2", "fidelity"], rows)
 
 
-def _wigner_state(args):
-    cutoff = args.cutoff
-    if args.state == "vacuum":
-        return fock_basis_state(0, cutoff)
-    if args.state == "single-photon":
-        return fock_basis_state(1, cutoff)
-    if args.state == "coherent":
-        return coherent_state(args.beta, cutoff)
-    if args.state == "odd-cat":
-        return cat_state(args.beta, "odd", cutoff)
-    if args.state == "even-cat":
-        return cat_state(args.beta, "even", cutoff)
-    if args.state == "sq1":
-        r = args.r if args.r is not None else r_opt(args.beta)
-        return squeezed_single_photon(r, cutoff)
-    r = args.r if args.r is not None else r_opt_v(args.beta)
-    return squeezed_vacuum(r, cutoff)
-
-
 def _cmd_wigner(args):
     lo, hi = args.range
     if not lo < hi:
         raise UsageError("wigner range must satisfy lo < hi")
     grid = PhaseGrid((lo, hi), (lo, hi), args.steps)
-    surface = wigner_grid(_wigner_state(args), grid)
+    state = STATE_KINDS[args.state].build(args.beta, args.cutoff, args.r)
+    surface = wigner_grid(state, grid)
     rows = [
         (float(x), float(p), float(surface[i, j]))
         for i, x in enumerate(grid.xs)
@@ -322,13 +290,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"cskit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    input_kinds = state_kinds("input")
 
     def common(p, cutoff_default):
         p.add_argument("-o", "--output", default=None, help="output path (default stdout)")
-        p.add_argument("--jobs", type=int, default=None, help="worker processes (env CSKIT_JOBS)")
-        p.add_argument("--seed", type=int, default=0, help="echoed into the header")
+        p.add_argument(
+            "--jobs", type=_positive_int, default=None, help="worker processes (env CSKIT_JOBS)"
+        )
+        p.add_argument(
+            "--seed", type=int, default=0,
+            help="label echoed into the header only; cskit draws no random numbers",
+        )
         if cutoff_default is not None:
-            p.add_argument("--cutoff", type=int, default=cutoff_default)
+            p.add_argument("--cutoff", type=_positive_int, default=cutoff_default)
 
     p = sub.add_parser("approx", help="cat-approximation fidelity vs beta")
     p.add_argument("--kind", choices=("even", "odd"), required=True)
@@ -339,15 +313,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("success-prob", help="teleportation success probability vs beta")
     p.add_argument("--beta", default="0.05:1.5:0.05")
     p.add_argument(
-        "--resource", nargs="+", choices=RESOURCE_CHOICES,
+        "--resource", nargs="+", choices=RESOURCE_KINDS,
         default=["ideal-odd-cat", "squeezed-single-photon"],
     )
     common(p, 15)
     p.set_defaults(func=_cmd_success_prob)
 
     p = sub.add_parser("teleport", help="average teleportation fidelity vs beta")
-    p.add_argument("--input", choices=INPUT_KINDS, default="squeezed-single-photon")
-    p.add_argument("--resource", choices=RESOURCE_CHOICES, default="squeezed-single-photon")
+    p.add_argument("--input", choices=input_kinds, default="squeezed-single-photon")
+    p.add_argument("--resource", choices=RESOURCE_KINDS, default="squeezed-single-photon")
     p.add_argument("--beta", default="0.05:1.2:0.05")
     p.add_argument("--per-outcome", action="store_true", help="emit per-(n=0,m) fidelities")
     p.add_argument("--m-max", type=int, default=5)
@@ -355,28 +329,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_teleport)
 
     p = sub.add_parser("entswap", help="entanglement-swapping fidelity vs beta")
-    p.add_argument("--phi", choices=INPUT_KINDS, default="squeezed-single-photon")
-    p.add_argument("--resource", choices=RESOURCE_CHOICES, default="squeezed-single-photon")
+    p.add_argument("--phi", choices=input_kinds, default="squeezed-single-photon")
+    p.add_argument("--resource", choices=RESOURCE_KINDS, default="squeezed-single-photon")
     p.add_argument("--beta", default="0.05:1.2:0.05")
     common(p, 15)
     p.set_defaults(func=_cmd_entswap)
 
     p = sub.add_parser("loss", help="fidelity over an (eta1, eta2) loss grid")
-    p.add_argument("--protocol", choices=("teleport", "entswap"), default="teleport")
-    p.add_argument("--input", choices=INPUT_KINDS, default="squeezed-single-photon")
-    p.add_argument("--resource", choices=RESOURCE_CHOICES, default="squeezed-single-photon")
-    p.add_argument("--amplitude", type=float, default=0.5, help="alpha (teleport) or beta (entswap)")
+    p.add_argument("--protocol", choices=tuple(LOSS_CUTOFFS), default="teleport")
+    p.add_argument("--input", choices=input_kinds, default="squeezed-single-photon")
+    p.add_argument("--resource", choices=RESOURCE_KINDS, default="squeezed-single-photon")
+    p.add_argument(
+        "--amplitude", type=_finite_float, default=0.5, help="alpha (teleport) or beta (entswap)"
+    )
     p.add_argument("--eta", default="0:1:0.05", help="grid start:stop:step for both etas")
     p.add_argument("--diagonal", action="store_true", help="only the eta1=eta2 slice")
-    p.add_argument("--cutoff", type=int, default=None)
+    p.add_argument("--cutoff", type=_positive_int, default=None)
     common(p, None)
     p.set_defaults(func=_cmd_loss)
 
     p = sub.add_parser("wigner", help="Wigner function on a phase-space grid")
-    p.add_argument("--state", choices=WIGNER_STATES, required=True)
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--r", type=float, default=None, help="override squeezing for sq1/sq0")
-    p.add_argument("--range", type=float, nargs=2, default=(-5.0, 5.0), metavar=("LO", "HI"))
+    p.add_argument("--state", choices=state_kinds("wigner"), required=True)
+    p.add_argument("--beta", type=_finite_float, default=1.0)
+    p.add_argument("--r", type=_finite_float, default=None, help="override squeezing for sq1/sq0")
+    p.add_argument(
+        "--range", type=_finite_float, nargs=2, default=(-5.0, 5.0), metavar=("LO", "HI")
+    )
     p.add_argument("--steps", type=int, default=101)
     common(p, 15)
     p.set_defaults(func=_cmd_wigner)

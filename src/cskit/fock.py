@@ -25,6 +25,7 @@ __all__ = [
     "tensor",
     "apply_beamsplitter",
     "apply_phase_shift",
+    "attenuate",
     "project_photon_number",
     "partial_trace",
     "density_matrix",
@@ -249,6 +250,19 @@ def apply_phase_shift(state: MultiModeState, mode: int, theta: float) -> MultiMo
     shape = [1] * state.amps.ndim
     shape[mode] = d
     return MultiModeState(state.mode_cutoffs, state.amps * phases.reshape(shape))
+
+
+def attenuate(state: MultiModeState, mode: int, eta: float) -> MultiModeState:
+    """Couple ``mode`` to a fresh vacuum mode with a transmitivity-eta beamsplitter.
+
+    The environment mode is appended as the last mode and retained
+    (purification); trace or sum over it when computing reduced quantities.
+    """
+    d = state.mode_cutoffs[mode] + 1
+    amps = np.zeros(state.amps.shape + (d,), dtype=complex)
+    amps[..., 0] = state.amps
+    st = MultiModeState(state.mode_cutoffs + (d - 1,), amps)
+    return apply_beamsplitter(st, mode, st.num_modes - 1, eta)
 
 
 def project_photon_number(state: MultiModeState, mode_counts):

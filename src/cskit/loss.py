@@ -1,82 +1,57 @@
 """Loss modeling: imperfect sources and inefficient detectors.
 
 Loss is a beamsplitter of transmitivity eta coupling the lossy mode to a
-fresh vacuum environment mode. Environment modes are kept as a purification
-and summed over when computing fidelities; an explicit partial trace is
-available as a cross-check. eta1 models imperfect resource creation (applied
-just after the source), eta2 models detector inefficiency (applied just
-before each detector). Inputs are amplitude-matched to the lossy resource:
-a nominal amplitude alpha becomes sqrt(eta1) * alpha.
+fresh vacuum environment mode (``attenuate``). Environment modes are kept as
+a purification and summed over when computing fidelities; an explicit
+partial trace is available as a cross-check. eta1 models imperfect resource
+creation (applied just after the source), eta2 models detector inefficiency
+(applied just before each detector). Inputs are amplitude-matched to the
+lossy resource: a nominal amplitude alpha becomes sqrt(eta1) * alpha.
+
+The lossy runs here and the lossless runs in ``cskit.protocols`` are one
+circuit-and-herald engine: a lossless run is the eta1 = eta2 = 1 case, where
+no environment mode is added.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-
-import numpy as np
+from dataclasses import replace
+from functools import partial
 
 from .fock import (
-    FockVector,
-    MultiModeState,
     apply_beamsplitter,
+    attenuate,
     fock_basis_state,
     partial_trace,
     project_photon_number,
     tensor,
 )
-from .protocols import (
-    InputSpec,
-    OutcomeRecord,
-    ProtocolSummary,
-    ResourceSpec,
-    _average,
-    _bell_pair,
-    _z_target,
-    classify_outcome,
-)
+from .protocols import InputSpec, LossConfig, ProtocolSummary, ResourceSpec, _swap, _teleport
 
 __all__ = [
     "LossConfig",
     "attenuate",
+    "LOSS_CUTOFFS",
     "run_lossy_teleportation",
     "run_lossy_entswap",
+    "conditional_output_density",
+    "loss_cell_fidelity",
     "loss_contour_sweep",
     "loss_diagonal_sweep",
 ]
 
+# Default cutoff per protocol: the purification makes lossy teleport states
+# d^6 and lossy entswap states d^7.
+LOSS_CUTOFFS = {"teleport": 6, "entswap": 5}
 
-@dataclass(frozen=True)
-class LossConfig:
-    """Source transmitivity eta1 and detector transmitivity eta2, both in [0, 1]."""
-
-    eta1: float = 1.0
-    eta2: float = 1.0
-
-    def __post_init__(self):
-        for name, eta in (("eta1", self.eta1), ("eta2", self.eta2)):
-            if not 0.0 <= eta <= 1.0:
-                raise ValueError(f"{name}={eta} outside [0, 1]")
+# The default eta grid: 0, 0.05, ..., 1.
+_ETA_GRID = [i / 20 for i in range(21)]
 
 
-def attenuate(state: MultiModeState, mode: int, eta: float) -> MultiModeState:
-    """Couple ``mode`` to a fresh vacuum mode with a transmitivity-eta beamsplitter.
-
-    The environment mode is appended as the last mode and retained
-    (purification); trace or sum over it when computing reduced quantities.
-    """
-    d = state.mode_cutoffs[mode] + 1
-    amps = np.zeros(state.amps.shape + (d,), dtype=complex)
-    amps[..., 0] = state.amps
-    st = MultiModeState(state.mode_cutoffs + (d - 1,), amps)
-    return apply_beamsplitter(st, mode, st.num_modes - 1, eta)
-
-
-def _env_summed_fidelity(target_amps: np.ndarray, cond_amps: np.ndarray, axes: int) -> float:
-    """<target|rho|target> with rho the conditional state reduced over trailing
-    environment modes, computed by overlap-then-sum on the purification."""
-    overlap = np.tensordot(target_amps.conj(), cond_amps, axes=(list(range(axes)), list(range(axes))))
-    return float(np.sum(np.abs(overlap) ** 2))
+def _matched(spec: InputSpec, alpha: float, loss: LossConfig) -> InputSpec:
+    """``spec`` rebuilt at sqrt(eta1) * alpha, matching the attenuated resource."""
+    return spec.at_alpha(math.sqrt(loss.eta1) * alpha)
 
 
 def run_lossy_teleportation(
@@ -91,48 +66,8 @@ def run_lossy_teleportation(
     ``input_spec.alpha`` is the nominal qubit amplitude; the input is built
     at sqrt(eta1) * alpha to match the attenuated resource, and per-outcome
     fidelities are taken against that matched input. At eta1 = eta2 = 1 this
-    reduces to the lossless run.
+    is the lossless run.
     """
-    matched = input_spec.at_alpha(math.sqrt(loss.eta1) * input_spec.alpha)
-    input_vec = matched.to_fock(cutoff)
-    resource_vec = resource_spec.to_fock(cutoff)
-    parity = resource_spec.parity
-    z_target = _z_target(matched, cutoff)
-
-    st = tensor([input_vec, resource_vec, fock_basis_state(0, cutoff)])
-    st = attenuate(st, 1, loss.eta1)  # env mode 3: source loss
-    st = apply_beamsplitter(st, 1, 2, 0.5)
-    st = apply_beamsplitter(st, 0, 1, 0.5)
-    st = attenuate(st, 0, loss.eta2)  # env mode 4: detector a
-    st = attenuate(st, 1, loss.eta2)  # env mode 5: detector b
-    assert st.num_modes == 6
-
-    records = []
-    averaged = []
-    success = 0.0
-    sign = np.where(np.arange(cutoff + 1) % 2 == 0, 1.0, -1.0)
-    for n in range(cutoff + 1):
-        for m in range(cutoff + 1):
-            prob, cond = project_photon_number(st, [(0, n), (1, m)])
-            accepted, label = classify_outcome(n, m, parity)
-            if not accepted or prob == 0.0:
-                records.append(OutcomeRecord(n, m, prob, label, accepted))
-                continue
-            success += prob
-            amps = cond.amps  # modes: (c, env_source, env_a, env_b)
-            if "X" in label:
-                amps = amps * sign[:, None, None, None]
-            target = input_vec if "Z" not in label else z_target
-            fid = (
-                _env_summed_fidelity(target.amps, amps, 1)
-                if target is not None
-                else None
-            )
-            records.append(OutcomeRecord(n, m, prob, label, accepted, fid))
-            if fid is not None and ("Z" not in label or include_z_outcomes):
-                averaged.append((prob, fid))
-
-    avg = _average(averaged)
     config = {
         "protocol": "lossy-teleportation",
         "input": input_spec,
@@ -141,7 +76,8 @@ def run_lossy_teleportation(
         "cutoff": cutoff,
         "include_z_outcomes": include_z_outcomes,
     }
-    return ProtocolSummary(success, avg, tuple(records), config, degenerate=avg is None)
+    matched = _matched(input_spec, input_spec.alpha, loss)
+    return _teleport(matched, resource_spec, loss, cutoff, include_z_outcomes, config)
 
 
 def conditional_output_density(
@@ -154,11 +90,12 @@ def conditional_output_density(
 ):
     """Reduced density matrix of the output mode for one outcome (cross-check path).
 
-    Rebuilds the lossy circuit, conditions on (n, m) and partial-traces the
-    environment modes instead of summing over the purification. Returns
-    (probability, DensityMatrix or None).
+    Rebuilds the lossy circuit with every loss beamsplitter in place, eta = 1
+    included, conditions on (n, m) and partial-traces the environment modes
+    instead of summing over the purification. Returns (probability,
+    DensityMatrix or None).
     """
-    matched = input_spec.at_alpha(math.sqrt(loss.eta1) * input_spec.alpha)
+    matched = _matched(input_spec, input_spec.alpha, loss)
     st = tensor(
         [matched.to_fock(cutoff), resource_spec.to_fock(cutoff), fock_basis_state(0, cutoff)]
     )
@@ -186,47 +123,6 @@ def run_lossy_entswap(
     sqrt(eta1) * beta to match the attenuated resource; the reference Bell
     pair on (a, b) uses that matched phi. The resource is prepared at beta.
     """
-    matched_phi = phi_spec.at_alpha(math.sqrt(loss.eta1) * beta)
-    phi = matched_phi.to_fock(cutoff)
-    res = replace(resource_spec, beta=beta).to_fock(cutoff)
-    parity = resource_spec.parity
-    vac = fock_basis_state(0, cutoff)
-
-    reference = _bell_pair(phi, cutoff)
-    st = tensor([phi, vac, res, vac])
-    st = attenuate(st, 2, loss.eta1)  # env mode 4: resource source loss
-    st = apply_beamsplitter(st, 0, 1, 0.5)
-    st = apply_beamsplitter(st, 2, 3, 0.5)
-    st = apply_beamsplitter(st, 1, 2, 0.5)
-    st = attenuate(st, 1, loss.eta2)  # env mode 5: detector b
-    st = attenuate(st, 2, loss.eta2)  # env mode 6: detector c
-    assert st.num_modes == 7
-
-    records = []
-    averaged = []
-    success = 0.0
-    sign = np.where(np.arange(cutoff + 1) % 2 == 0, 1.0, -1.0)
-    for n in range(cutoff + 1):
-        for m in range(cutoff + 1):
-            prob, cond = project_photon_number(st, [(1, n), (2, m)])
-            accepted, label = classify_outcome(n, m, parity)
-            if not accepted or prob == 0.0:
-                records.append(OutcomeRecord(n, m, prob, label, accepted))
-                continue
-            success += prob
-            amps = cond.amps  # modes: (a, d, env_source, env_b, env_c)
-            if "X" in label:
-                amps = amps * sign[None, :, None, None, None]
-            fid = (
-                _env_summed_fidelity(reference.amps, amps, 2)
-                if "Z" not in label
-                else None
-            )
-            records.append(OutcomeRecord(n, m, prob, label, accepted, fid))
-            if fid is not None:
-                averaged.append((prob, fid))
-
-    avg = _average(averaged)
     config = {
         "protocol": "lossy-entanglement-swap",
         "phi": phi_spec,
@@ -235,10 +131,16 @@ def run_lossy_entswap(
         "beta": beta,
         "cutoff": cutoff,
     }
-    return ProtocolSummary(success, avg, tuple(records), config, degenerate=avg is None)
+    matched = _matched(phi_spec, beta, loss)
+    return _swap(matched, replace(resource_spec, beta=beta), loss, cutoff, config)
 
 
-def _cell_fidelity(protocol, input_spec, resource_spec, amplitude, loss, cutoff):
+def loss_cell_fidelity(protocol, input_spec, resource_spec, amplitude, loss, cutoff):
+    """Average fidelity of one loss grid cell, or None for a degenerate cell.
+
+    ``amplitude`` is the nominal qubit amplitude alpha for 'teleport' or the
+    Bell amplitude beta for 'entswap'.
+    """
     if protocol == "teleport":
         run = run_lossy_teleportation(
             input_spec.at_alpha(amplitude), resource_spec, loss, cutoff
@@ -248,6 +150,15 @@ def _cell_fidelity(protocol, input_spec, resource_spec, amplitude, loss, cutoff)
     else:
         raise ValueError(f"unknown protocol {protocol!r}")
     return run.average_fidelity
+
+
+def _cell_fidelities(protocol, input_spec, resource_spec, amplitude, cells, cutoff):
+    if cutoff is None:
+        cutoff = LOSS_CUTOFFS.get(protocol)
+    fidelity_of = partial(
+        loss_cell_fidelity, protocol, input_spec, resource_spec, amplitude, cutoff=cutoff
+    )
+    return [fidelity_of(LossConfig(eta1, eta2)) for eta1, eta2 in cells]
 
 
 def loss_contour_sweep(
@@ -263,24 +174,15 @@ def loss_contour_sweep(
 
     ``amplitude`` is the nominal qubit amplitude alpha for teleportation or
     the Bell amplitude beta for entanglement swapping. Grids default to
-    0.05 steps over [0, 1]; cutoff defaults to 6 (teleport) or 5 (entswap).
+    0.05 steps over [0, 1]; cutoff defaults to LOSS_CUTOFFS[protocol].
     Returns rows of (eta1, eta2, fidelity); fidelity is None for degenerate
     cells.
     """
-    if cutoff is None:
-        cutoff = 6 if protocol == "teleport" else 5
-    default = np.arange(0.0, 1.0 + 1e-9, 0.05)
-    e1s = default if eta1_grid is None else list(eta1_grid)
-    e2s = default if eta2_grid is None else list(eta2_grid)
-    rows = []
-    for e1 in e1s:
-        for e2 in e2s:
-            fid = _cell_fidelity(
-                protocol, input_spec, resource_spec, amplitude,
-                LossConfig(float(e1), float(e2)), cutoff,
-            )
-            rows.append((float(e1), float(e2), fid))
-    return rows
+    e1s = _ETA_GRID if eta1_grid is None else eta1_grid
+    e2s = _ETA_GRID if eta2_grid is None else eta2_grid
+    cells = [(float(e1), float(e2)) for e1 in e1s for e2 in e2s]
+    fids = _cell_fidelities(protocol, input_spec, resource_spec, amplitude, cells, cutoff)
+    return [(e1, e2, fid) for (e1, e2), fid in zip(cells, fids)]
 
 
 def loss_diagonal_sweep(
@@ -292,16 +194,8 @@ def loss_diagonal_sweep(
     cutoff: int = None,
 ):
     """The eta1 = eta2 slice of the loss contour: rows of (eta, fidelity)."""
-    if cutoff is None:
-        cutoff = 6 if protocol == "teleport" else 5
-    etas = np.arange(0.0, 1.0 + 1e-9, 0.05) if eta_grid is None else list(eta_grid)
-    return [
-        (
-            float(eta),
-            _cell_fidelity(
-                protocol, input_spec, resource_spec, amplitude,
-                LossConfig(float(eta), float(eta)), cutoff,
-            ),
-        )
-        for eta in etas
-    ]
+    etas = [float(eta) for eta in (_ETA_GRID if eta_grid is None else eta_grid)]
+    fids = _cell_fidelities(
+        protocol, input_spec, resource_spec, amplitude, [(eta, eta) for eta in etas], cutoff
+    )
+    return list(zip(etas, fids))

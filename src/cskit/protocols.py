@@ -14,12 +14,20 @@ Only the X correction (a pi phase shift) is ever applied; outcomes needing a
 Z are reported but excluded from fidelity averaging unless explicitly
 included for diagnostics, in which case the comparison target absorbs an
 ideal Z (sign flip of the |-alpha> component).
+
+Both protocols, lossless and lossy, run through one engine: the prepared
+single-mode vectors go through the protocol's circuit, and every outcome is
+heralded at once from one probability table and one overlap table per
+correction label. Loss (see ``cskit.loss``) couples a mode to a vacuum
+environment mode and is applied only for eta < 1, so a lossless run is the
+eta1 = eta2 = 1 case of the same engine, with no environment modes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -28,18 +36,20 @@ from .fock import (
     FockVector,
     MultiModeState,
     apply_beamsplitter,
-    apply_phase_shift,
+    attenuate,
     coherent_state,
-    fidelity,
     fock_basis_state,
-    project_photon_number,
     tensor,
 )
 
 __all__ = [
     "QubitSuperposition",
+    "StateKind",
+    "STATE_KINDS",
+    "state_kinds",
     "ResourceSpec",
     "InputSpec",
+    "LossConfig",
     "OutcomeRecord",
     "ProtocolSummary",
     "RESOURCE_KINDS",
@@ -55,23 +65,76 @@ __all__ = [
     "run_entanglement_swap",
 ]
 
-RESOURCE_KINDS = (
-    "ideal-odd-cat",
-    "ideal-even-cat",
-    "squeezed-single-photon",
-    "squeezed-vacuum",
-)
 
-_ODD_PARITY_KINDS = {"ideal-odd-cat", "squeezed-single-photon"}
+@dataclass(frozen=True)
+class StateKind:
+    """A named single-mode state family, built at an amplitude and a cutoff.
+
+    ``roles`` says where the kind is offered: 'input' (InputSpec), 'resource'
+    (ResourceSpec) and 'wigner' (the CLI's Wigner views). ``build(amplitude,
+    cutoff, r=None)`` returns the FockVector; squeezed kinds use the
+    closed-form optimal squeezing for the amplitude unless ``r`` is given, and
+    the other kinds ignore ``r``. ``parity`` is the photon-number parity, and
+    ``qubit`` the exact coherent-qubit coefficients (mu, nu), or None.
+    """
+
+    roles: tuple
+    build: Callable
+    parity: str = None
+    qubit: tuple = None
+
+
+def _number(n):
+    return lambda amplitude, cutoff, r=None: fock_basis_state(n, cutoff)
+
+
+def _cat(parity):
+    return lambda amplitude, cutoff, r=None: cat_state(amplitude, parity, cutoff)
+
+
+def _squeezed(state, r_best):
+    return lambda amplitude, cutoff, r=None: state(r_best(amplitude) if r is None else r, cutoff)
+
+
+_SQ1 = _squeezed(squeezed_single_photon, r_opt)
+_SQ0 = _squeezed(squeezed_vacuum, r_opt_v)
+
+STATE_KINDS = {
+    "vacuum": StateKind(("wigner",), _number(0), "even"),
+    "single-photon": StateKind(("wigner",), _number(1), "odd"),
+    "coherent": StateKind(
+        ("input", "wigner"), lambda amplitude, cutoff, r=None: coherent_state(amplitude, cutoff),
+        None, (1.0, 0.0),
+    ),
+    "odd-cat": StateKind(("input", "wigner"), _cat("odd"), "odd", (1.0, -1.0)),
+    "even-cat": StateKind(("input", "wigner"), _cat("even"), "even", (1.0, 1.0)),
+    "ideal-odd-cat": StateKind(("resource",), _cat("odd"), "odd", (1.0, -1.0)),
+    "ideal-even-cat": StateKind(("resource",), _cat("even"), "even", (1.0, 1.0)),
+    "squeezed-single-photon": StateKind(("input", "resource"), _SQ1, "odd"),
+    "squeezed-vacuum": StateKind(("input", "resource"), _SQ0, "even"),
+    "sq1": StateKind(("wigner",), _SQ1, "odd"),
+    "sq0": StateKind(("wigner",), _SQ0, "even"),
+}
+
+
+def state_kinds(role: str) -> tuple:
+    """Names of the state kinds offered in ``role``, in table order."""
+    return tuple(name for name, kind in STATE_KINDS.items() if role in kind.roles)
+
+
+def _state_kind(name: str, role: str) -> StateKind:
+    kind = STATE_KINDS.get(name)
+    if kind is None or role not in kind.roles:
+        raise ValueError(f"unknown {role} kind {name!r}")
+    return kind
+
+
+RESOURCE_KINDS = state_kinds("resource")
 
 
 def resource_parity(kind: str) -> str:
     """Photon-number parity of a resource kind: 'odd' or 'even'."""
-    if kind in _ODD_PARITY_KINDS:
-        return "odd"
-    if kind in ("ideal-even-cat", "squeezed-vacuum"):
-        return "even"
-    raise ValueError(f"unknown resource kind {kind!r}")
+    return _state_kind(kind, "resource").parity
 
 
 @dataclass(frozen=True)
@@ -95,7 +158,7 @@ class QubitSuperposition:
 
 @dataclass(frozen=True)
 class ResourceSpec:
-    """Resource state of cat amplitude beta.
+    """Resource state of cat amplitude beta, of a kind in RESOURCE_KINDS.
 
     Squeezed kinds use the closed-form optimal squeezing for that amplitude:
     r_opt(beta) for the squeezed single photon, r_opt_v(beta) for the
@@ -113,22 +176,17 @@ class ResourceSpec:
         return resource_parity(self.kind)
 
     def to_fock(self, cutoff: int) -> FockVector:
-        if self.kind == "ideal-odd-cat":
-            return cat_state(self.beta, "odd", cutoff)
-        if self.kind == "ideal-even-cat":
-            return cat_state(self.beta, "even", cutoff)
-        if self.kind == "squeezed-single-photon":
-            return squeezed_single_photon(r_opt(self.beta), cutoff)
-        return squeezed_vacuum(r_opt_v(self.beta), cutoff)
+        return _state_kind(self.kind, "resource").build(self.beta, cutoff)
 
 
 @dataclass(frozen=True)
 class InputSpec:
     """Input state of qubit amplitude alpha.
 
-    kinds: 'coherent', 'odd-cat', 'even-cat', 'squeezed-single-photon'
-    (built at r_opt(alpha)), 'squeezed-vacuum' (r_opt_v(alpha)), or
-    'superposition' with explicit (mu, nu).
+    kinds: the 'input' kinds of STATE_KINDS ('coherent', 'odd-cat',
+    'even-cat', 'squeezed-single-photon' built at r_opt(alpha),
+    'squeezed-vacuum' at r_opt_v(alpha)), or 'superposition' with explicit
+    (mu, nu).
     """
 
     kind: str
@@ -137,33 +195,18 @@ class InputSpec:
     nu: complex = None
 
     def to_fock(self, cutoff: int) -> FockVector:
-        if self.kind == "coherent":
-            return coherent_state(self.alpha, cutoff)
-        if self.kind == "odd-cat":
-            return cat_state(self.alpha, "odd", cutoff)
-        if self.kind == "even-cat":
-            return cat_state(self.alpha, "even", cutoff)
-        if self.kind == "squeezed-single-photon":
-            return squeezed_single_photon(r_opt(self.alpha), cutoff)
-        if self.kind == "squeezed-vacuum":
-            return squeezed_vacuum(r_opt_v(self.alpha), cutoff)
         if self.kind == "superposition":
             return self.qubit().to_fock(cutoff)
-        raise ValueError(f"unknown input kind {self.kind!r}")
+        return _state_kind(self.kind, "input").build(self.alpha, cutoff)
 
     def qubit(self) -> QubitSuperposition | None:
         """Exact coherent-qubit decomposition, or None (squeezed kinds)."""
-        if self.kind == "coherent":
-            return QubitSuperposition(1.0, 0.0, self.alpha)
-        if self.kind == "odd-cat":
-            return QubitSuperposition(1.0, -1.0, self.alpha)
-        if self.kind == "even-cat":
-            return QubitSuperposition(1.0, 1.0, self.alpha)
         if self.kind == "superposition":
             if self.mu is None or self.nu is None:
                 raise ValueError("superposition input needs mu and nu")
             return QubitSuperposition(self.mu, self.nu, self.alpha)
-        return None
+        coeffs = _state_kind(self.kind, "input").qubit
+        return None if coeffs is None else QubitSuperposition(*coeffs, self.alpha)
 
     def at_alpha(self, alpha: float) -> "InputSpec":
         """Same family rebuilt at a different qubit amplitude."""
@@ -177,6 +220,19 @@ INPUT_FAMILIES = {
     "coherent": (1.0, 0.0),
     "even-cat-superposition": (1.0, 1.0),
 }
+
+
+@dataclass(frozen=True)
+class LossConfig:
+    """Source transmitivity eta1 and detector transmitivity eta2, both in [0, 1]."""
+
+    eta1: float = 1.0
+    eta2: float = 1.0
+
+    def __post_init__(self):
+        for name, eta in (("eta1", self.eta1), ("eta2", self.eta2)):
+            if not 0.0 <= eta <= 1.0:
+                raise ValueError(f"{name}={eta} outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -216,6 +272,106 @@ class ProtocolSummary:
         raise KeyError((n, m))
 
 
+@dataclass(frozen=True)
+class _Circuit:
+    """Mode layout of a protocol circuit.
+
+    Source loss acts on ``source`` first, then the 50:50 beamsplitters in
+    ``splits`` run in order, then detector loss acts on each of the two
+    ``detectors``, which count (n, m). The modes left after the detectors are
+    the output modes in mode order, followed by the environment modes; the X
+    correction is a pi phase on output ``x_output``.
+    """
+
+    source: int
+    splits: tuple
+    detectors: tuple
+    x_output: int
+
+
+# Modes (a, b, c): input, resource, vacuum; the output is c.
+_TELEPORTER = _Circuit(source=1, splits=((1, 2), (0, 1)), detectors=(0, 1), x_output=0)
+# Modes (a, b, c, d): phi, vacuum, resource, vacuum; the output is (a, d).
+_SWAPPER = _Circuit(source=2, splits=((0, 1), (2, 3), (1, 2)), detectors=(1, 2), x_output=1)
+
+
+def _prepare(vectors, circuit: _Circuit, loss: LossConfig) -> MultiModeState:
+    """The state just before the photon-number measurement.
+
+    Each loss appends one environment mode, in the order source, detector n,
+    detector m; at eta = 1 none is added, as attenuation would leave the
+    state times the environment vacuum.
+    """
+    st = tensor(vectors)
+    if loss.eta1 < 1.0:
+        st = attenuate(st, circuit.source, loss.eta1)
+    for i, j in circuit.splits:
+        st = apply_beamsplitter(st, i, j, 0.5)
+    if loss.eta2 < 1.0:
+        for mode in circuit.detectors:
+            st = attenuate(st, mode, loss.eta2)
+    return st
+
+
+def _average(pairs):
+    """Probability-weighted mean over (probability, fidelity) pairs."""
+    weight = sum(p for p, _ in pairs)
+    if weight == 0.0:
+        return None
+    return sum(p * f for p, f in pairs) / weight
+
+
+def _herald(state, circuit, parity, target=None, z_target=None, include_z=False, config=None):
+    """Every (n, m) outcome of ``state``, heralded at once.
+
+    ``target`` and ``z_target`` are amplitude arrays over the output modes,
+    compared against the no-Z and the Z-type outcomes; None gives those
+    outcomes no fidelity. The probability table sums |amps|^2 over all
+    non-detector axes. Each correction label's overlap table contracts its
+    target (carrying the X correction's pi phase for X and XZ) with the
+    output axes; the fidelity of an outcome sums |overlap|^2 over the
+    environment axes and divides by the outcome's probability.
+    """
+    amps = np.moveaxis(state.amps, circuit.detectors, (0, 1))
+    d = amps.shape[0]
+    probs = np.sum(np.abs(amps) ** 2, axis=tuple(range(2, amps.ndim))).tolist()
+
+    weights = {}
+    if target is not None:
+        shape = [1] * target.ndim
+        shape[circuit.x_output] = d
+        sign = np.where(np.arange(d) % 2 == 0, 1.0, -1.0).reshape(shape)
+        targets = {"I": target, "X": sign * target}
+        if z_target is not None:
+            targets.update(Z=z_target, XZ=sign * z_target)
+        outputs = range(target.ndim)
+        overlap = np.tensordot(
+            np.stack(list(targets.values())).conj(), amps,
+            axes=([k + 1 for k in outputs], [k + 2 for k in outputs]),
+        )
+        tables = np.sum(np.abs(overlap) ** 2, axis=tuple(range(3, overlap.ndim)))
+        weights = dict(zip(targets, tables.tolist()))
+
+    records = []
+    averaged = []
+    success = 0.0
+    for n in range(d):
+        for m in range(d):
+            p = probs[n][m]
+            accepted, label = classify_outcome(n, m, parity)
+            if not accepted or p == 0.0:
+                records.append(OutcomeRecord(n, m, p, label, accepted))
+                continue
+            success += p
+            fid = weights[label][n][m] / p if label in weights else None
+            records.append(OutcomeRecord(n, m, p, label, accepted, fid))
+            if fid is not None and ("Z" not in label or include_z):
+                averaged.append((p, fid))
+
+    avg = _average(averaged)
+    return ProtocolSummary(success, avg, tuple(records), config or {}, degenerate=avg is None)
+
+
 def build_teleporter_input(
     input_state: FockVector, resource: FockVector, cutoff: int
 ) -> MultiModeState:
@@ -226,9 +382,8 @@ def build_teleporter_input(
     """
     if input_state.cutoff != cutoff or resource.cutoff != cutoff:
         raise ValueError("input and resource must be built at the working cutoff")
-    st = tensor([input_state, resource, fock_basis_state(0, cutoff)])
-    st = apply_beamsplitter(st, 1, 2, 0.5)
-    return apply_beamsplitter(st, 0, 1, 0.5)
+    vectors = [input_state, resource, fock_basis_state(0, cutoff)]
+    return _prepare(vectors, _TELEPORTER, LossConfig())
 
 
 def classify_outcome(n: int, m: int, parity: str = "odd"):
@@ -267,30 +422,34 @@ def enumerate_outcomes(state3: MultiModeState, parity: str = "odd"):
     """All (n, m) outcome records for detectors on modes a and b (no fidelities)."""
     if state3.num_modes != 3:
         raise ValueError("expected a 3-mode teleporter state")
-    probs = np.sum(np.abs(state3.amps) ** 2, axis=2)
-    records = []
-    for n in range(state3.mode_cutoffs[0] + 1):
-        for m in range(state3.mode_cutoffs[1] + 1):
-            accepted, label = classify_outcome(n, m, parity)
-            records.append(
-                OutcomeRecord(n, m, float(probs[n, m]), label, accepted)
-            )
-    return records
+    return list(_herald(state3, _TELEPORTER, parity).outcomes)
 
 
-def _z_target(input_spec: InputSpec, cutoff: int) -> FockVector:
+def _teleport(input_spec, resource_spec, loss, cutoff, include_z, config):
+    """Teleportation of ``input_spec`` as given: the caller matches its amplitude."""
+    target = input_spec.to_fock(cutoff)
+    vectors = [target, resource_spec.to_fock(cutoff), fock_basis_state(0, cutoff)]
     qubit = input_spec.qubit()
-    if qubit is None:
-        return None
-    return qubit.z_flipped().to_fock(cutoff)
+    z_target = None if qubit is None else qubit.z_flipped().to_fock(cutoff).amps
+    return _herald(
+        _prepare(vectors, _TELEPORTER, loss), _TELEPORTER, resource_spec.parity,
+        target.amps, z_target, include_z, config,
+    )
 
 
-def _average(pairs):
-    """Probability-weighted mean over (probability, fidelity) pairs."""
-    weight = sum(p for p, _ in pairs)
-    if weight == 0.0:
-        return None
-    return sum(p * f for p, f in pairs) / weight
+def _bell_pair(phi: FockVector, cutoff: int) -> MultiModeState:
+    """Split phi on a 50:50 beamsplitter with vacuum: the two-mode Bell state."""
+    st = tensor([phi, fock_basis_state(0, cutoff)])
+    return apply_beamsplitter(st, 0, 1, 0.5)
+
+
+def _swap(phi_spec, resource_spec, loss, cutoff, config):
+    """Entanglement swapping of ``phi_spec`` as given: the caller matches amplitudes."""
+    phi = phi_spec.to_fock(cutoff)
+    vac = fock_basis_state(0, cutoff)
+    state = _prepare([phi, vac, resource_spec.to_fock(cutoff), vac], _SWAPPER, loss)
+    reference = _bell_pair(phi, cutoff)
+    return _herald(state, _SWAPPER, resource_spec.parity, reference.amps, config=config)
 
 
 def run_teleportation(
@@ -307,31 +466,6 @@ def run_teleportation(
     outcomes; pass ``include_z_outcomes=True`` to fold Z/XZ outcomes into the
     average as a diagnostic.
     """
-    input_vec = input_spec.to_fock(cutoff)
-    resource_vec = resource_spec.to_fock(cutoff)
-    state3 = build_teleporter_input(input_vec, resource_vec, cutoff)
-    parity = resource_spec.parity
-    z_target = _z_target(input_spec, cutoff)
-
-    records = []
-    averaged = []
-    success = 0.0
-    for rec in enumerate_outcomes(state3, parity):
-        if not rec.accepted or rec.probability == 0.0:
-            records.append(rec)
-            continue
-        success += rec.probability
-        _, cond = project_photon_number(state3, [(0, rec.n), (1, rec.m)])
-        out = FockVector(cutoff, cond.amps)
-        out, label = apply_correction(out, rec.n, rec.m, parity)
-        target = input_vec if "Z" not in label else z_target
-        fid = fidelity(target, out) if target is not None else None
-        rec = replace(rec, fidelity=fid)
-        records.append(rec)
-        if fid is not None and ("Z" not in label or include_z_outcomes):
-            averaged.append((rec.probability, fid))
-
-    avg = _average(averaged)
     config = {
         "protocol": "teleportation",
         "input": input_spec,
@@ -339,13 +473,7 @@ def run_teleportation(
         "cutoff": cutoff,
         "include_z_outcomes": include_z_outcomes,
     }
-    return ProtocolSummary(
-        success_probability=success,
-        average_fidelity=avg,
-        outcomes=tuple(records),
-        config=config,
-        degenerate=avg is None,
-    )
+    return _teleport(input_spec, resource_spec, LossConfig(), cutoff, include_z_outcomes, config)
 
 
 def per_outcome_fidelity(
@@ -359,8 +487,8 @@ def per_outcome_fidelity(
     Returns None when the outcome has zero probability or no comparison
     target exists (Z-type outcome without a qubit decomposition).
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    if not 1 <= m <= cutoff:
+        raise ValueError(f"m must be in [1, cutoff={cutoff}], got {m}")
     summary = run_teleportation(input_spec, resource_spec, cutoff)
     return summary.outcome(0, m).fidelity
 
@@ -392,12 +520,6 @@ def success_probability_sweep(
     return rows
 
 
-def _bell_pair(phi: FockVector, cutoff: int) -> MultiModeState:
-    """Split phi on a 50:50 beamsplitter with vacuum: the two-mode Bell state."""
-    st = tensor([phi, fock_basis_state(0, cutoff)])
-    return apply_beamsplitter(st, 0, 1, 0.5)
-
-
 def run_entanglement_swap(
     phi_spec: InputSpec,
     resource_spec: ResourceSpec,
@@ -412,46 +534,10 @@ def run_entanglement_swap(
     conditional state on (a, d) against the reference Bell pair on (a, b),
     modes matched by position. Z-type outcomes carry no fidelity.
     """
-    phi = phi_spec.to_fock(cutoff)
-    res = resource_spec.to_fock(cutoff)
-    parity = resource_spec.parity
-    vac = fock_basis_state(0, cutoff)
-
-    reference = _bell_pair(phi, cutoff)
-    st = tensor([phi, vac, res, vac])
-    st = apply_beamsplitter(st, 0, 1, 0.5)
-    st = apply_beamsplitter(st, 2, 3, 0.5)
-    st = apply_beamsplitter(st, 1, 2, 0.5)
-
-    records = []
-    averaged = []
-    success = 0.0
-    for n in range(cutoff + 1):
-        for m in range(cutoff + 1):
-            prob, cond = project_photon_number(st, [(1, n), (2, m)])
-            accepted, label = classify_outcome(n, m, parity)
-            if not accepted or prob == 0.0:
-                records.append(OutcomeRecord(n, m, prob, label, accepted))
-                continue
-            success += prob
-            if "X" in label:
-                cond = apply_phase_shift(cond, 1, math.pi)
-            fid = fidelity(reference, cond) if "Z" not in label else None
-            records.append(OutcomeRecord(n, m, prob, label, accepted, fid))
-            if fid is not None:
-                averaged.append((prob, fid))
-
-    avg = _average(averaged)
     config = {
         "protocol": "entanglement-swap",
         "phi": phi_spec,
         "resource": resource_spec,
         "cutoff": cutoff,
     }
-    return ProtocolSummary(
-        success_probability=success,
-        average_fidelity=avg,
-        outcomes=tuple(records),
-        config=config,
-        degenerate=avg is None,
-    )
+    return _swap(phi_spec, resource_spec, LossConfig(), cutoff, config)

@@ -68,6 +68,50 @@ class TestExitCodes:
         assert exc.value.code == 2
 
 
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "argv, env_jobs",
+        [
+            (["wigner", "--state", "odd-cat", "--beta", "nan"], None),
+            (["wigner", "--state", "vacuum", "--range", "0", "inf"], None),
+            (["loss", "--amplitude", "nan"], None),
+            (["loss", "--eta", "0:1.5:0.5", "--diagonal"], None),
+            (["teleport", "--cutoff", "0"], None),
+            (["teleport", "--beta", "0:inf:0.1"], None),
+            (["teleport", "--beta", "0:1e9:1e-3"], None),
+            (["teleport", "--jobs", "-4"], None),
+            (["teleport", "--beta", "0.5:0.5:0.1"], "abc"),
+            (["teleport", "--per-outcome", "--m-max", "20", "--beta", "1:1:1"], None),
+            (["teleport", "--per-outcome", "--m-max", "0", "--beta", "1:1:1"], None),
+        ],
+    )
+    def test_usage_error(self, capsys, monkeypatch, argv, env_jobs):
+        # one error line and exit 2; no traceback and no rows
+        if env_jobs is not None:
+            monkeypatch.setenv("CSKIT_JOBS", env_jobs)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert len([ln for ln in captured.err.splitlines() if "error:" in ln]) == 1
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "grid, count, last",
+        [("0:1:0.05", 21, "1.0"), ("0:1:0.2", 6, "1.0"), ("0.05:1.2:0.05", 24, "1.2")],
+    )
+    def test_grid_points_are_decimal(self, capsys, grid, count, last):
+        code, out = _run(capsys, ["approx", "--kind", "odd", "--beta", grid])
+        assert code == 0
+        _, _, rows = _parse(out)
+        betas = [r.split(",")[0] for r in rows]
+        assert len(betas) == count and betas[-1] == last
+        assert all(len(b) <= 4 for b in betas)
+
+
 class TestSubcommands:
     def test_success_prob_columns(self, capsys):
         code, out = _run(
