@@ -45,7 +45,8 @@ def _parse_grid(text: str) -> list:
     """Parse 'start:stop:step' into the inclusive grid start + i * step.
 
     The points are computed in decimal from the text, so that 0:1:0.05 holds
-    0.15 and 0.05:1.2:0.05 ends exactly on 1.2.
+    0.15 and 0.05:1.2:0.05 ends exactly on 1.2. Every grid of the CLI is an
+    amplitude or a transmitivity, so none may go below 0.
     """
     try:
         start, stop, step = (Decimal(tok) for tok in text.split(":"))
@@ -60,6 +61,8 @@ def _parse_grid(text: str) -> list:
         )
     if count > MAX_GRID_POINTS:
         raise UsageError(f"grid {text!r} has {count} points, more than {MAX_GRID_POINTS}")
+    if start < 0:
+        raise UsageError(f"grid {text!r} starts below 0")
     return [float(start + i * step) for i in range(count)]
 
 
@@ -80,6 +83,23 @@ def _finite_float(text: str) -> float:
         value = math.nan
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _nonnegative_float(text: str) -> float:
+    value = _finite_float(text)
+    if value < 0.0:
+        raise argparse.ArgumentTypeError(f"expected a number >= 0, got {text!r}")
+    return value
+
+
+def _steps(text: str) -> int:
+    """A Wigner grid's points per axis: at least 2, and at most MAX_GRID_POINTS in all."""
+    value = _positive_int(text)
+    if not 2 <= value <= math.isqrt(MAX_GRID_POINTS):
+        raise argparse.ArgumentTypeError(
+            f"expected steps in [2, {math.isqrt(MAX_GRID_POINTS)}], got {text!r}"
+        )
     return value
 
 
@@ -229,7 +249,7 @@ def _cmd_entswap(args):
 
 def _cmd_loss(args):
     grid = _parse_grid(args.eta)
-    if grid[0] < 0.0 or grid[-1] > 1.0:
+    if grid[-1] > 1.0:
         raise UsageError(f"eta grid {args.eta!r} leaves [0, 1]")
     cutoff = args.cutoff if args.cutoff is not None else LOSS_CUTOFFS[args.protocol]
     if args.diagonal:
@@ -264,6 +284,8 @@ def _cmd_wigner(args):
     lo, hi = args.range
     if not lo < hi:
         raise UsageError("wigner range must satisfy lo < hi")
+    if args.beta < 0.0 and args.state != "coherent":
+        raise UsageError(f"--beta {args.beta} below 0 is defined only for the coherent state")
     grid = PhaseGrid((lo, hi), (lo, hi), args.steps)
     state = STATE_KINDS[args.state].build(args.beta, args.cutoff, args.r)
     surface = wigner_grid(state, grid)
@@ -340,7 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", choices=input_kinds, default="squeezed-single-photon")
     p.add_argument("--resource", choices=RESOURCE_KINDS, default="squeezed-single-photon")
     p.add_argument(
-        "--amplitude", type=_finite_float, default=0.5, help="alpha (teleport) or beta (entswap)"
+        "--amplitude", type=_nonnegative_float, default=0.5,
+        help="alpha (teleport) or beta (entswap)",
     )
     p.add_argument("--eta", default="0:1:0.05", help="grid start:stop:step for both etas")
     p.add_argument("--diagonal", action="store_true", help="only the eta1=eta2 slice")
@@ -355,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--range", type=_finite_float, nargs=2, default=(-5.0, 5.0), metavar=("LO", "HI")
     )
-    p.add_argument("--steps", type=int, default=101)
+    p.add_argument("--steps", type=_steps, default=101)
     common(p, 15)
     p.set_defaults(func=_cmd_wigner)
 

@@ -26,6 +26,7 @@ __all__ = [
     "apply_beamsplitter",
     "apply_phase_shift",
     "attenuate",
+    "detector_response",
     "project_photon_number",
     "partial_trace",
     "density_matrix",
@@ -189,19 +190,22 @@ def tensor(states) -> MultiModeState:
 
 
 @lru_cache(maxsize=64)
-def _beamsplitter_matrix(dim: int, eta: float) -> np.ndarray:
-    """Two-mode beamsplitter unitary on the flattened |m>|n> basis.
+def _beamsplitter_blocks(dim: int, eta: float) -> tuple:
+    """The two-mode beamsplitter unitary as its blocks of fixed total photon number.
 
     Convention: coherent amplitudes map as a -> sqrt(eta) a + sqrt(1-eta) b,
-    b -> sqrt(1-eta) a - sqrt(eta) b. Built blockwise per total photon number
-    s = m + n (the beamsplitter conserves s): each block is the exponential of
-    the rotation generator restricted to that block, followed by a pi phase on
-    the second mode. Blocks with s > cutoff are clipped to the representable
-    sub-block; the discarded entries are genuine truncation leakage.
+    b -> sqrt(1-eta) a - sqrt(eta) b. The beamsplitter conserves s = m + n, so
+    on the flattened |m>|n> basis it is one block per s, and every entry
+    outside the blocks is zero. Block s is the exponential of the rotation
+    generator restricted to it, followed by a pi phase on the second mode.
+    Its rows and columns are the flat indices m * dim + (s - m) = s + m (dim - 1)
+    for the representable m, one strided slice. Blocks with s > cutoff are
+    clipped to that sub-block; the discarded entries are genuine truncation
+    leakage. Returns one (slice, real block) pair per s.
     """
     nmax = dim - 1
     theta = math.atan2(math.sqrt(1.0 - eta), math.sqrt(eta))
-    u = np.zeros((dim * dim, dim * dim))
+    blocks = []
     for s in range(2 * nmax + 1):
         size = s + 1
         g = np.zeros((size, size))
@@ -212,11 +216,11 @@ def _beamsplitter_matrix(dim: int, eta: float) -> np.ndarray:
         block = expm(theta * g) if size > 1 else np.ones((1, 1))
         signs = np.array([(-1.0) ** (s - p) for p in range(size)])
         block = signs[:, None] * block
-        for m in range(max(0, s - nmax), min(s, nmax) + 1):
-            for p in range(max(0, s - nmax), min(s, nmax) + 1):
-                u[p * dim + (s - p), m * dim + (s - m)] = block[p, m]
-    u.setflags(write=False)
-    return u
+        lo, hi = max(0, s - nmax), min(s, nmax)
+        block = np.ascontiguousarray(block[lo : hi + 1, lo : hi + 1])
+        block.setflags(write=False)
+        blocks.append((slice(s + lo * nmax, s + hi * nmax + 1, max(nmax, 1)), block))
+    return tuple(blocks)
 
 
 def apply_beamsplitter(
@@ -226,6 +230,7 @@ def apply_beamsplitter(
 
     mode_i plays the role of "a" and mode_j of "b" in the convention
     a -> sqrt(eta) a + sqrt(1-eta) b, b -> sqrt(1-eta) a - sqrt(eta) b.
+    Each real block multiplies the (re, im) float view of its rows.
     """
     if mode_i == mode_j:
         raise ValueError("beamsplitter needs two distinct modes")
@@ -237,9 +242,11 @@ def apply_beamsplitter(
     d = ci + 1
     a = np.moveaxis(state.amps, (mode_i, mode_j), (0, 1))
     rest = a.shape[2:]
-    u = _beamsplitter_matrix(d, float(transmitivity))
-    out = (u @ a.reshape(d * d, -1)).reshape((d, d) + rest)
-    out = np.moveaxis(out, (0, 1), (mode_i, mode_j))
+    flat = np.ascontiguousarray(a.reshape(d * d, -1)).view(np.float64)
+    out = np.empty_like(flat)
+    for rows, block in _beamsplitter_blocks(d, float(transmitivity)):
+        out[rows] = block @ flat[rows]
+    out = np.moveaxis(out.view(complex).reshape((d, d) + rest), (0, 1), (mode_i, mode_j))
     return MultiModeState(state.mode_cutoffs, out)
 
 
@@ -252,17 +259,59 @@ def apply_phase_shift(state: MultiModeState, mode: int, theta: float) -> MultiMo
     return MultiModeState(state.mode_cutoffs, state.amps * phases.reshape(shape))
 
 
+@lru_cache(maxsize=64)
+def _loss_amplitudes(dim: int, eta: float) -> tuple:
+    """(k, c): what a transmitivity-eta beamsplitter makes of |k>|0>.
+
+    |k>|0> goes to sum_e c[p, e] |p>|e> over p + e = k, so c[p, e] is the
+    column of input |p + e>|0> in block p + e, and k[p, e] = p + e is clipped
+    to the cutoff where c is zero (such an input is not representable).
+    """
+    nmax = dim - 1
+    c = np.zeros((dim, dim))
+    for s, (_, block) in enumerate(_beamsplitter_blocks(dim, eta)[:dim]):
+        p = np.arange(s + 1)
+        c[p, s - p] = block[:, s]
+    k = np.minimum(np.add.outer(np.arange(dim), np.arange(dim)), nmax)
+    c.setflags(write=False)
+    k.setflags(write=False)
+    return k, c
+
+
 def attenuate(state: MultiModeState, mode: int, eta: float) -> MultiModeState:
     """Couple ``mode`` to a fresh vacuum mode with a transmitivity-eta beamsplitter.
 
     The environment mode is appended as the last mode and retained
     (purification); trace or sum over it when computing reduced quantities.
+    As the environment starts in vacuum, each output amplitude is the single
+    product out[p, e] = c[p, e] a[p + e], the same number the full
+    beamsplitter gives; the environment count e indexes the Kraus branches
+    of the loss channel.
     """
     d = state.mode_cutoffs[mode] + 1
-    amps = np.zeros(state.amps.shape + (d,), dtype=complex)
-    amps[..., 0] = state.amps
-    st = MultiModeState(state.mode_cutoffs + (d - 1,), amps)
-    return apply_beamsplitter(st, mode, st.num_modes - 1, eta)
+    k, c = _loss_amplitudes(d, float(eta))
+    out = np.moveaxis(state.amps, mode, -1)[..., k] * c
+    return MultiModeState(state.mode_cutoffs + (d - 1,), np.moveaxis(out, -2, mode))
+
+
+@lru_cache(maxsize=64)
+def detector_response(cutoff: int, eta: float) -> np.ndarray:
+    """M[n, k]: the probability that a transmitivity-eta counter reports n of k photons.
+
+    This is the binomial C(k, n) eta^n (1 - eta)^(k - n), taken as c[n, k - n]^2
+    from the amplitudes ``attenuate`` uses. A table T[k, l] of outcome weights
+    of two lossless counters becomes M T M^T behind loss, the same numbers as
+    heralding the purification: each count n with environment count e comes
+    from exactly one input k = n + e, so the environment branches add no
+    cross terms.
+    """
+    d = cutoff + 1
+    _, c = _loss_amplitudes(d, float(eta))
+    m = np.zeros((d, d))
+    for n in range(d):
+        m[n, n:] = c[n, : d - n] ** 2
+    m.setflags(write=False)
+    return m
 
 
 def project_photon_number(state: MultiModeState, mode_counts):

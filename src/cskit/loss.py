@@ -1,16 +1,27 @@
 """Loss modeling: imperfect sources and inefficient detectors.
 
-Loss is a beamsplitter of transmitivity eta coupling the lossy mode to a
-fresh vacuum environment mode (``attenuate``). Environment modes are kept as
-a purification and summed over when computing fidelities; an explicit
-partial trace is available as a cross-check. eta1 models imperfect resource
-creation (applied just after the source), eta2 models detector inefficiency
-(applied just before each detector). Inputs are amplitude-matched to the
-lossy resource: a nominal amplitude alpha becomes sqrt(eta1) * alpha.
+eta1 models imperfect resource creation, applied just after the source, and
+eta2 models detector inefficiency, applied just before each detector. Both
+are the pure-loss channel of a transmitivity-eta beamsplitter whose second
+port starts in vacuum.
+
+Source loss is ``attenuate``: it appends the environment mode and keeps the
+purification, and the environment count indexes the channel's Kraus
+branches, which the fidelities sum over. Detector loss is not a mode: the
+outcome tables of lossless counters are mapped through the binomial response
+M[n, k] of an inefficient counter (``fock.detector_response``) as M T M^T.
+That is exact, since each count n with environment count e comes from one
+input k = n + e. Lossy teleportation states thus have d^4 amplitudes and
+lossy entanglement-swapping states d^5.
+
+``conditional_output_density`` keeps every loss as an environment mode and
+reduces by an explicit partial trace, as an independent cross-check. Inputs
+are amplitude-matched to the lossy resource: a nominal amplitude alpha
+becomes sqrt(eta1) * alpha.
 
 The lossy runs here and the lossless runs in ``cskit.protocols`` are one
 circuit-and-herald engine: a lossless run is the eta1 = eta2 = 1 case, where
-no environment mode is added.
+no environment mode is added and the tables are used as they are.
 """
 
 from __future__ import annotations
@@ -41,8 +52,9 @@ __all__ = [
     "loss_diagonal_sweep",
 ]
 
-# Default cutoff per protocol: the purification makes lossy teleport states
-# d^6 and lossy entswap states d^7.
+# Default cutoff per protocol. Lossy teleport states are d^4 and lossy
+# entswap states d^5 (source loss adds one mode), with d = cutoff + 1. The
+# cross-check conditional_output_density keeps all three losses as modes, d^6.
 LOSS_CUTOFFS = {"teleport": 6, "entswap": 5}
 
 # The default eta grid: 0, 0.05, ..., 1.

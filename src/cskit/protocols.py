@@ -18,9 +18,10 @@ ideal Z (sign flip of the |-alpha> component).
 Both protocols, lossless and lossy, run through one engine: the prepared
 single-mode vectors go through the protocol's circuit, and every outcome is
 heralded at once from one probability table and one overlap table per
-correction label. Loss (see ``cskit.loss``) couples a mode to a vacuum
-environment mode and is applied only for eta < 1, so a lossless run is the
-eta1 = eta2 = 1 case of the same engine, with no environment modes.
+correction label. Source loss (see ``cskit.loss``) couples the resource mode
+to a vacuum environment mode; detector loss acts on those tables through the
+detectors' response matrix. Both apply only for eta < 1, so a lossless run is
+the eta1 = eta2 = 1 case of the same engine, with no environment mode.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .fock import (
     apply_beamsplitter,
     attenuate,
     coherent_state,
+    detector_response,
     fock_basis_state,
     tensor,
 )
@@ -277,10 +279,10 @@ class _Circuit:
     """Mode layout of a protocol circuit.
 
     Source loss acts on ``source`` first, then the 50:50 beamsplitters in
-    ``splits`` run in order, then detector loss acts on each of the two
-    ``detectors``, which count (n, m). The modes left after the detectors are
-    the output modes in mode order, followed by the environment modes; the X
-    correction is a pi phase on output ``x_output``.
+    ``splits`` run in order, then the two ``detectors`` count (n, m) behind
+    detector loss. The modes left after the detectors are the output modes in
+    mode order, followed by the source's environment mode; the X correction is
+    a pi phase on output ``x_output``.
     """
 
     source: int
@@ -295,21 +297,17 @@ _TELEPORTER = _Circuit(source=1, splits=((1, 2), (0, 1)), detectors=(0, 1), x_ou
 _SWAPPER = _Circuit(source=2, splits=((0, 1), (2, 3), (1, 2)), detectors=(1, 2), x_output=1)
 
 
-def _prepare(vectors, circuit: _Circuit, loss: LossConfig) -> MultiModeState:
-    """The state just before the photon-number measurement.
+def _prepare(vectors, circuit: _Circuit, eta1: float) -> MultiModeState:
+    """The state that reaches the detectors' loss.
 
-    Each loss appends one environment mode, in the order source, detector n,
-    detector m; at eta = 1 none is added, as attenuation would leave the
-    state times the environment vacuum.
+    Source loss appends one environment mode; at eta1 = 1 none is added, as
+    attenuation would leave the state times the environment vacuum.
     """
     st = tensor(vectors)
-    if loss.eta1 < 1.0:
-        st = attenuate(st, circuit.source, loss.eta1)
+    if eta1 < 1.0:
+        st = attenuate(st, circuit.source, eta1)
     for i, j in circuit.splits:
         st = apply_beamsplitter(st, i, j, 0.5)
-    if loss.eta2 < 1.0:
-        for mode in circuit.detectors:
-            st = attenuate(st, mode, loss.eta2)
     return st
 
 
@@ -321,20 +319,31 @@ def _average(pairs):
     return sum(p * f for p, f in pairs) / weight
 
 
-def _herald(state, circuit, parity, target=None, z_target=None, include_z=False, config=None):
-    """Every (n, m) outcome of ``state``, heralded at once.
+def _detected(table, eta2):
+    """An outcome table over (k, l) lossless counts, seen by counters of transmitivity eta2."""
+    if eta2 == 1.0:
+        return table
+    response = detector_response(table.shape[-1] - 1, eta2)
+    return response @ table @ response.T
+
+
+def _herald(
+    state, circuit, eta2, parity, target=None, z_target=None, include_z=False, config=None
+):
+    """Every (n, m) outcome of ``state`` behind detectors of transmitivity eta2, at once.
 
     ``target`` and ``z_target`` are amplitude arrays over the output modes,
     compared against the no-Z and the Z-type outcomes; None gives those
     outcomes no fidelity. The probability table sums |amps|^2 over all
     non-detector axes. Each correction label's overlap table contracts its
     target (carrying the X correction's pi phase for X and XZ) with the
-    output axes; the fidelity of an outcome sums |overlap|^2 over the
-    environment axes and divides by the outcome's probability.
+    output axes and sums |overlap|^2 over the environment axis. Detector loss
+    maps every table T to M T M^T (``detector_response``). The fidelity of an
+    outcome is its overlap weight divided by its probability.
     """
     amps = np.moveaxis(state.amps, circuit.detectors, (0, 1))
     d = amps.shape[0]
-    probs = np.sum(np.abs(amps) ** 2, axis=tuple(range(2, amps.ndim))).tolist()
+    probs = _detected(np.sum(np.abs(amps) ** 2, axis=tuple(range(2, amps.ndim))), eta2).tolist()
 
     weights = {}
     if target is not None:
@@ -350,7 +359,7 @@ def _herald(state, circuit, parity, target=None, z_target=None, include_z=False,
             axes=([k + 1 for k in outputs], [k + 2 for k in outputs]),
         )
         tables = np.sum(np.abs(overlap) ** 2, axis=tuple(range(3, overlap.ndim)))
-        weights = dict(zip(targets, tables.tolist()))
+        weights = dict(zip(targets, _detected(tables, eta2).tolist()))
 
     records = []
     averaged = []
@@ -368,6 +377,9 @@ def _herald(state, circuit, parity, target=None, z_target=None, include_z=False,
             if fid is not None and ("Z" not in label or include_z):
                 averaged.append((p, fid))
 
+    # Rounding in the beamsplitters can leave the retained norm a few ulps
+    # above 1, and a probability must not exceed 1.
+    success = min(success, 1.0)
     avg = _average(averaged)
     return ProtocolSummary(success, avg, tuple(records), config or {}, degenerate=avg is None)
 
@@ -383,7 +395,7 @@ def build_teleporter_input(
     if input_state.cutoff != cutoff or resource.cutoff != cutoff:
         raise ValueError("input and resource must be built at the working cutoff")
     vectors = [input_state, resource, fock_basis_state(0, cutoff)]
-    return _prepare(vectors, _TELEPORTER, LossConfig())
+    return _prepare(vectors, _TELEPORTER, 1.0)
 
 
 def classify_outcome(n: int, m: int, parity: str = "odd"):
@@ -422,19 +434,32 @@ def enumerate_outcomes(state3: MultiModeState, parity: str = "odd"):
     """All (n, m) outcome records for detectors on modes a and b (no fidelities)."""
     if state3.num_modes != 3:
         raise ValueError("expected a 3-mode teleporter state")
-    return list(_herald(state3, _TELEPORTER, parity).outcomes)
+    return list(_herald(state3, _TELEPORTER, 1.0, parity).outcomes)
 
 
 def _teleport(input_spec, resource_spec, loss, cutoff, include_z, config):
     """Teleportation of ``input_spec`` as given: the caller matches its amplitude."""
     target = input_spec.to_fock(cutoff)
     vectors = [target, resource_spec.to_fock(cutoff), fock_basis_state(0, cutoff)]
-    qubit = input_spec.qubit()
-    z_target = None if qubit is None else qubit.z_flipped().to_fock(cutoff).amps
     return _herald(
-        _prepare(vectors, _TELEPORTER, loss), _TELEPORTER, resource_spec.parity,
-        target.amps, z_target, include_z, config,
+        _prepare(vectors, _TELEPORTER, loss.eta1), _TELEPORTER, loss.eta2, resource_spec.parity,
+        target.amps, _z_target(input_spec, cutoff), include_z, config,
     )
+
+
+def _z_target(input_spec, cutoff):
+    """Amplitudes of the Z-flipped input, or None where there is no such state.
+
+    A squeezed input has no qubit decomposition. At alpha = 0 an input with
+    mu = nu (the even cat) flips to mu |0> - mu |0>, the zero vector.
+    """
+    qubit = input_spec.qubit()
+    if qubit is None:
+        return None
+    flipped = qubit.z_flipped()
+    if flipped.alpha == 0.0 and flipped.mu + flipped.nu == 0.0:
+        return None
+    return flipped.to_fock(cutoff).amps
 
 
 def _bell_pair(phi: FockVector, cutoff: int) -> MultiModeState:
@@ -447,9 +472,11 @@ def _swap(phi_spec, resource_spec, loss, cutoff, config):
     """Entanglement swapping of ``phi_spec`` as given: the caller matches amplitudes."""
     phi = phi_spec.to_fock(cutoff)
     vac = fock_basis_state(0, cutoff)
-    state = _prepare([phi, vac, resource_spec.to_fock(cutoff), vac], _SWAPPER, loss)
+    state = _prepare([phi, vac, resource_spec.to_fock(cutoff), vac], _SWAPPER, loss.eta1)
     reference = _bell_pair(phi, cutoff)
-    return _herald(state, _SWAPPER, resource_spec.parity, reference.amps, config=config)
+    return _herald(
+        state, _SWAPPER, loss.eta2, resource_spec.parity, reference.amps, config=config
+    )
 
 
 def run_teleportation(

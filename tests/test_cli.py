@@ -83,6 +83,11 @@ class TestBadInput:
             (["teleport", "--beta", "0.5:0.5:0.1"], "abc"),
             (["teleport", "--per-outcome", "--m-max", "20", "--beta", "1:1:1"], None),
             (["teleport", "--per-outcome", "--m-max", "0", "--beta", "1:1:1"], None),
+            (["wigner", "--state", "vacuum", "--steps", "1"], None),
+            (["wigner", "--state", "vacuum", "--steps", "1001"], None),
+            (["wigner", "--state", "odd-cat", "--beta", "-1"], None),
+            (["loss", "--amplitude", "-0.5"], None),
+            (["teleport", "--beta=-0.5:0:0.5"], None),
         ],
     )
     def test_usage_error(self, capsys, monkeypatch, argv, env_jobs):
@@ -172,6 +177,14 @@ class TestSubcommands:
         _, columns, rows = _parse(out)
         assert columns == ["eta1", "eta2", "fidelity"]
         assert float(rows[0].split(",")[2]) == pytest.approx(1.0, abs=1e-6)
+
+    def test_loss_even_cat_without_source(self, capsys):
+        # at eta1 = 0 the matched even cat is the vacuum, whose Z flip is zero
+        code, out = _run(capsys, ["loss", "--input", "even-cat", "--eta", "0:1:0.5"])
+        assert code == 0
+        _, _, rows = _parse(out)
+        assert [r.split(",")[:2] for r in rows[:3]] == [["0.0", "0.0"], ["0.0", "0.5"], ["0.0", "1.0"]]
+        assert len(rows) == 9
 
     def test_wigner_grid(self, capsys):
         code, out = _run(

@@ -34,7 +34,10 @@ from cskit.protocols import (
 
 TOL = 1e-12
 ETAS = (1.0, 0.7, 0.3)
-LOSSES = [None] + [LossConfig(e1, e2) for e1, e2 in itertools.product(ETAS, ETAS)]
+# Dark detectors (eta2 = 0, or nearly so) see only the rounding noise of the
+# loss beamsplitter, which detection applied to the tables must reproduce.
+DARK = [LossConfig(0.7, 0.0), LossConfig(1.0, 0.0), LossConfig(0.3, 0.05)]
+LOSSES = [None] + [LossConfig(e1, e2) for e1, e2 in itertools.product(ETAS, ETAS)] + DARK
 TELEPORT_CUTOFF = 5
 SWAP_CUTOFF = 4
 

@@ -1,0 +1,104 @@
+"""Property tests of the block beamsplitter, attenuation and detector kernels.
+
+The reference is the dense d^2 x d^2 beamsplitter matrix, assembled from the
+same per-block exponentials and applied as one matrix product, as cskit did
+before it applied the blocks one at a time.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
+
+from cskit.fock import (
+    MultiModeState,
+    _beamsplitter_blocks,
+    apply_beamsplitter,
+    attenuate,
+    detector_response,
+)
+
+TOL = 1e-12
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+
+etas = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+def _dense_beamsplitter(dim: int, eta: float) -> np.ndarray:
+    """Two-mode beamsplitter unitary on the flattened |m>|n> basis."""
+    nmax = dim - 1
+    theta = math.atan2(math.sqrt(1.0 - eta), math.sqrt(eta))
+    u = np.zeros((dim * dim, dim * dim))
+    for s in range(2 * nmax + 1):
+        size = s + 1
+        g = np.zeros((size, size))
+        for m in range(s):
+            val = math.sqrt((m + 1) * (s - m))
+            g[m + 1, m] = val
+            g[m, m + 1] = -val
+        block = expm(theta * g) if size > 1 else np.ones((1, 1))
+        signs = np.array([(-1.0) ** (s - p) for p in range(size)])
+        block = signs[:, None] * block
+        for m in range(max(0, s - nmax), min(s, nmax) + 1):
+            for p in range(max(0, s - nmax), min(s, nmax) + 1):
+                u[p * dim + (s - p), m * dim + (s - m)] = block[p, m]
+    return u
+
+
+def _dense_apply(amps: np.ndarray, mode_i: int, mode_j: int, eta: float) -> np.ndarray:
+    d = amps.shape[mode_i]
+    a = np.moveaxis(amps, (mode_i, mode_j), (0, 1))
+    out = (_dense_beamsplitter(d, eta) @ a.reshape(d * d, -1)).reshape(a.shape)
+    return np.moveaxis(out, (0, 1), (mode_i, mode_j))
+
+
+@st.composite
+def states(draw):
+    """A random unnormalized state of 2-4 equal-cutoff modes, cutoff 1-8."""
+    cutoff = draw(st.integers(1, 8))
+    modes = draw(st.integers(2, 4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    shape = (cutoff + 1,) * modes
+    return MultiModeState((cutoff,) * modes, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+
+
+@PROPERTY
+@given(dim=st.integers(1, 9), eta=etas)
+def test_unclipped_blocks_are_orthogonal(dim, eta):
+    for _, block in _beamsplitter_blocks(dim, eta)[:dim]:
+        assert np.max(np.abs(block @ block.T - np.eye(block.shape[0]))) <= TOL
+
+
+@PROPERTY
+@given(state=states(), eta=etas, data=st.data())
+def test_apply_beamsplitter_matches_dense(state, eta, data):
+    mode_i, mode_j = data.draw(
+        st.lists(st.integers(0, state.num_modes - 1), min_size=2, max_size=2, unique=True)
+    )
+    got = apply_beamsplitter(state, mode_i, mode_j, eta).amps
+    want = _dense_apply(state.amps, mode_i, mode_j, eta)
+    assert np.max(np.abs(got - want)) <= TOL
+
+
+@PROPERTY
+@given(state=states(), eta=etas, data=st.data())
+def test_attenuate_matches_zero_padded_dense(state, eta, data):
+    mode = data.draw(st.integers(0, state.num_modes - 1))
+    padded = np.zeros(state.amps.shape + (state.amps.shape[mode],), dtype=complex)
+    padded[..., 0] = state.amps
+    want = _dense_apply(padded, mode, state.num_modes, eta)
+    got = attenuate(state, mode, eta)
+    assert got.mode_cutoffs == state.mode_cutoffs + (state.mode_cutoffs[mode],)
+    assert np.max(np.abs(got.amps - want)) <= TOL
+
+
+@PROPERTY
+@given(cutoff=st.integers(0, 8), eta=etas)
+def test_detector_response_is_binomial(cutoff, eta):
+    n, k = np.indices((cutoff + 1, cutoff + 1))
+    binomial = np.vectorize(math.comb)(k, n) * eta**n * (1.0 - eta) ** np.maximum(k - n, 0)
+    want = np.where(n <= k, binomial, 0.0)
+    assert np.max(np.abs(detector_response(cutoff, eta) - want)) <= TOL

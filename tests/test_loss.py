@@ -91,6 +91,17 @@ class TestLossyTeleportation:
         )
         assert summary.degenerate
 
+    def test_even_cat_without_source(self):
+        # the matched even cat at eta1 = 0 is the vacuum, whose Z flip is the
+        # zero vector: Z-type outcomes get no fidelity instead of an error
+        summary = run_lossy_teleportation(
+            InputSpec("even-cat", 0.5),
+            ResourceSpec("squeezed-single-photon", 0.5 * math.sqrt(2.0)),
+            LossConfig(0.0, 0.7), 6,
+        )
+        z_type = [o for o in summary.outcomes if o.accepted and "Z" in o.correction]
+        assert z_type and all(o.fidelity is None for o in z_type)
+
     def test_mode_count(self):
         # 3 working + 3 environment modes, asserted inside the run
         summary = run_lossy_teleportation(

@@ -301,6 +301,11 @@ class TestSuccessProbability:
         )
         assert rows[0][3] == pytest.approx(0.5, abs=1e-3)
 
+    def test_never_above_one(self):
+        # the beamsplitters can round the retained norm a few ulps above 1
+        rows = success_probability_sweep([0.1, 0.2, 0.3])
+        assert all(0.0 <= p <= 1.0 for _, _, _, p in rows)
+
     def test_both_nonzero_weight(self):
         beta = 1.0
         ideal = run_teleportation(
