@@ -111,13 +111,16 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit(path, header_pairs, columns, rows):
+def _csv_lines(rows) -> list:
+    return [",".join(_fmt(v) for v in row) for row in rows]
+
+
+def _emit(path, header_pairs, columns, data_lines):
     lines = [f"# tool: cskit {__version__}"]
     for key, value in header_pairs:
         lines.append(f"# {key}: {value}")
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines.extend(data_lines)
     text = "\n".join(lines) + "\n"
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -182,7 +185,7 @@ def _cmd_approx(args):
         for row in approximation_fidelity_sweep(args.kind, grid, args.cutoff)
     ]
     extra = [("kind", args.kind), ("beta-grid", args.beta), ("cutoff", args.cutoff)]
-    _emit(args.output, _header(args, extra), ["beta", "r_opt", "fidelity"], rows)
+    _emit(args.output, _header(args, extra), ["beta", "r_opt", "fidelity"], _csv_lines(rows))
 
 
 def _cmd_success_prob(args):
@@ -200,7 +203,7 @@ def _cmd_success_prob(args):
         args.output,
         _header(args, extra),
         ["beta", "input_family", "resource_kind", "p_success"],
-        rows,
+        _csv_lines(rows),
     )
 
 
@@ -228,7 +231,7 @@ def _cmd_teleport(args):
         columns = ["beta", "m", "fidelity"]
     else:
         columns = ["beta", "avg_fidelity", "p_success"]
-    _emit(args.output, _header(args, extra), columns, rows)
+    _emit(args.output, _header(args, extra), columns, _csv_lines(rows))
 
 
 def _cmd_entswap(args):
@@ -244,7 +247,12 @@ def _cmd_entswap(args):
         ("beta-grid", args.beta),
         ("cutoff", args.cutoff),
     ]
-    _emit(args.output, _header(args, extra), ["beta", "avg_fidelity", "p_success"], rows)
+    _emit(
+        args.output,
+        _header(args, extra),
+        ["beta", "avg_fidelity", "p_success"],
+        _csv_lines(rows),
+    )
 
 
 def _cmd_loss(args):
@@ -277,7 +285,7 @@ def _cmd_loss(args):
         ("diagonal", args.diagonal),
         ("cutoff", cutoff),
     ]
-    _emit(args.output, _header(args, extra), ["eta1", "eta2", "fidelity"], rows)
+    _emit(args.output, _header(args, extra), ["eta1", "eta2", "fidelity"], _csv_lines(rows))
 
 
 def _cmd_wigner(args):
@@ -289,10 +297,14 @@ def _cmd_wigner(args):
     grid = PhaseGrid((lo, hi), (lo, hi), args.steps)
     state = STATE_KINDS[args.state].build(args.beta, args.cutoff, args.r)
     surface = wigner_grid(state, grid)
-    rows = [
-        (float(x), float(p), float(surface[i, j]))
-        for i, x in enumerate(grid.xs)
-        for j, p in enumerate(grid.ps)
+    # Each axis value is formatted once; the rows are the same bytes as
+    # _csv_lines over (x, p, W) float tuples.
+    x_cells = [repr(x) + "," for x in grid.xs.tolist()]
+    p_cells = [repr(p) + "," for p in grid.ps.tolist()]
+    lines = [
+        x_cell + p_cell + repr(w)
+        for x_cell, row in zip(x_cells, surface.tolist())
+        for p_cell, w in zip(p_cells, row)
     ]
     extra = [
         ("state", args.state),
@@ -302,7 +314,7 @@ def _cmd_wigner(args):
         ("steps", args.steps),
         ("cutoff", args.cutoff),
     ]
-    _emit(args.output, _header(args, extra), ["x", "p", "W"], rows)
+    _emit(args.output, _header(args, extra), ["x", "p", "W"], lines)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -374,7 +386,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("wigner", help="Wigner function on a phase-space grid")
     p.add_argument("--state", choices=state_kinds("wigner"), required=True)
     p.add_argument("--beta", type=_finite_float, default=1.0)
-    p.add_argument("--r", type=_finite_float, default=None, help="override squeezing for sq1/sq0")
+    p.add_argument(
+        "--r", type=_nonnegative_float, default=None, help="override squeezing for sq1/sq0"
+    )
     p.add_argument(
         "--range", type=_finite_float, nargs=2, default=(-5.0, 5.0), metavar=("LO", "HI")
     )

@@ -1,9 +1,14 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import cskit
 from cskit.cli import main
+from cskit.protocols import STATE_KINDS
+from cskit.wigner import PhaseGrid, wigner_grid
 
 
 def _run(capsys, argv):
@@ -88,6 +93,8 @@ class TestBadInput:
             (["wigner", "--state", "odd-cat", "--beta", "-1"], None),
             (["loss", "--amplitude", "-0.5"], None),
             (["teleport", "--beta=-0.5:0:0.5"], None),
+            (["wigner", "--state", "sq1", "--r", "-1"], None),
+            (["wigner", "--state", "sq0", "--r", "-0.5"], None),
         ],
     )
     def test_usage_error(self, capsys, monkeypatch, argv, env_jobs):
@@ -196,6 +203,32 @@ class TestSubcommands:
         assert columns == ["x", "p", "W"]
         assert len(rows) == 25
         assert all(float(r.split(",")[2]) > -1e-15 for r in rows)
+
+    def test_wigner_rows_are_repr_of_the_library_surface(self, capsys):
+        code, out = _run(
+            capsys,
+            ["wigner", "--state", "odd-cat", "--steps", "31", "--range", "-3", "4"],
+        )
+        assert code == 0
+        _, _, rows = _parse(out)
+        grid = PhaseGrid((-3.0, 4.0), (-3.0, 4.0), 31)
+        surface = wigner_grid(STATE_KINDS["odd-cat"].build(1.0, 15, None), grid)
+        want = [
+            f"{float(x)!r},{float(p)!r},{float(surface[i, j])!r}"
+            for i, x in enumerate(grid.xs)
+            for j, p in enumerate(grid.ps)
+        ]
+        assert rows == want
+
+
+def test_cli_import_leaves_out_scipy_special():
+    src = os.path.dirname(os.path.dirname(cskit.__file__))
+    probe = "import sys, cskit.cli; print('scipy.special' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "False"
 
 
 class TestJobs:

@@ -2,11 +2,48 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.special import eval_genlaguerre, gammaln
 
 from cskit.catstates import cat_state, r_opt, squeezed_single_photon
-from cskit.fock import coherent_state, density_matrix, fock_basis_state
+from cskit.fock import DensityMatrix, coherent_state, density_matrix, fock_basis_state
 from cskit.wigner import PhaseGrid, wigner_grid, wigner_point
+
+TOL = 1e-12
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
+
+
+def _closed_form_parity_sum(rho, alpha_c):
+    """(1/pi) Tr[rho P(alpha_c)] summed term by term from the closed form
+
+        <m| P(a) |n> = (-1)^n sqrt(n!/m!) (2a)^{m-n} e^{-2|a|^2} L_n^{m-n}(4|a|^2),
+
+    one Laguerre polynomial per (n, m >= n), as cskit evaluated it before the
+    Clenshaw sum. Zero elements of rho are skipped, which changes no sum."""
+    dim = rho.dim
+    asq4 = 4.0 * np.abs(alpha_c) ** 2
+    envelope = np.exp(-asq4 / 2.0)
+    total = np.zeros(alpha_c.shape)
+    for n in range(dim):
+        for m in range(n, dim):
+            if rho.elems[n, m] == 0:
+                continue
+            k = m - n
+            coeff = (-1.0) ** n * math.exp(0.5 * (gammaln(n + 1) - gammaln(m + 1)))
+            term = coeff * (2.0 * alpha_c) ** k * envelope * eval_genlaguerre(n, k, asq4)
+            if m == n:
+                total += np.real(rho.elems[n, n] * term)
+            else:
+                # rho_{nm} P_{mn} + rho_{mn} P_{nm} = 2 Re(rho_{nm} P_{mn})
+                total += 2.0 * np.real(rho.elems[n, m] * term)
+    return total / math.pi
+
+
+def _closed_form_grid(rho, grid):
+    alpha_c = (grid.xs[:, None] + 1j * grid.ps[None, :]) / math.sqrt(2.0)
+    return _closed_form_parity_sum(rho, alpha_c)
 
 
 def _oracle_wigner_point(rho_elems, x, p, margin=10):
@@ -122,3 +159,61 @@ class TestSurfaces:
     def test_rejects_unknown_type(self):
         with pytest.raises(TypeError):
             wigner_point(np.eye(3), 0.0, 0.0)
+
+
+CLOSED_FORM_GRID = PhaseGrid((-5.0, 5.0), (-5.0, 5.0), 21)
+
+
+@st.composite
+def hermitian_densities(draw):
+    """A random complex Hermitian positive rho of trace 1, cutoff 0-30."""
+    cutoff = draw(st.integers(0, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.normal(size=(cutoff + 1,) * 2) + 1j * rng.normal(size=(cutoff + 1,) * 2)
+    rho = a @ a.conj().T
+    return DensityMatrix(cutoff, rho / np.trace(rho).real)
+
+
+class TestClosedFormOracle:
+    """The Clenshaw sum against the closed form summed term by term."""
+
+    def test_every_number_state_pair(self):
+        # |n><m| + |m><n| for n <= m <= 30: one diagonal k = m - n, real
+        worst = 0.0
+        for n in range(31):
+            for m in range(n, 31):
+                elems = np.zeros((31, 31))
+                elems[n, m] = elems[m, n] = 1.0
+                rho = DensityMatrix(30, elems)
+                got = wigner_grid(rho, CLOSED_FORM_GRID)
+                want = _closed_form_grid(rho, CLOSED_FORM_GRID)
+                worst = max(worst, np.max(np.abs(got - want)))
+        assert worst <= TOL
+
+    @PROPERTY
+    @given(rho=hermitian_densities())
+    def test_complex_hermitian_densities(self, rho):
+        got = wigner_grid(rho, CLOSED_FORM_GRID)
+        want = _closed_form_grid(rho, CLOSED_FORM_GRID)
+        assert np.max(np.abs(got - want)) <= TOL
+
+    def test_only_odd_diagonals(self):
+        # every even diagonal, the main one included, is skipped as zero
+        rng = np.random.default_rng(7)
+        a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        n, m = np.indices(a.shape)
+        elems = np.where((m - n) % 2 == 1, a, 0.0)
+        rho = DensityMatrix(15, elems + elems.conj().T)
+        got = wigner_grid(rho, CLOSED_FORM_GRID)
+        want = _closed_form_grid(rho, CLOSED_FORM_GRID)
+        assert np.max(np.abs(want)) > 0.1
+        assert np.max(np.abs(got - want)) <= TOL
+
+    def test_point_at_cutoff_zero(self):
+        vac = fock_basis_state(0, 0)
+        for x, p in ((0.0, 0.0), (1.5, -0.5), (-4.0, 3.0)):
+            want = math.exp(-(x * x + p * p)) / math.pi
+            assert wigner_point(vac, x, p) == pytest.approx(want, abs=TOL)
+            alpha_c = np.array([(x + 1j * p) / math.sqrt(2.0)])
+            oracle = _closed_form_parity_sum(density_matrix(vac), alpha_c)[0]
+            assert abs(wigner_point(vac, x, p) - oracle) <= TOL
