@@ -45,10 +45,17 @@ def cat_state(beta: float, parity: str, cutoff: int) -> FockVector:
     if parity not in ("even", "odd"):
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
     _check_beta(beta, cutoff)
-    if beta == 0.0:
+    # Where beta^2 is below the smallest normal float, the next term of the
+    # expansion is too, and the limit is exact to double precision.
+    if beta**2 < np.finfo(float).tiny:
         return fock_basis_state(0 if parity == "even" else 1, cutoff)
     offset = 0 if parity == "even" else 1
-    norm_const = 1.0 / math.sqrt(2.0 * (1.0 + (1 if parity == "even" else -1) * math.exp(-2.0 * beta**2)))
+    if parity == "even":
+        norm_sq = 2.0 * (1.0 + math.exp(-2.0 * beta**2))
+    else:
+        # 2 (1 - exp(-2 beta^2)) by expm1; the difference rounds to 0 below beta ~ 1e-8
+        norm_sq = -2.0 * math.expm1(-2.0 * beta**2)
+    norm_const = 1.0 / math.sqrt(norm_sq)
     amps = np.zeros(cutoff + 1, dtype=complex)
     prefactor = 2.0 * norm_const * math.exp(-(beta**2) / 2.0)
     for n in range(offset, cutoff + 1, 2):

@@ -294,6 +294,8 @@ def _cmd_wigner(args):
         raise UsageError("wigner range must satisfy lo < hi")
     if args.beta < 0.0 and args.state != "coherent":
         raise UsageError(f"--beta {args.beta} below 0 is defined only for the coherent state")
+    if args.r is not None and args.state not in ("sq1", "sq0"):
+        raise UsageError(f"--r is read only by sq1 and sq0, not by {args.state}")
     grid = PhaseGrid((lo, hi), (lo, hi), args.steps)
     state = STATE_KINDS[args.state].build(args.beta, args.cutoff, args.r)
     surface = wigner_grid(state, grid)

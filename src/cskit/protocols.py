@@ -18,16 +18,22 @@ ideal Z (sign flip of the |-alpha> component).
 Both protocols, lossless and lossy, run through one engine: the prepared
 single-mode vectors go through the protocol's circuit, and every outcome is
 heralded at once from one probability table and one overlap table per
-correction label. Source loss (see ``cskit.loss``) couples the resource mode
-to a vacuum environment mode; detector loss acts on those tables through the
-detectors' response matrix. Both apply only for eta < 1, so a lossless run is
-the eta1 = eta2 = 1 case of the same engine, with no environment mode.
+correction label. A 50:50 split whose second port is still vacuum is
+``attenuate``'s gather, not a beamsplitter, so each circuit applies one full
+beamsplitter. Heralding is a set of masked reductions of those tables, with
+the correction labels cached per (cutoff, parity), and a summary builds its
+outcome records only when they are read. Source loss (see ``cskit.loss``)
+couples the resource mode to a vacuum environment mode; detector loss acts
+on those tables through the detectors' response matrix. Both apply only for
+eta < 1, so a lossless run is the eta1 = eta2 = 1 case of the same engine,
+with no environment mode.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property, lru_cache, reduce
 from typing import Callable
 
 import numpy as np
@@ -41,7 +47,6 @@ from .fock import (
     coherent_state,
     detector_response,
     fock_basis_state,
-    tensor,
 )
 
 __all__ = [
@@ -255,36 +260,65 @@ class ProtocolSummary:
 
     ``average_fidelity`` is probability-weighted over the accepted outcomes
     that need no Z correction (the odd detector counts for an odd-parity
-    resource). ``degenerate`` flags a run with zero accepted weight.
+    resource). ``degenerate`` flags a run with zero accepted weight. The
+    summary keeps the outcome tables over the (n, m) counts; ``outcomes``
+    and ``outcome(n, m)`` build their records from them when read.
     """
 
     success_probability: float
     average_fidelity: float
-    outcomes: tuple
     config: dict = field(default_factory=dict)
     degenerate: bool = False
+    # Probability, fidelity (NaN where there is none) and correction label per (n, m).
+    _probabilities: np.ndarray = field(default=None, compare=False, repr=False)
+    _fidelities: np.ndarray = field(default=None, compare=False, repr=False)
+    _labels: np.ndarray = field(default=None, compare=False, repr=False)
+
+    @cached_property
+    def outcomes(self) -> tuple:
+        """One OutcomeRecord per (n, m), n-major."""
+        probs, fids = self._probabilities.tolist(), self._fidelities.tolist()
+        labels = self._labels.tolist()
+        counts = range(len(labels))
+        return tuple(
+            _record(n, m, probs[n][m], labels[n][m], fids[n][m]) for n in counts for m in counts
+        )
 
     def both_nonzero_weight(self) -> float:
-        return sum(o.probability for o in self.outcomes if o.n > 0 and o.m > 0)
+        return float(self._probabilities[1:, 1:].sum())
 
     def outcome(self, n: int, m: int) -> OutcomeRecord:
-        for o in self.outcomes:
-            if o.n == n and o.m == m:
-                return o
-        raise KeyError((n, m))
+        counts = range(len(self._labels))
+        if n not in counts or m not in counts:
+            raise KeyError((n, m))
+        n, m = int(n), int(m)
+        return _record(
+            n, m, float(self._probabilities[n, m]), str(self._labels[n, m]),
+            float(self._fidelities[n, m]),
+        )
+
+
+def _record(n, m, probability, label, fidelity):
+    return OutcomeRecord(
+        n, m, probability, label, label != "none", None if math.isnan(fidelity) else fidelity
+    )
 
 
 @dataclass(frozen=True)
 class _Circuit:
     """Mode layout of a protocol circuit.
 
-    Source loss acts on ``source`` first, then the 50:50 beamsplitters in
-    ``splits`` run in order, then the two ``detectors`` count (n, m) behind
-    detector loss. The modes left after the detectors are the output modes in
-    mode order, followed by the source's environment mode; the X correction is
-    a pi phase on output ``x_output``.
+    The prepared vectors enter the modes in ``inputs``; every other mode
+    starts in vacuum. Source loss acts on ``source`` first, then the 50:50
+    beamsplitters in ``splits`` run in order, then the two ``detectors``
+    count (n, m) behind detector loss. A split whose second port is still
+    vacuum is a gather, not a beamsplitter (see ``_prepare``). The modes left
+    after the detectors are the output modes in mode order, followed by the
+    source's environment mode; the X correction is a pi phase on output
+    ``x_output``.
     """
 
+    inputs: tuple
     source: int
     splits: tuple
     detectors: tuple
@@ -292,31 +326,53 @@ class _Circuit:
 
 
 # Modes (a, b, c): input, resource, vacuum; the output is c.
-_TELEPORTER = _Circuit(source=1, splits=((1, 2), (0, 1)), detectors=(0, 1), x_output=0)
+_TELEPORTER = _Circuit(
+    inputs=(0, 1), source=1, splits=((1, 2), (0, 1)), detectors=(0, 1), x_output=0
+)
 # Modes (a, b, c, d): phi, vacuum, resource, vacuum; the output is (a, d).
-_SWAPPER = _Circuit(source=2, splits=((0, 1), (2, 3), (1, 2)), detectors=(1, 2), x_output=1)
+_SWAPPER = _Circuit(
+    inputs=(0, 2), source=2, splits=((0, 1), (2, 3), (1, 2)), detectors=(1, 2), x_output=1
+)
 
 
 def _prepare(vectors, circuit: _Circuit, eta1: float) -> MultiModeState:
-    """The state that reaches the detectors' loss.
+    """The state that reaches the detectors' loss, its modes in order and the environment last.
 
-    Source loss appends one environment mode; at eta1 = 1 none is added, as
-    attenuation would leave the state times the environment vacuum.
+    Each input vector starts a part of the state. Source loss appends one
+    environment mode to the source's part; at eta1 = 1 none is added, as
+    attenuation would leave the state times the environment vacuum. A split
+    whose second port is still vacuum is ``attenuate``'s gather at eta = 0.5
+    on the part that holds its first port, whose new axis becomes that port:
+    each Bell pair is built as a d^2 array. A split between two occupied
+    ports tensors the parts once and is a full beamsplitter. The axes are
+    put in mode order at the end.
     """
-    st = tensor(vectors)
-    if eta1 < 1.0:
-        st = attenuate(st, circuit.source, eta1)
+    env = math.inf  # the environment's label sorts after every mode
+    parts = []
+    for mode, vec in zip(circuit.inputs, vectors):
+        labels, st = [mode], MultiModeState((vec.cutoff,), vec.amps)
+        if mode == circuit.source and eta1 < 1.0:
+            labels, st = [mode, env], attenuate(st, 0, eta1)
+        parts.append((labels, st))
     for i, j in circuit.splits:
-        st = apply_beamsplitter(st, i, j, 0.5)
-    return st
+        if any(j in labels for labels, _ in parts):
+            labels, st = _joined(parts)
+            parts = [(labels, apply_beamsplitter(st, labels.index(i), labels.index(j), 0.5))]
+        else:
+            k = next(k for k, (labels, _) in enumerate(parts) if i in labels)
+            labels, st = parts[k]
+            parts[k] = (labels + [j], attenuate(st, labels.index(i), 0.5))
+    labels, st = _joined(parts)
+    return MultiModeState(st.mode_cutoffs, st.amps.transpose(np.argsort(labels)))
 
 
-def _average(pairs):
-    """Probability-weighted mean over (probability, fidelity) pairs."""
-    weight = sum(p for p, _ in pairs)
-    if weight == 0.0:
-        return None
-    return sum(p * f for p, f in pairs) / weight
+def _joined(parts):
+    """(labels, state): the parts tensored into one state, in the order given."""
+    if len(parts) == 1:
+        return parts[0]
+    labels = [label for part_labels, _ in parts for label in part_labels]
+    amps = reduce(np.multiply.outer, [st.amps for _, st in parts])
+    return labels, MultiModeState(sum((st.mode_cutoffs for _, st in parts), ()), amps)
 
 
 def _detected(table, eta2):
@@ -325,6 +381,16 @@ def _detected(table, eta2):
         return table
     response = detector_response(table.shape[-1] - 1, eta2)
     return response @ table @ response.T
+
+
+@lru_cache(maxsize=64)
+def _label_table(d: int, parity: str):
+    """(labels, masks): the correction label of every (n, m) count, and a mask per label."""
+    labels = np.array([[classify_outcome(n, m, parity)[1] for m in range(d)] for n in range(d)])
+    masks = {label: labels == label for label in ("I", "X", "Z", "XZ", "none")}
+    for table in (labels, *masks.values()):
+        table.setflags(write=False)
+    return labels, masks
 
 
 def _herald(
@@ -340,12 +406,23 @@ def _herald(
     output axes and sums |overlap|^2 over the environment axis. Detector loss
     maps every table T to M T M^T (``detector_response``). The fidelity of an
     outcome is its overlap weight divided by its probability.
+
+    No loop visits the outcomes. The success probability, the fidelity table
+    and the average, sum(weight) / sum(probability) over the averaged labels,
+    are masked reductions over these tables, with the label masks cached per
+    (d, parity). Rounding can leave a value a few ulps above 1, so every
+    probability, the success probability and every fidelity are clamped at
+    1. The summary builds outcome records only when they are read.
     """
     amps = np.moveaxis(state.amps, circuit.detectors, (0, 1))
     d = amps.shape[0]
-    probs = _detected(np.sum(np.abs(amps) ** 2, axis=tuple(range(2, amps.ndim))), eta2).tolist()
+    probs = _detected(np.sum(np.abs(amps) ** 2, axis=tuple(range(2, amps.ndim))), eta2)
+    probs = np.minimum(probs, 1.0)
+    labels, masks = _label_table(d, parity)
+    success = min(float(probs[~masks["none"]].sum()), 1.0)
 
-    weights = {}
+    fids = np.full((d, d), np.nan)
+    weight = overlap_weight = 0.0
     if target is not None:
         shape = [1] * target.ndim
         shape[circuit.x_output] = d
@@ -358,30 +435,18 @@ def _herald(
             np.stack(list(targets.values())).conj(), amps,
             axes=([k + 1 for k in outputs], [k + 2 for k in outputs]),
         )
-        tables = np.sum(np.abs(overlap) ** 2, axis=tuple(range(3, overlap.ndim)))
-        weights = dict(zip(targets, _detected(tables, eta2).tolist()))
+        tables = _detected(np.sum(np.abs(overlap) ** 2, axis=tuple(range(3, overlap.ndim))), eta2)
+        nonzero = probs != 0.0
+        for label, table in zip(targets, tables):
+            held = masks[label] & nonzero
+            np.divide(table, probs, out=fids, where=held)
+            if include_z or "Z" not in label:
+                weight += probs[held].sum()
+                overlap_weight += table[held].sum()
+        np.minimum(fids, 1.0, out=fids)
 
-    records = []
-    averaged = []
-    success = 0.0
-    for n in range(d):
-        for m in range(d):
-            p = probs[n][m]
-            accepted, label = classify_outcome(n, m, parity)
-            if not accepted or p == 0.0:
-                records.append(OutcomeRecord(n, m, p, label, accepted))
-                continue
-            success += p
-            fid = weights[label][n][m] / p if label in weights else None
-            records.append(OutcomeRecord(n, m, p, label, accepted, fid))
-            if fid is not None and ("Z" not in label or include_z):
-                averaged.append((p, fid))
-
-    # Rounding in the beamsplitters can leave the retained norm a few ulps
-    # above 1, and a probability must not exceed 1.
-    success = min(success, 1.0)
-    avg = _average(averaged)
-    return ProtocolSummary(success, avg, tuple(records), config or {}, degenerate=avg is None)
+    avg = min(float(overlap_weight / weight), 1.0) if weight else None
+    return ProtocolSummary(success, avg, config or {}, avg is None, probs, fids, labels)
 
 
 def build_teleporter_input(
@@ -394,8 +459,7 @@ def build_teleporter_input(
     """
     if input_state.cutoff != cutoff or resource.cutoff != cutoff:
         raise ValueError("input and resource must be built at the working cutoff")
-    vectors = [input_state, resource, fock_basis_state(0, cutoff)]
-    return _prepare(vectors, _TELEPORTER, 1.0)
+    return _prepare([input_state, resource], _TELEPORTER, 1.0)
 
 
 def classify_outcome(n: int, m: int, parity: str = "odd"):
@@ -440,9 +504,9 @@ def enumerate_outcomes(state3: MultiModeState, parity: str = "odd"):
 def _teleport(input_spec, resource_spec, loss, cutoff, include_z, config):
     """Teleportation of ``input_spec`` as given: the caller matches its amplitude."""
     target = input_spec.to_fock(cutoff)
-    vectors = [target, resource_spec.to_fock(cutoff), fock_basis_state(0, cutoff)]
+    state = _prepare([target, resource_spec.to_fock(cutoff)], _TELEPORTER, loss.eta1)
     return _herald(
-        _prepare(vectors, _TELEPORTER, loss.eta1), _TELEPORTER, loss.eta2, resource_spec.parity,
+        state, _TELEPORTER, loss.eta2, resource_spec.parity,
         target.amps, _z_target(input_spec, cutoff), include_z, config,
     )
 
@@ -462,20 +526,21 @@ def _z_target(input_spec, cutoff):
     return flipped.to_fock(cutoff).amps
 
 
-def _bell_pair(phi: FockVector, cutoff: int) -> MultiModeState:
-    """Split phi on a 50:50 beamsplitter with vacuum: the two-mode Bell state."""
-    st = tensor([phi, fock_basis_state(0, cutoff)])
-    return apply_beamsplitter(st, 0, 1, 0.5)
+def _bell_pair(phi: FockVector) -> MultiModeState:
+    """Split phi on a 50:50 beamsplitter with vacuum: the two-mode Bell state.
+
+    The vacuum port makes the split ``attenuate``'s gather, the same one
+    ``_prepare`` makes of the swapper's (a, b) split.
+    """
+    return attenuate(MultiModeState((phi.cutoff,), phi.amps), 0, 0.5)
 
 
 def _swap(phi_spec, resource_spec, loss, cutoff, config):
     """Entanglement swapping of ``phi_spec`` as given: the caller matches amplitudes."""
     phi = phi_spec.to_fock(cutoff)
-    vac = fock_basis_state(0, cutoff)
-    state = _prepare([phi, vac, resource_spec.to_fock(cutoff), vac], _SWAPPER, loss.eta1)
-    reference = _bell_pair(phi, cutoff)
+    state = _prepare([phi, resource_spec.to_fock(cutoff)], _SWAPPER, loss.eta1)
     return _herald(
-        state, _SWAPPER, loss.eta2, resource_spec.parity, reference.amps, config=config
+        state, _SWAPPER, loss.eta2, resource_spec.parity, _bell_pair(phi).amps, config=config
     )
 
 
@@ -530,7 +595,9 @@ def success_probability_sweep(
 
     Input families are (mu, nu) superpositions at alpha = beta / sqrt(2);
     defaults to the four standard families in INPUT_FAMILIES. Returns rows
-    of (beta, family_name, resource_kind, p_success).
+    of (beta, family_name, resource_kind, p_success), each the
+    ``success_probability`` of ``run_teleportation``. The outcomes are
+    heralded with no target, as no fidelity is read.
     """
     betas = list(beta_grid)
     if not betas:
@@ -539,11 +606,14 @@ def success_probability_sweep(
     rows = []
     for beta in betas:
         alpha = beta / math.sqrt(2.0)
+        resources = [ResourceSpec(kind, beta) for kind in resource_kinds]
+        resource_vectors = [resource.to_fock(cutoff) for resource in resources]
         for name, (mu, nu) in families.items():
-            spec = InputSpec("superposition", alpha, mu, nu)
-            for kind in resource_kinds:
-                summary = run_teleportation(spec, ResourceSpec(kind, beta), cutoff)
-                rows.append((float(beta), name, kind, summary.success_probability))
+            qubit = InputSpec("superposition", alpha, mu, nu).to_fock(cutoff)
+            for resource, vector in zip(resources, resource_vectors):
+                state = _prepare([qubit, vector], _TELEPORTER, 1.0)
+                p_success = _herald(state, _TELEPORTER, 1.0, resource.parity).success_probability
+                rows.append((float(beta), name, resource.kind, p_success))
     return rows
 
 

@@ -32,6 +32,14 @@ class TestCatStates:
     def test_even_limit_is_vacuum(self):
         assert fidelity(cat_state(0.0, "even", 10), fock_basis_state(0, 10)) == 1.0
 
+    @pytest.mark.parametrize("beta", [1e-9, 1e-100, 1e-160, 5e-324])
+    def test_small_beta_approaches_the_limits(self, beta):
+        # 1 - exp(-2 beta^2) rounds to 0 here, which divided by zero for the odd cat
+        for parity, n in (("odd", 1), ("even", 0)):
+            vec = cat_state(beta, parity, 10)
+            assert fidelity(vec, fock_basis_state(n, 10)) == pytest.approx(1.0, abs=1e-12)
+            assert 0.0 <= vec.leakage <= 1e-12
+
     def test_odd_amps_closed_form(self):
         beta, cutoff = 1.0, 15
         vec = cat_state(beta, "odd", cutoff)

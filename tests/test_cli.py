@@ -95,6 +95,7 @@ class TestBadInput:
             (["teleport", "--beta=-0.5:0:0.5"], None),
             (["wigner", "--state", "sq1", "--r", "-1"], None),
             (["wigner", "--state", "sq0", "--r", "-0.5"], None),
+            (["wigner", "--state", "odd-cat", "--r", "0.7"], None),
         ],
     )
     def test_usage_error(self, capsys, monkeypatch, argv, env_jobs):

@@ -10,6 +10,8 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cskit.fock import (
     FockVector,
@@ -24,12 +26,16 @@ from cskit.fock import (
 )
 from cskit.loss import LossConfig, run_lossy_entswap, run_lossy_teleportation
 from cskit.protocols import (
+    INPUT_FAMILIES,
+    RESOURCE_KINDS,
     InputSpec,
     ResourceSpec,
     apply_correction,
     classify_outcome,
     run_entanglement_swap,
     run_teleportation,
+    state_kinds,
+    success_probability_sweep,
 )
 
 TOL = 1e-12
@@ -189,3 +195,74 @@ def test_entswap_matches_outcome_loop(phi_kind, resource_kind, loss):
         summary = run_lossy_entswap(phi, resource, loss, beta, SWAP_CUTOFF)
     matched = phi.at_alpha(math.sqrt(loss.eta1) * beta)
     _assert_matches(summary, *_reference_swap(matched, resource, loss, SWAP_CUTOFF))
+
+
+def test_outcome_records_are_n_major_and_indexed():
+    spec = InputSpec("odd-cat", 0.4)
+    resource = ResourceSpec("squeezed-single-photon", 0.4 * math.sqrt(2.0))
+    summary = run_teleportation(spec, resource, TELEPORT_CUTOFF)
+    d = TELEPORT_CUTOFF + 1
+    counts = [(n, m) for n in range(d) for m in range(d)]
+    assert [(rec.n, rec.m) for rec in summary.outcomes] == counts
+    assert [summary.outcome(n, m) for n, m in counts] == list(summary.outcomes)
+    for n, m in [(-1, 0), (0, -1), (d, 0), (0, d), (d, d), (0.5, 1)]:
+        with pytest.raises(KeyError):
+            summary.outcome(n, m)
+
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=80)
+etas = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@PROPERTY
+@given(
+    protocol=st.sampled_from(["teleport", "entswap"]),
+    input_kind=st.sampled_from(state_kinds("input")),
+    resource_kind=st.sampled_from(RESOURCE_KINDS),
+    amplitude=st.floats(0.0, 0.75),
+    cutoff=st.integers(4, 6),
+    loss=st.builds(LossConfig, etas, etas),
+    include_z=st.booleans(),
+)
+def test_reported_values_lie_in_unit_interval(
+    protocol, input_kind, resource_kind, amplitude, cutoff, loss, include_z
+):
+    """Every success probability and every fidelity, per outcome and averaged, is in [0, 1]."""
+    spec = InputSpec(input_kind, amplitude)
+    if protocol == "teleport":
+        resource = ResourceSpec(resource_kind, math.sqrt(2.0) * amplitude)
+        if loss == LossConfig():
+            summary = run_teleportation(spec, resource, cutoff, include_z)
+        else:
+            summary = run_lossy_teleportation(spec, resource, loss, cutoff, include_z)
+    else:
+        # one cutoff lower, as lossy swapping states have d^5 amplitudes
+        resource = ResourceSpec(resource_kind, amplitude)
+        if loss == LossConfig():
+            summary = run_entanglement_swap(spec, resource, cutoff - 1)
+        else:
+            summary = run_lossy_entswap(spec, resource, loss, amplitude, cutoff - 1)
+    assert 0.0 <= summary.success_probability <= 1.0
+    assert summary.degenerate == (summary.average_fidelity is None)
+    if summary.average_fidelity is not None:
+        assert 0.0 <= summary.average_fidelity <= 1.0
+    for rec in summary.outcomes:
+        assert 0.0 <= rec.probability <= 1.0
+        assert rec.fidelity is None or 0.0 <= rec.fidelity <= 1.0
+
+
+@PROPERTY
+@given(
+    beta=st.floats(0.05, 1.2),
+    family=st.sampled_from(list(INPUT_FAMILIES)),
+    resource_kind=st.sampled_from(RESOURCE_KINDS),
+    cutoff=st.integers(5, 12),
+)
+def test_success_sweep_matches_run_teleportation(beta, family, resource_kind, cutoff):
+    # beta > 0: at beta = 0 the odd-cat superposition is the zero vector, in both paths
+    [(_, _, _, p_success)] = success_probability_sweep(
+        [beta], {family: INPUT_FAMILIES[family]}, (resource_kind,), cutoff
+    )
+    spec = InputSpec("superposition", beta / math.sqrt(2.0), *INPUT_FAMILIES[family])
+    run = run_teleportation(spec, ResourceSpec(resource_kind, beta), cutoff)
+    assert abs(p_success - run.success_probability) <= TOL

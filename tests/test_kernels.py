@@ -8,6 +8,7 @@ before it applied the blocks one at a time.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
@@ -55,10 +56,10 @@ def _dense_apply(amps: np.ndarray, mode_i: int, mode_j: int, eta: float) -> np.n
 
 
 @st.composite
-def states(draw):
-    """A random unnormalized state of 2-4 equal-cutoff modes, cutoff 1-8."""
+def states(draw, min_modes=2, max_modes=4):
+    """A random unnormalized state of 2-4 (or as given) equal-cutoff modes, cutoff 1-8."""
     cutoff = draw(st.integers(1, 8))
-    modes = draw(st.integers(2, 4))
+    modes = draw(st.integers(min_modes, max_modes))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     shape = (cutoff + 1,) * modes
@@ -102,3 +103,36 @@ def test_detector_response_is_binomial(cutoff, eta):
     binomial = np.vectorize(math.comb)(k, n) * eta**n * (1.0 - eta) ** np.maximum(k - n, 0)
     want = np.where(n <= k, binomial, 0.0)
     assert np.max(np.abs(detector_response(cutoff, eta) - want)) <= TOL
+
+
+def _split_into_vacuum(state, mode, port):
+    """Reference: a vacuum mode inserted at axis ``port``, then a full 50:50 beamsplitter."""
+    padded = np.zeros(state.amps.shape + (state.amps.shape[mode],), dtype=complex)
+    padded[..., 0] = state.amps
+    padded = MultiModeState(state.mode_cutoffs + (state.mode_cutoffs[mode],), padded)
+    padded = MultiModeState(padded.mode_cutoffs, np.moveaxis(padded.amps, -1, port))
+    return apply_beamsplitter(padded, mode if mode < port else mode + 1, port, 0.5).amps
+
+
+def _gathered(state, mode, port):
+    """The same split as attenuate's gather, its new axis moved into the vacuum port's place."""
+    return np.moveaxis(attenuate(state, mode, 0.5).amps, -1, port)
+
+
+@PROPERTY
+@given(state=states(1, 3), data=st.data())
+def test_vacuum_port_split_is_the_attenuate_gather(state, data):
+    mode = data.draw(st.integers(0, state.num_modes - 1))
+    port = data.draw(st.integers(0, state.num_modes))
+    want = _split_into_vacuum(state, mode, port)
+    assert np.max(np.abs(_gathered(state, mode, port) - want)) <= TOL
+
+
+@pytest.mark.parametrize("cutoff", range(1, 9))
+def test_vacuum_port_split_of_a_lossy_source(cutoff):
+    # the teleporter's (b, c) split after source loss: (b, env) becomes (b, c, env)
+    rng = np.random.default_rng(cutoff)
+    amps = rng.normal(size=cutoff + 1) + 1j * rng.normal(size=cutoff + 1)
+    source = attenuate(MultiModeState((cutoff,), amps), 0, 0.7)
+    want = _split_into_vacuum(source, 0, 1)
+    assert np.max(np.abs(_gathered(source, 0, 1) - want)) <= TOL

@@ -173,6 +173,22 @@ class TestIdealTeleportation:
         )
         assert summary.average_fidelity > 1 - 1e-8
 
+    def test_fidelities_never_above_one(self):
+        # Exact resources round the overlap weight a few ulps above the
+        # probability: the even cat at beta = 0.45 averaged 1.0000000000000007.
+        for kind in ("even", "odd"):
+            for beta in (0.2, 0.45, 0.8):
+                spec = InputSpec(f"{kind}-cat", beta / math.sqrt(2.0))
+                resource = ResourceSpec(f"ideal-{kind}-cat", beta)
+                for summary in (
+                    run_teleportation(spec, resource, CUTOFF),
+                    run_entanglement_swap(InputSpec(f"{kind}-cat", beta), resource, CUTOFF),
+                ):
+                    assert summary.average_fidelity <= 1.0
+                    assert all(
+                        rec.fidelity <= 1.0 for rec in summary.outcomes if rec.fidelity is not None
+                    )
+
 
 class TestSqueezedResource:
     def test_fidelity_above_threshold(self):
