@@ -20,7 +20,14 @@ from functools import partial
 
 from . import __version__
 from .catstates import approximation_fidelity_sweep
-from .loss import LOSS_CUTOFFS, LossConfig, loss_cell_fidelity
+from .loss import (
+    LOSS_CUTOFFS,
+    _cells,
+    _contour_rows,
+    _diagonal_rows,
+    _loss_cutoff,
+    _row_fidelities,
+)
 from .protocols import (
     RESOURCE_KINDS,
     STATE_KINDS,
@@ -259,23 +266,19 @@ def _cmd_loss(args):
     grid = _parse_grid(args.eta)
     if grid[-1] > 1.0:
         raise UsageError(f"eta grid {args.eta!r} leaves [0, 1]")
-    cutoff = args.cutoff if args.cutoff is not None else LOSS_CUTOFFS[args.protocol]
-    if args.diagonal:
-        cells = [(e, e) for e in grid]
-    else:
-        cells = [(e1, e2) for e1 in grid for e2 in grid]
+    cutoff = _loss_cutoff(args.protocol, args.cutoff)
+    rows = _diagonal_rows(grid, cutoff) if args.diagonal else _contour_rows(grid, grid, cutoff)
     amplitude = args.amplitude
     resource_beta = math.sqrt(2.0) * amplitude if args.protocol == "teleport" else amplitude
-    fidelity_of = partial(
-        loss_cell_fidelity,
+    fidelities_of = partial(
+        _row_fidelities,
         args.protocol,
         InputSpec(args.input, amplitude),
         ResourceSpec(args.resource, resource_beta),
         amplitude,
-        cutoff=cutoff,
+        cutoff,
     )
-    fids = _pmap(fidelity_of, [LossConfig(*cell) for cell in cells], _jobs(args))
-    rows = [(e1, e2, fid) for (e1, e2), fid in zip(cells, fids)]
+    cells = _cells(rows, _pmap(fidelities_of, rows, _jobs(args)))
     extra = [
         ("protocol", args.protocol),
         ("input", args.input),
@@ -285,7 +288,7 @@ def _cmd_loss(args):
         ("diagonal", args.diagonal),
         ("cutoff", cutoff),
     ]
-    _emit(args.output, _header(args, extra), ["eta1", "eta2", "fidelity"], _csv_lines(rows))
+    _emit(args.output, _header(args, extra), ["eta1", "eta2", "fidelity"], _csv_lines(cells))
 
 
 def _cmd_wigner(args):

@@ -22,13 +22,18 @@ becomes sqrt(eta1) * alpha.
 The lossy runs here and the lossless runs in ``cskit.protocols`` are one
 circuit-and-herald engine: a lossless run is the eta1 = eta2 = 1 case, where
 no environment mode is added and the tables are used as they are.
+
+The sweeps go by rows. A row is one eta1 and a list of eta2: its circuit
+runs once, and detector loss maps its tables through a stack of eta2
+responses. A contour's rows share one stack, built once for the sweep; a
+diagonal row holds its one eta2. One row function serves a single cell, both
+sweeps and the CLI, whose ``--jobs`` maps rows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import replace
-from functools import partial
 
 from .fock import (
     apply_beamsplitter,
@@ -38,7 +43,15 @@ from .fock import (
     project_photon_number,
     tensor,
 )
-from .protocols import InputSpec, LossConfig, ProtocolSummary, ResourceSpec, _swap, _teleport
+from .protocols import (
+    InputSpec,
+    LossConfig,
+    ProtocolSummary,
+    ResourceSpec,
+    _detectors,
+    _swap,
+    _teleport,
+)
 
 __all__ = [
     "LossConfig",
@@ -61,9 +74,9 @@ LOSS_CUTOFFS = {"teleport": 6, "entswap": 5}
 _ETA_GRID = [i / 20 for i in range(21)]
 
 
-def _matched(spec: InputSpec, alpha: float, loss: LossConfig) -> InputSpec:
+def _matched(spec: InputSpec, alpha: float, eta1: float) -> InputSpec:
     """``spec`` rebuilt at sqrt(eta1) * alpha, matching the attenuated resource."""
-    return spec.at_alpha(math.sqrt(loss.eta1) * alpha)
+    return spec.at_alpha(math.sqrt(eta1) * alpha)
 
 
 def run_lossy_teleportation(
@@ -88,8 +101,12 @@ def run_lossy_teleportation(
         "cutoff": cutoff,
         "include_z_outcomes": include_z_outcomes,
     }
-    matched = _matched(input_spec, input_spec.alpha, loss)
-    return _teleport(matched, resource_spec, loss, cutoff, include_z_outcomes, config)
+    matched = _matched(input_spec, input_spec.alpha, loss.eta1)
+    [summary] = _teleport(
+        matched, resource_spec, loss.eta1, _detectors([loss.eta2], cutoff), cutoff,
+        include_z_outcomes, config,
+    )
+    return summary
 
 
 def conditional_output_density(
@@ -107,7 +124,7 @@ def conditional_output_density(
     instead of summing over the purification. Returns (probability,
     DensityMatrix or None).
     """
-    matched = _matched(input_spec, input_spec.alpha, loss)
+    matched = _matched(input_spec, input_spec.alpha, loss.eta1)
     st = tensor(
         [matched.to_fock(cutoff), resource_spec.to_fock(cutoff), fock_basis_state(0, cutoff)]
     )
@@ -143,34 +160,82 @@ def run_lossy_entswap(
         "beta": beta,
         "cutoff": cutoff,
     }
-    matched = _matched(phi_spec, beta, loss)
-    return _swap(matched, replace(resource_spec, beta=beta), loss, cutoff, config)
+    matched = _matched(phi_spec, beta, loss.eta1)
+    [summary] = _swap(
+        matched, replace(resource_spec, beta=beta), loss.eta1, _detectors([loss.eta2], cutoff),
+        cutoff, config,
+    )
+    return summary
+
+
+def _loss_cutoff(protocol, cutoff):
+    """``cutoff``, or LOSS_CUTOFFS[protocol] when it is None; an unknown protocol raises."""
+    if protocol not in LOSS_CUTOFFS:
+        raise ValueError(f"unknown protocol {protocol!r}")
+    return LOSS_CUTOFFS[protocol] if cutoff is None else cutoff
+
+
+def _contour_rows(eta1s, eta2s, cutoff):
+    """The rows (eta1, detectors) of an (eta1, eta2) grid, all sharing one response stack.
+
+    Every eta is checked as LossConfig checks it before the stack is built.
+    """
+    eta1s = [LossConfig(eta1=float(eta1)).eta1 for eta1 in eta1s]
+    detectors = _detectors(eta2s, cutoff)
+    return [(eta1, detectors) for eta1 in eta1s]
+
+
+def _diagonal_rows(etas, cutoff):
+    """The rows (eta, detectors) of the eta1 = eta2 slice, each holding its one eta2."""
+    etas = [LossConfig(float(eta), float(eta)).eta1 for eta in etas]
+    return [(eta, _detectors([eta], cutoff)) for eta in etas]
+
+
+def _row_fidelities(protocol, input_spec, resource_spec, amplitude, cutoff, row):
+    """Average fidelity of each cell of a row (eta1, detectors), None where degenerate.
+
+    The circuit runs once at the row's eta1, and every eta2 of its detectors
+    is heralded from the same tables. ``_contour_rows`` and
+    ``_diagonal_rows`` build the rows and check every eta before any row runs.
+    """
+    eta1, detectors = row
+    matched = _matched(input_spec, amplitude, eta1)
+    if protocol == "teleport":
+        summaries = _teleport(matched, resource_spec, eta1, detectors, cutoff, False, None)
+    elif protocol == "entswap":
+        resource = replace(resource_spec, beta=amplitude)
+        summaries = _swap(matched, resource, eta1, detectors, cutoff, None)
+    else:
+        raise ValueError(f"unknown protocol {protocol!r}")
+    return [summary.average_fidelity for summary in summaries]
+
+
+def _cells(rows, fidelities):
+    """(eta1, eta2, fidelity) for every cell of the rows, row by row."""
+    return [
+        (eta1, eta2, fid)
+        for (eta1, detectors), row_fids in zip(rows, fidelities)
+        for eta2, fid in zip(detectors.etas, row_fids)
+    ]
+
+
+def _sweep(protocol, input_spec, resource_spec, amplitude, cutoff, rows):
+    """(eta1, eta2, fidelity) for every cell of the rows, the rows run in turn."""
+    return _cells(rows, [
+        _row_fidelities(protocol, input_spec, resource_spec, amplitude, cutoff, row) for row in rows
+    ])
 
 
 def loss_cell_fidelity(protocol, input_spec, resource_spec, amplitude, loss, cutoff):
     """Average fidelity of one loss grid cell, or None for a degenerate cell.
 
     ``amplitude`` is the nominal qubit amplitude alpha for 'teleport' or the
-    Bell amplitude beta for 'entswap'.
+    Bell amplitude beta for 'entswap'. The cell is a row with one eta2.
     """
-    if protocol == "teleport":
-        run = run_lossy_teleportation(
-            input_spec.at_alpha(amplitude), resource_spec, loss, cutoff
-        )
-    elif protocol == "entswap":
-        run = run_lossy_entswap(input_spec, resource_spec, loss, beta=amplitude, cutoff=cutoff)
-    else:
-        raise ValueError(f"unknown protocol {protocol!r}")
-    return run.average_fidelity
-
-
-def _cell_fidelities(protocol, input_spec, resource_spec, amplitude, cells, cutoff):
-    if cutoff is None:
-        cutoff = LOSS_CUTOFFS.get(protocol)
-    fidelity_of = partial(
-        loss_cell_fidelity, protocol, input_spec, resource_spec, amplitude, cutoff=cutoff
-    )
-    return [fidelity_of(LossConfig(eta1, eta2)) for eta1, eta2 in cells]
+    cutoff = _loss_cutoff(protocol, cutoff)
+    row = (loss.eta1, _detectors([loss.eta2], cutoff))
+    [fidelity] = _row_fidelities(protocol, input_spec, resource_spec, amplitude, cutoff, row)
+    return fidelity
 
 
 def loss_contour_sweep(
@@ -188,13 +253,17 @@ def loss_contour_sweep(
     the Bell amplitude beta for entanglement swapping. Grids default to
     0.05 steps over [0, 1]; cutoff defaults to LOSS_CUTOFFS[protocol].
     Returns rows of (eta1, eta2, fidelity); fidelity is None for degenerate
-    cells.
+    cells. The circuit runs once per eta1, and detector loss maps one stack
+    of eta2 responses, built once for the sweep. Every eta is checked before
+    any circuit runs.
     """
-    e1s = _ETA_GRID if eta1_grid is None else eta1_grid
-    e2s = _ETA_GRID if eta2_grid is None else eta2_grid
-    cells = [(float(e1), float(e2)) for e1 in e1s for e2 in e2s]
-    fids = _cell_fidelities(protocol, input_spec, resource_spec, amplitude, cells, cutoff)
-    return [(e1, e2, fid) for (e1, e2), fid in zip(cells, fids)]
+    cutoff = _loss_cutoff(protocol, cutoff)
+    rows = _contour_rows(
+        _ETA_GRID if eta1_grid is None else eta1_grid,
+        _ETA_GRID if eta2_grid is None else eta2_grid,
+        cutoff,
+    )
+    return _sweep(protocol, input_spec, resource_spec, amplitude, cutoff, rows)
 
 
 def loss_diagonal_sweep(
@@ -205,9 +274,11 @@ def loss_diagonal_sweep(
     eta_grid=None,
     cutoff: int = None,
 ):
-    """The eta1 = eta2 slice of the loss contour: rows of (eta, fidelity)."""
-    etas = [float(eta) for eta in (_ETA_GRID if eta_grid is None else eta_grid)]
-    fids = _cell_fidelities(
-        protocol, input_spec, resource_spec, amplitude, [(eta, eta) for eta in etas], cutoff
-    )
-    return list(zip(etas, fids))
+    """The eta1 = eta2 slice of the loss contour: rows of (eta, fidelity).
+
+    Each eta is a row of one eta2, so the circuit runs once per eta.
+    """
+    cutoff = _loss_cutoff(protocol, cutoff)
+    rows = _diagonal_rows(_ETA_GRID if eta_grid is None else eta_grid, cutoff)
+    cells = _sweep(protocol, input_spec, resource_spec, amplitude, cutoff, rows)
+    return [(eta, fid) for eta, _, fid in cells]

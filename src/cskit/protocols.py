@@ -20,13 +20,16 @@ single-mode vectors go through the protocol's circuit, and every outcome is
 heralded at once from one probability table and one overlap table per
 correction label. A 50:50 split whose second port is still vacuum is
 ``attenuate``'s gather, not a beamsplitter, so each circuit applies one full
-beamsplitter. Heralding is a set of masked reductions of those tables, with
-the correction labels cached per (cutoff, parity), and a summary builds its
-outcome records only when they are read. Source loss (see ``cskit.loss``)
-couples the resource mode to a vacuum environment mode; detector loss acts
-on those tables through the detectors' response matrix. Both apply only for
-eta < 1, so a lossless run is the eta1 = eta2 = 1 case of the same engine,
-with no environment mode.
+beamsplitter. Source loss (see ``cskit.loss``) couples the resource mode to
+a vacuum environment mode, so the circuit and its tables depend on eta1
+alone. Detector loss acts on the tables through the detectors' response
+matrices: a stack of eta2 responses maps them in one batched matmul, so one
+circuit run heralds every eta2 of a row and gives one summary per eta2.
+Heralding is a set of masked reductions over that stack, with the correction
+labels cached per (cutoff, parity), and a summary builds its outcome records
+only when they are read. Both losses apply only for eta < 1, so a lossless
+run is the eta1 = eta2 = 1 case of the same engine, with no environment mode
+and no matmul; a single run is a row of one eta2.
 """
 
 from __future__ import annotations
@@ -375,78 +378,138 @@ def _joined(parts):
     return labels, MultiModeState(sum((st.mode_cutoffs for _, st in parts), ()), amps)
 
 
-def _detected(table, eta2):
-    """An outcome table over (k, l) lossless counts, seen by counters of transmitivity eta2."""
-    if eta2 == 1.0:
-        return table
-    response = detector_response(table.shape[-1] - 1, eta2)
-    return response @ table @ response.T
+@dataclass(frozen=True)
+class _Detectors:
+    """The two counters at each detector transmitivity eta2 in ``etas``, as one stack.
+
+    ``responses`` stacks one d x d response per eta2 (``detector_response``),
+    the identity at eta2 = 1, or is None when every eta2 is 1: lossless
+    counters leave the tables as they are. A sweep builds its stack once and
+    every eta1 row reuses it.
+    """
+
+    etas: tuple
+    responses: np.ndarray = None
+
+
+def _detectors(etas, cutoff: int) -> _Detectors:
+    """Counters over counts 0..cutoff at each eta2 of ``etas``.
+
+    Every eta2 is checked as LossConfig checks it before any response is built.
+    """
+    etas = tuple(LossConfig(eta2=float(eta)).eta2 for eta in etas)
+    if all(eta == 1.0 for eta in etas):
+        return _Detectors(etas)
+    eye = np.eye(cutoff + 1)
+    return _Detectors(
+        etas, np.stack([eye if eta == 1.0 else detector_response(cutoff, eta) for eta in etas])
+    )
+
+
+_LOSSLESS = _Detectors((1.0,))
 
 
 @lru_cache(maxsize=64)
 def _label_table(d: int, parity: str):
-    """(labels, masks): the correction label of every (n, m) count, and a mask per label."""
+    """(labels, masks, cells): the correction label of every (n, m) count, a mask per label
+    and the flat indices of each label's counts, "accepted" holding every accepted count.
+    """
     labels = np.array([[classify_outcome(n, m, parity)[1] for m in range(d)] for n in range(d)])
     masks = {label: labels == label for label in ("I", "X", "Z", "XZ", "none")}
-    for table in (labels, *masks.values()):
+    cells = {label: np.flatnonzero(mask) for label, mask in masks.items()}
+    cells["accepted"] = np.flatnonzero(~masks["none"])
+    for table in (labels, *masks.values(), *cells.values()):
         table.setflags(write=False)
-    return labels, masks
+    return labels, masks, cells
 
 
-def _herald(
-    state, circuit, eta2, parity, target=None, z_target=None, include_z=False, config=None
-):
-    """Every (n, m) outcome of ``state`` behind detectors of transmitivity eta2, at once.
+def _summed(tables, cells):
+    """Sum of each table of a stack over the flat indices ``cells``.
 
+    The gathered rows are contiguous, so each is summed as ``table[mask].sum()``
+    sums it, whatever the size of the stack.
+    """
+    return tables.reshape(len(tables), -1).take(cells, axis=1).sum(axis=1)
+
+
+def _tables(state, circuit, target=None, z_target=None):
+    """(tables, labels): the outcome tables of lossless counters, over the (k, l) counts.
+
+    ``tables[0]`` is the probability table, which sums |amps|^2 over all
+    non-detector axes. Each further table is the overlap table of the
+    correction label at the same place in ``labels``: it contracts the
+    label's target (carrying the X correction's pi phase for X and XZ) with
+    the output axes and sums |overlap|^2 over the environment axis.
     ``target`` and ``z_target`` are amplitude arrays over the output modes,
     compared against the no-Z and the Z-type outcomes; None gives those
-    outcomes no fidelity. The probability table sums |amps|^2 over all
-    non-detector axes. Each correction label's overlap table contracts its
-    target (carrying the X correction's pi phase for X and XZ) with the
-    output axes and sums |overlap|^2 over the environment axis. Detector loss
-    maps every table T to M T M^T (``detector_response``). The fidelity of an
-    outcome is its overlap weight divided by its probability.
-
-    No loop visits the outcomes. The success probability, the fidelity table
-    and the average, sum(weight) / sum(probability) over the averaged labels,
-    are masked reductions over these tables, with the label masks cached per
-    (d, parity). Rounding can leave a value a few ulps above 1, so every
-    probability, the success probability and every fidelity are clamped at
-    1. The summary builds outcome records only when they are read.
+    outcomes no table. The tables depend on the prepared state alone, so a
+    state is tabled once for every detector transmitivity.
     """
     amps = np.moveaxis(state.amps, circuit.detectors, (0, 1))
     d = amps.shape[0]
-    probs = _detected(np.sum(np.abs(amps) ** 2, axis=tuple(range(2, amps.ndim))), eta2)
-    probs = np.minimum(probs, 1.0)
-    labels, masks = _label_table(d, parity)
-    success = min(float(probs[~masks["none"]].sum()), 1.0)
+    probs = np.sum(np.abs(amps) ** 2, axis=tuple(range(2, amps.ndim)))
+    if target is None:
+        return probs[None], ()
+    shape = [1] * target.ndim
+    shape[circuit.x_output] = d
+    sign = np.where(np.arange(d) % 2 == 0, 1.0, -1.0).reshape(shape)
+    targets = {"I": target, "X": sign * target}
+    if z_target is not None:
+        targets.update(Z=z_target, XZ=sign * z_target)
+    outputs = range(target.ndim)
+    overlap = np.tensordot(
+        np.stack(list(targets.values())).conj(), amps,
+        axes=([k + 1 for k in outputs], [k + 2 for k in outputs]),
+    )
+    overlaps = np.sum(np.abs(overlap) ** 2, axis=tuple(range(3, overlap.ndim)))
+    return np.concatenate([probs[None], overlaps]), tuple(targets)
 
-    fids = np.full((d, d), np.nan)
-    weight = overlap_weight = 0.0
-    if target is not None:
-        shape = [1] * target.ndim
-        shape[circuit.x_output] = d
-        sign = np.where(np.arange(d) % 2 == 0, 1.0, -1.0).reshape(shape)
-        targets = {"I": target, "X": sign * target}
-        if z_target is not None:
-            targets.update(Z=z_target, XZ=sign * z_target)
-        outputs = range(target.ndim)
-        overlap = np.tensordot(
-            np.stack(list(targets.values())).conj(), amps,
-            axes=([k + 1 for k in outputs], [k + 2 for k in outputs]),
-        )
-        tables = _detected(np.sum(np.abs(overlap) ** 2, axis=tuple(range(3, overlap.ndim))), eta2)
-        nonzero = probs != 0.0
-        for label, table in zip(targets, tables):
-            held = masks[label] & nonzero
-            np.divide(table, probs, out=fids, where=held)
-            if include_z or "Z" not in label:
-                weight += probs[held].sum()
-                overlap_weight += table[held].sum()
-        np.minimum(fids, 1.0, out=fids)
 
-    avg = min(float(overlap_weight / weight), 1.0) if weight else None
-    return ProtocolSummary(success, avg, config or {}, avg is None, probs, fids, labels)
+def _herald(tables, labels, detectors, parity, include_z=False, config=None):
+    """One summary per eta2 of ``detectors``: every outcome of the tables, at once.
+
+    Detector loss maps every table T to M T M^T, for the whole stack of
+    responses M in one batched matmul; with no stack the tables are used as
+    they are. The fidelity of an outcome is its overlap weight divided by its
+    probability.
+
+    No loop visits the outcomes or the eta2 values. The success probability,
+    the fidelity table and the average, sum(weight) / sum(probability) over
+    the averaged labels, are masked reductions over the stack, with the label
+    masks cached per (d, parity). Rounding can leave a value a few ulps above
+    1, so every probability, the success probability and every fidelity are
+    clamped at 1. Each summary builds its outcome records only when they are
+    read.
+    """
+    if detectors.responses is None:
+        tables = tables[None].repeat(len(detectors.etas), axis=0)
+    else:
+        responses = detectors.responses[:, None]
+        tables = responses @ tables @ responses.swapaxes(-1, -2)
+    probs = np.minimum(tables[:, 0], 1.0)
+    d = probs.shape[-1]
+    label_table, masks, cells = _label_table(d, parity)
+    success = np.minimum(_summed(probs, cells["accepted"]), 1.0)
+
+    fids = np.full(probs.shape, np.nan)
+    weight = np.zeros(len(probs))
+    overlap_weight = np.zeros(len(probs))
+    nonzero = probs != 0.0
+    for label, table in zip(labels, tables[:, 1:].swapaxes(0, 1)):
+        np.divide(table, probs, out=fids, where=masks[label] & nonzero)
+        if include_z or "Z" not in label:
+            # outcomes of zero probability add nothing to either sum
+            weight += _summed(probs, cells[label])
+            overlap_weight += _summed(np.where(nonzero, table, 0.0), cells[label])
+    np.minimum(fids, 1.0, out=fids)
+
+    config = config or {}
+    summaries = []
+    sums = zip(success.tolist(), weight.tolist(), overlap_weight.tolist(), probs, fids)
+    for p_success, w, ow, p, f in sums:
+        avg = min(ow / w, 1.0) if w else None
+        summaries.append(ProtocolSummary(p_success, avg, config, avg is None, p, f, label_table))
+    return summaries
 
 
 def build_teleporter_input(
@@ -498,17 +561,20 @@ def enumerate_outcomes(state3: MultiModeState, parity: str = "odd"):
     """All (n, m) outcome records for detectors on modes a and b (no fidelities)."""
     if state3.num_modes != 3:
         raise ValueError("expected a 3-mode teleporter state")
-    return list(_herald(state3, _TELEPORTER, 1.0, parity).outcomes)
+    [summary] = _herald(*_tables(state3, _TELEPORTER), _LOSSLESS, parity)
+    return list(summary.outcomes)
 
 
-def _teleport(input_spec, resource_spec, loss, cutoff, include_z, config):
-    """Teleportation of ``input_spec`` as given: the caller matches its amplitude."""
+def _teleport(input_spec, resource_spec, eta1, detectors, cutoff, include_z, config):
+    """Teleportation of ``input_spec`` as given, one summary per eta2 of ``detectors``.
+
+    The caller matches the input's amplitude to eta1. The circuit runs and
+    its tables are built once, whatever the number of eta2 values.
+    """
     target = input_spec.to_fock(cutoff)
-    state = _prepare([target, resource_spec.to_fock(cutoff)], _TELEPORTER, loss.eta1)
-    return _herald(
-        state, _TELEPORTER, loss.eta2, resource_spec.parity,
-        target.amps, _z_target(input_spec, cutoff), include_z, config,
-    )
+    state = _prepare([target, resource_spec.to_fock(cutoff)], _TELEPORTER, eta1)
+    tables = _tables(state, _TELEPORTER, target.amps, _z_target(input_spec, cutoff))
+    return _herald(*tables, detectors, resource_spec.parity, include_z, config)
 
 
 def _z_target(input_spec, cutoff):
@@ -535,13 +601,16 @@ def _bell_pair(phi: FockVector) -> MultiModeState:
     return attenuate(MultiModeState((phi.cutoff,), phi.amps), 0, 0.5)
 
 
-def _swap(phi_spec, resource_spec, loss, cutoff, config):
-    """Entanglement swapping of ``phi_spec`` as given: the caller matches amplitudes."""
+def _swap(phi_spec, resource_spec, eta1, detectors, cutoff, config):
+    """Entanglement swapping of ``phi_spec`` as given, one summary per eta2 of ``detectors``.
+
+    The caller matches the amplitudes to eta1. The circuit runs and its
+    tables are built once, whatever the number of eta2 values.
+    """
     phi = phi_spec.to_fock(cutoff)
-    state = _prepare([phi, resource_spec.to_fock(cutoff)], _SWAPPER, loss.eta1)
-    return _herald(
-        state, _SWAPPER, loss.eta2, resource_spec.parity, _bell_pair(phi).amps, config=config
-    )
+    state = _prepare([phi, resource_spec.to_fock(cutoff)], _SWAPPER, eta1)
+    tables = _tables(state, _SWAPPER, _bell_pair(phi).amps)
+    return _herald(*tables, detectors, resource_spec.parity, config=config)
 
 
 def run_teleportation(
@@ -565,7 +634,10 @@ def run_teleportation(
         "cutoff": cutoff,
         "include_z_outcomes": include_z_outcomes,
     }
-    return _teleport(input_spec, resource_spec, LossConfig(), cutoff, include_z_outcomes, config)
+    [summary] = _teleport(
+        input_spec, resource_spec, 1.0, _LOSSLESS, cutoff, include_z_outcomes, config
+    )
+    return summary
 
 
 def per_outcome_fidelity(
@@ -612,7 +684,8 @@ def success_probability_sweep(
             qubit = InputSpec("superposition", alpha, mu, nu).to_fock(cutoff)
             for resource, vector in zip(resources, resource_vectors):
                 state = _prepare([qubit, vector], _TELEPORTER, 1.0)
-                p_success = _herald(state, _TELEPORTER, 1.0, resource.parity).success_probability
+                [summary] = _herald(*_tables(state, _TELEPORTER), _LOSSLESS, resource.parity)
+                p_success = summary.success_probability
                 rows.append((float(beta), name, resource.kind, p_success))
     return rows
 
@@ -637,4 +710,5 @@ def run_entanglement_swap(
         "resource": resource_spec,
         "cutoff": cutoff,
     }
-    return _swap(phi_spec, resource_spec, LossConfig(), cutoff, config)
+    [summary] = _swap(phi_spec, resource_spec, 1.0, _LOSSLESS, cutoff, config)
+    return summary

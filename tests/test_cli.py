@@ -247,3 +247,18 @@ class TestJobs:
         monkeypatch.delenv("CSKIT_JOBS")
         _, again = _run(capsys, argv)
         assert out == again
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["loss", "--eta", "0:1:0.25", "--cutoff", "4"],
+            ["loss", "--protocol", "entswap", "--eta", "0:1:0.25", "--cutoff", "3"],
+            ["loss", "--eta", "0:1:0.1", "--cutoff", "4", "--diagonal"],
+        ],
+        ids=["teleport-contour", "entswap-contour", "teleport-diagonal"],
+    )
+    def test_loss_rows_parallel_match_serial(self, capsys, argv):
+        code, serial = _run(capsys, argv)
+        assert code == 0
+        _, parallel = _run(capsys, argv + ["--jobs", "2"])
+        assert serial == parallel

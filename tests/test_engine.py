@@ -26,10 +26,16 @@ from cskit.fock import (
 )
 from cskit.loss import LossConfig, run_lossy_entswap, run_lossy_teleportation
 from cskit.protocols import (
+    _SWAPPER,
+    _TELEPORTER,
     INPUT_FAMILIES,
     RESOURCE_KINDS,
     InputSpec,
     ResourceSpec,
+    _detectors,
+    _prepare,
+    _swap,
+    _teleport,
     apply_correction,
     classify_outcome,
     run_entanglement_swap,
@@ -75,7 +81,10 @@ def _outcome_loop(state, detectors, parity, fidelity_of):
 def _reference_teleport(input_spec, resource_spec, loss, cutoff, include_z):
     target = input_spec.to_fock(cutoff)
     qubit = input_spec.qubit()
-    z_target = None if qubit is None else qubit.z_flipped().to_fock(cutoff)
+    try:
+        z_target = None if qubit is None else qubit.z_flipped().to_fock(cutoff)
+    except ValueError:  # the Z flip of the vacuum even cat is the zero vector
+        z_target = None
     parity = resource_spec.parity
     st = tensor([target, resource_spec.to_fock(cutoff), fock_basis_state(0, cutoff)])
     st = attenuate(st, 1, loss.eta1)
@@ -266,3 +275,105 @@ def test_success_sweep_matches_run_teleportation(beta, family, resource_kind, cu
     spec = InputSpec("superposition", beta / math.sqrt(2.0), *INPUT_FAMILIES[family])
     run = run_teleportation(spec, ResourceSpec(resource_kind, beta), cutoff)
     assert abs(p_success - run.success_probability) <= TOL
+
+
+def _row(protocol, input_kind, resource_kind, amplitude, eta1, eta2s, cutoff, include_z):
+    """(summaries of one eta1 row, the single run of one cell, its reference, prepared state)."""
+    spec = InputSpec(input_kind, amplitude).at_alpha(math.sqrt(eta1) * amplitude)
+    if protocol == "teleport":
+        resource = ResourceSpec(resource_kind, math.sqrt(2.0) * amplitude)
+        row = _teleport(spec, resource, eta1, _detectors(eta2s, cutoff), cutoff, include_z, None)
+
+        def single(eta2):
+            loss = LossConfig(eta1, eta2)
+            return run_lossy_teleportation(
+                spec.at_alpha(amplitude), resource, loss, cutoff, include_z
+            ), _reference_teleport(spec, resource, loss, cutoff, include_z)
+
+        circuit = _TELEPORTER
+    else:
+        resource = ResourceSpec(resource_kind, amplitude)
+        row = _swap(spec, resource, eta1, _detectors(eta2s, cutoff), cutoff, None)
+
+        def single(eta2):
+            loss = LossConfig(eta1, eta2)
+            return run_lossy_entswap(
+                spec.at_alpha(amplitude), resource, loss, amplitude, cutoff
+            ), _reference_swap(spec, resource, loss, cutoff)
+
+        circuit = _SWAPPER
+    prepared = _prepare([spec.to_fock(cutoff), resource.to_fock(cutoff)], circuit, eta1)
+    return row, single, prepared
+
+
+eta2_rows = st.lists(st.floats(0.0, 1.0), max_size=3).flatmap(
+    lambda etas: st.permutations(etas + [0.0, 1.0])
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(
+    protocol=st.sampled_from(["teleport", "entswap"]),
+    input_kind=st.sampled_from(state_kinds("input")),
+    resource_kind=st.sampled_from(RESOURCE_KINDS),
+    amplitude=st.floats(0.1, 0.6),
+    eta1=etas,
+    eta2s=eta2_rows,
+    checked=st.integers(0, 4),
+    include_z=st.booleans(),
+)
+def test_row_matches_its_cells(
+    protocol, input_kind, resource_kind, amplitude, eta1, eta2s, checked, include_z
+):
+    """Each summary of an eta1 row is the single run of its cell; at eta2 = 1 bit for bit.
+
+    One cell of the row is also checked against the outcome loop, which
+    models detector loss as modes and so shares no response matrix.
+    """
+    cutoff = TELEPORT_CUTOFF if protocol == "teleport" else SWAP_CUTOFF
+    row, single, _ = _row(
+        protocol, input_kind, resource_kind, amplitude, eta1, eta2s, cutoff, include_z
+    )
+    assert len(row) == len(eta2s)
+    for k, (summary, eta2) in enumerate(zip(row, eta2s)):
+        cell, reference = single(eta2)
+        if k == checked % len(eta2s):
+            _assert_matches(cell, *reference)
+        if eta2 == 1.0:
+            assert (summary.success_probability, summary.average_fidelity) == (
+                cell.success_probability, cell.average_fidelity
+            )
+            assert summary.outcomes == cell.outcomes
+            continue
+        assert abs(summary.success_probability - cell.success_probability) <= TOL
+        assert summary.degenerate == cell.degenerate
+        if not cell.degenerate:
+            assert abs(summary.average_fidelity - cell.average_fidelity) <= TOL
+        for got, want in zip(summary.outcomes, cell.outcomes, strict=True):
+            assert (got.n, got.m, got.correction, got.accepted) == (
+                want.n, want.m, want.correction, want.accepted
+            )
+            assert abs(got.probability - want.probability) <= TOL
+            assert (got.fidelity is None) == (want.fidelity is None)
+            if want.fidelity is not None:
+                assert abs(got.fidelity - want.fidelity) <= TOL
+
+
+@pytest.mark.parametrize("eta1", [1.0, 0.6])
+@pytest.mark.parametrize(
+    "protocol, input_kind, resource_kind",
+    [
+        ("teleport", "odd-cat", "squeezed-single-photon"),
+        ("teleport", "squeezed-vacuum", "squeezed-vacuum"),
+        ("entswap", "squeezed-single-photon", "squeezed-single-photon"),
+        ("entswap", "coherent", "ideal-odd-cat"),
+    ],
+)
+def test_row_outcomes_sum_to_prepared_norm(protocol, input_kind, resource_kind, eta1):
+    """Every eta2 of a row keeps the prepared norm^2: each response is column-stochastic."""
+    eta2s = [0.0, 0.3, 1.0]
+    cutoff = TELEPORT_CUTOFF if protocol == "teleport" else SWAP_CUTOFF
+    row, _, prepared = _row(protocol, input_kind, resource_kind, 0.5, eta1, eta2s, cutoff, True)
+    for summary in row:
+        total = sum(rec.probability for rec in summary.outcomes)
+        assert abs(total - prepared.norm() ** 2) <= TOL

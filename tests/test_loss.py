@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cskit import fock, loss
 from cskit.fock import coherent_state, fidelity, partial_trace, tensor
 from cskit.loss import (
     LossConfig,
@@ -245,3 +246,32 @@ class TestSweeps:
                 "beam-me-up", InputSpec("coherent", 0.3),
                 ResourceSpec("ideal-odd-cat", 0.3), 0.3, [1.0], 4,
             )
+
+    @pytest.mark.parametrize(
+        "grids",
+        [{"eta2_grid": [0.5, 1.5]}, {"eta1_grid": [1.0, -0.1]}, {"eta2_grid": [float("nan")]}],
+    )
+    def test_grid_outside_unit_interval_raises_before_any_run(self, monkeypatch, grids):
+        def no_run(*args):
+            raise AssertionError("a circuit ran before the grid was checked")
+
+        monkeypatch.setattr(loss, "_teleport", no_run)
+        with pytest.raises(ValueError):
+            loss_contour_sweep(
+                "teleport", InputSpec("coherent", 0.3),
+                ResourceSpec("ideal-odd-cat", 0.3 * math.sqrt(2.0)), 0.3, cutoff=3, **grids,
+            )
+
+    def test_fine_grid_builds_each_response_once(self):
+        # 101 etas cycle through the 64-entry response cache, so a response
+        # built per row rather than per sweep would miss on every cell
+        fock.detector_response.cache_clear()
+        fock._loss_amplitudes.cache_clear()
+        grid = [i / 100 for i in range(101)]
+        rows = loss_contour_sweep(
+            "teleport", InputSpec("squeezed-single-photon", 0.5),
+            ResourceSpec("squeezed-single-photon", 0.5 * math.sqrt(2.0)), 0.5,
+            eta1_grid=grid, eta2_grid=grid, cutoff=2,
+        )
+        assert len(rows) == 101 * 101
+        assert fock.detector_response.cache_info().misses <= 101
