@@ -29,9 +29,10 @@ __all__ = [
 def _check_beta(beta: float, cutoff: int):
     if beta < 0:
         raise ValueError("beta must be >= 0")
-    if beta**2 > cutoff / 3:
+    # beta > cutoff implies beta^2 > cutoff / 3, and keeps beta**2 from overflowing
+    if beta > cutoff or beta**2 > cutoff / 3:
         raise TruncationError(
-            f"cutoff {cutoff} too small for beta={beta:.3f} (need beta^2 <= cutoff/3)"
+            f"cutoff {cutoff} too small for beta={beta:.4g} (need beta^2 <= cutoff/3)"
         )
 
 
@@ -64,14 +65,27 @@ def cat_state(beta: float, parity: str, cutoff: int) -> FockVector:
     return FockVector(cutoff, amps / math.sqrt(captured), max(0.0, 1.0 - captured))
 
 
+def _check_r(r: float, photons: int):
+    """Refuse r < 0, and an r at which S_r|photons> has no weight a float can hold.
+
+    The |photons> amplitude squares to 1 / cosh(r)^(2 photons + 1), which is
+    at least exp(-(2 photons + 1) r). Where that bound is below the smallest
+    normal float the state is refused, before cosh(r) can overflow or the
+    kept weight underflow to 0.
+    """
+    if r < 0:
+        raise ValueError("squeezing parameter r must be >= 0")
+    if math.exp(-(2 * photons + 1) * r) < np.finfo(float).tiny:
+        raise TruncationError(f"squeezing r={r:g} leaves S_r|{photons}> no representable weight")
+
+
 def squeezed_vacuum(r: float, cutoff: int) -> FockVector:
     """Squeezed vacuum S_r|0>: even photon numbers only.
 
     amps_{2n} = (tanh r)^n sqrt((2n)!) / (sqrt(cosh r) 2^n n!), renormalized
     over the truncation.
     """
-    if r < 0:
-        raise ValueError("squeezing parameter r must be >= 0")
+    _check_r(r, 0)
     if cutoff < 2 and r > 0:
         raise ValueError("cutoff must be >= 2 to hold a squeezed vacuum")
     amps = np.zeros(cutoff + 1, dtype=complex)
@@ -90,8 +104,7 @@ def squeezed_single_photon(r: float, cutoff: int) -> FockVector:
     amps_{2n+1} = (tanh r)^n sqrt((2n+1)!) / ((cosh r)^{3/2} 2^n n!),
     renormalized over the truncation. Equals |1> at r = 0.
     """
-    if r < 0:
-        raise ValueError("squeezing parameter r must be >= 0")
+    _check_r(r, 1)
     amps = np.zeros(cutoff + 1, dtype=complex)
     t, c = math.tanh(r), math.cosh(r)
     for n in range(0, (cutoff - 1) // 2 + 1):
@@ -102,23 +115,35 @@ def squeezed_single_photon(r: float, cutoff: int) -> FockVector:
     return FockVector(cutoff, amps / math.sqrt(captured), max(0.0, 1.0 - captured))
 
 
+# Above this amplitude 4 beta^4 swamps the constant under each closed form's
+# root to double precision, while beta**4 is still far from overflowing.
+_LARGE_BETA = 1e50
+
+
 def r_opt(beta: float) -> float:
     """Squeezing that maximizes F(S_r|1>, odd cat of amplitude beta).
 
     Closed form: ln sqrt(2 beta^2/3 + sqrt(9 + 4 beta^4)/3). Zero at beta=0.
+    Above _LARGE_BETA, where the 9 is lost to rounding, it is ln(beta sqrt(4/3)),
+    which keeps beta^4 from overflowing.
     """
     if beta < 0:
         raise ValueError("beta must be >= 0")
+    if beta > _LARGE_BETA:
+        return math.log(beta) + math.log(4.0 / 3.0) / 2.0
     return math.log(math.sqrt(2.0 * beta**2 / 3.0 + math.sqrt(9.0 + 4.0 * beta**4) / 3.0))
 
 
 def r_opt_v(beta: float) -> float:
     """Squeezing that maximizes F(S_r|0>, even cat of amplitude beta).
 
-    Closed form: ln sqrt(2 beta^2 + sqrt(1 + 4 beta^4)).
+    Closed form: ln sqrt(2 beta^2 + sqrt(1 + 4 beta^4)), which is ln(2 beta)
+    above _LARGE_BETA.
     """
     if beta < 0:
         raise ValueError("beta must be >= 0")
+    if beta > _LARGE_BETA:
+        return math.log(2.0 * beta)
     return math.log(math.sqrt(2.0 * beta**2 + math.sqrt(1.0 + 4.0 * beta**4)))
 
 

@@ -157,10 +157,7 @@ def _pmap(fn, items, jobs):
 
 
 def _header(args, extra):
-    pairs = [("subcommand", args.command)]
-    pairs.extend(extra)
-    pairs.append(("seed", args.seed))
-    return pairs
+    return [("subcommand", args.command), *extra]
 
 
 # Row workers are module-level so a process pool can pickle them.
@@ -335,10 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("-o", "--output", default=None, help="output path (default stdout)")
         p.add_argument(
             "--jobs", type=_positive_int, default=None, help="worker processes (env CSKIT_JOBS)"
-        )
-        p.add_argument(
-            "--seed", type=int, default=0,
-            help="label echoed into the header only; cskit draws no random numbers",
         )
         if cutoff_default is not None:
             p.add_argument("--cutoff", type=_positive_int, default=cutoff_default)

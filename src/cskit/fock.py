@@ -153,9 +153,10 @@ def coherent_state(alpha: complex, cutoff: int) -> FockVector:
     _check_finite(alpha, "alpha")
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
-    if abs(alpha) ** 2 > cutoff / 3:
+    # |alpha| > cutoff implies |alpha|^2 > cutoff / 3, and keeps the square from overflowing
+    if abs(alpha) > cutoff or abs(alpha) ** 2 > cutoff / 3:
         raise TruncationError(
-            f"cutoff {cutoff} too small for |alpha|={abs(alpha):.3f}"
+            f"cutoff {cutoff} too small for |alpha|={abs(alpha):.4g}"
             " (need |alpha|^2 <= cutoff/3)"
         )
     n = np.arange(cutoff + 1)

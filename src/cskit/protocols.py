@@ -15,28 +15,29 @@ Z are reported but excluded from fidelity averaging unless explicitly
 included for diagnostics, in which case the comparison target absorbs an
 ideal Z (sign flip of the |-alpha> component).
 
-Both protocols, lossless and lossy, run through one engine: the prepared
-single-mode vectors go through the protocol's circuit, and every outcome is
+Both protocols, lossless and lossy, are one circuit: a Bell pair made from
+the resource (``_bell``) and one 50:50 beamsplitter that mixes its near half
+with the input, or with one half of phi's Bell pair, in front of the two
+counters (``_mixed``). Each Bell pair is a 50:50 split into a vacuum port,
+which is ``attenuate``'s gather, not a beamsplitter. Every outcome is
 heralded at once from one probability table and one overlap table per
-correction label. A 50:50 split whose second port is still vacuum is
-``attenuate``'s gather, not a beamsplitter, so each circuit applies one full
-beamsplitter. Source loss (see ``cskit.loss``) couples the resource mode to
-a vacuum environment mode, so the circuit and its tables depend on eta1
-alone. Detector loss acts on the tables through the detectors' response
-matrices: a stack of eta2 responses maps them in one batched matmul, so one
-circuit run heralds every eta2 of a row and gives one summary per eta2.
-Heralding is a set of masked reductions over that stack, with the correction
-labels cached per (cutoff, parity), and a summary builds its outcome records
-only when they are read. Both losses apply only for eta < 1, so a lossless
-run is the eta1 = eta2 = 1 case of the same engine, with no environment mode
-and no matmul; a single run is a row of one eta2.
+correction label. Source loss (see ``cskit.loss``) couples the resource mode
+to a vacuum environment mode before its split, so the circuit and its tables
+depend on eta1 alone. Detector loss acts on the tables through the
+detectors' response matrices: a stack of eta2 responses maps them in one
+batched matmul, so one circuit run heralds every eta2 of a row and gives one
+summary per eta2. Heralding is a set of masked reductions over that stack,
+with the correction labels cached per (cutoff, parity), and a summary builds
+its outcome records only when they are read. Both losses apply only for
+eta < 1, so a lossless run is the eta1 = eta2 = 1 case of the same engine,
+with no environment mode and no matmul; a single run is a row of one eta2.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -156,10 +157,18 @@ class QubitSuperposition:
     alpha: float
 
     def to_fock(self, cutoff: int) -> FockVector:
+        """The normalized state over photon numbers 0..cutoff.
+
+        Where mu = -nu and the norm is 0 (alpha is 0, or so small that the
+        norm underflows) it is |1>, the odd cat's limit as alpha -> 0, up to
+        a global phase.
+        """
         plus = coherent_state(self.alpha, cutoff)
         minus = coherent_state(-self.alpha, cutoff)
-        amps = self.mu * plus.amps + self.nu * minus.amps
-        return FockVector(cutoff, amps).normalized()
+        vec = FockVector(cutoff, self.mu * plus.amps + self.nu * minus.amps)
+        if vec.norm() == 0.0 and self.mu + self.nu == 0.0 and self.mu != 0.0:
+            return fock_basis_state(1, cutoff)
+        return vec.normalized()
 
     def z_flipped(self) -> "QubitSuperposition":
         """Qubit after an ideal Z: the |-alpha> component changes sign."""
@@ -307,75 +316,36 @@ def _record(n, m, probability, label, fidelity):
     )
 
 
-@dataclass(frozen=True)
-class _Circuit:
-    """Mode layout of a protocol circuit.
+def _bell(vec: FockVector, eta1: float = 1.0) -> np.ndarray:
+    """Amplitudes of ``vec`` split 50:50 with vacuum into a Bell pair, axes (near, [env,] far).
 
-    The prepared vectors enter the modes in ``inputs``; every other mode
-    starts in vacuum. Source loss acts on ``source`` first, then the 50:50
-    beamsplitters in ``splits`` run in order, then the two ``detectors``
-    count (n, m) behind detector loss. A split whose second port is still
-    vacuum is a gather, not a beamsplitter (see ``_prepare``). The modes left
-    after the detectors are the output modes in mode order, followed by the
-    source's environment mode; the X correction is a pi phase on output
-    ``x_output``.
+    Source loss at eta1 < 1 first couples the mode to a vacuum environment
+    mode; at eta1 = 1 none is added, as attenuation would leave the state
+    times the environment vacuum. The split's second port is vacuum, so it
+    is ``attenuate``'s gather at eta = 0.5, whose new axis is the far half.
     """
-
-    inputs: tuple
-    source: int
-    splits: tuple
-    detectors: tuple
-    x_output: int
+    pair = MultiModeState((vec.cutoff,), vec.amps)
+    if eta1 < 1.0:
+        pair = attenuate(pair, 0, eta1)
+    return attenuate(pair, 0, 0.5).amps
 
 
-# Modes (a, b, c): input, resource, vacuum; the output is c.
-_TELEPORTER = _Circuit(
-    inputs=(0, 1), source=1, splits=((1, 2), (0, 1)), detectors=(0, 1), x_output=0
-)
-# Modes (a, b, c, d): phi, vacuum, resource, vacuum; the output is (a, d).
-_SWAPPER = _Circuit(
-    inputs=(0, 2), source=2, splits=((0, 1), (2, 3), (1, 2)), detectors=(1, 2), x_output=1
-)
+def _mixed(left: np.ndarray, resource: FockVector, eta1: float) -> np.ndarray:
+    """Amplitudes at the counters, axes (counter, counter, outputs..., [env]).
 
-
-def _prepare(vectors, circuit: _Circuit, eta1: float) -> MultiModeState:
-    """The state that reaches the detectors' loss, its modes in order and the environment last.
-
-    Each input vector starts a part of the state. Source loss appends one
-    environment mode to the source's part; at eta1 = 1 none is added, as
-    attenuation would leave the state times the environment vacuum. A split
-    whose second port is still vacuum is ``attenuate``'s gather at eta = 0.5
-    on the part that holds its first port, whose new axis becomes that port:
-    each Bell pair is built as a d^2 array. A split between two occupied
-    ports tensors the parts once and is a full beamsplitter. The axes are
-    put in mode order at the end.
+    The circuit's one full beamsplitter mixes ``left``'s last axis with the
+    near half of the resource's Bell pair at 50:50, and a counter sits on
+    each of its ports. ``left`` is the input (teleporter) or phi's Bell pair
+    (swapper), whose near half is then the first output; the resource
+    pair's far half is the last output. The axes are reordered as a view.
     """
-    env = math.inf  # the environment's label sorts after every mode
-    parts = []
-    for mode, vec in zip(circuit.inputs, vectors):
-        labels, st = [mode], MultiModeState((vec.cutoff,), vec.amps)
-        if mode == circuit.source and eta1 < 1.0:
-            labels, st = [mode, env], attenuate(st, 0, eta1)
-        parts.append((labels, st))
-    for i, j in circuit.splits:
-        if any(j in labels for labels, _ in parts):
-            labels, st = _joined(parts)
-            parts = [(labels, apply_beamsplitter(st, labels.index(i), labels.index(j), 0.5))]
-        else:
-            k = next(k for k, (labels, _) in enumerate(parts) if i in labels)
-            labels, st = parts[k]
-            parts[k] = (labels + [j], attenuate(st, labels.index(i), 0.5))
-    labels, st = _joined(parts)
-    return MultiModeState(st.mode_cutoffs, st.amps.transpose(np.argsort(labels)))
-
-
-def _joined(parts):
-    """(labels, state): the parts tensored into one state, in the order given."""
-    if len(parts) == 1:
-        return parts[0]
-    labels = [label for part_labels, _ in parts for label in part_labels]
-    amps = reduce(np.multiply.outer, [st.amps for _, st in parts])
-    return labels, MultiModeState(sum((st.mode_cutoffs for _, st in parts), ()), amps)
+    pair = _bell(resource, eta1)
+    amps = np.multiply.outer(left, pair)
+    k = left.ndim - 1
+    state = MultiModeState((resource.cutoff,) * amps.ndim, amps)
+    amps = apply_beamsplitter(state, k, k + 1, 0.5).amps
+    env = (k + 2,) if pair.ndim == 3 else ()
+    return amps.transpose(k, k + 1, *range(k), amps.ndim - 1, *env)
 
 
 @dataclass(frozen=True)
@@ -432,27 +402,26 @@ def _summed(tables, cells):
     return tables.reshape(len(tables), -1).take(cells, axis=1).sum(axis=1)
 
 
-def _tables(state, circuit, target=None, z_target=None):
+def _tables(amps, target=None, z_target=None):
     """(tables, labels): the outcome tables of lossless counters, over the (k, l) counts.
 
-    ``tables[0]`` is the probability table, which sums |amps|^2 over all
-    non-detector axes. Each further table is the overlap table of the
-    correction label at the same place in ``labels``: it contracts the
-    label's target (carrying the X correction's pi phase for X and XZ) with
-    the output axes and sums |overlap|^2 over the environment axis.
-    ``target`` and ``z_target`` are amplitude arrays over the output modes,
-    compared against the no-Z and the Z-type outcomes; None gives those
-    outcomes no table. The tables depend on the prepared state alone, so a
-    state is tabled once for every detector transmitivity.
+    ``amps`` has the axes ``_mixed`` gives: the two counters, the outputs,
+    then the environment, if any. ``tables[0]`` is the probability table,
+    which sums |amps|^2 over all non-counter axes. Each further table is the
+    overlap table of the correction label at the same place in ``labels``:
+    it contracts the label's target with the output axes and sums
+    |overlap|^2 over the environment axis. For X and XZ the target carries
+    the X correction's pi phase, a sign along its last axis, as the
+    correction lands on the last output. ``target`` and ``z_target`` are
+    amplitude arrays over the outputs, compared against the no-Z and the
+    Z-type outcomes; None gives those outcomes no table. The tables depend on
+    the amplitudes alone, so they serve every detector transmitivity.
     """
-    amps = np.moveaxis(state.amps, circuit.detectors, (0, 1))
     d = amps.shape[0]
     probs = np.sum(np.abs(amps) ** 2, axis=tuple(range(2, amps.ndim)))
     if target is None:
         return probs[None], ()
-    shape = [1] * target.ndim
-    shape[circuit.x_output] = d
-    sign = np.where(np.arange(d) % 2 == 0, 1.0, -1.0).reshape(shape)
+    sign = np.where(np.arange(d) % 2 == 0, 1.0, -1.0)
     targets = {"I": target, "X": sign * target}
     if z_target is not None:
         targets.update(Z=z_target, XZ=sign * z_target)
@@ -522,7 +491,7 @@ def build_teleporter_input(
     """
     if input_state.cutoff != cutoff or resource.cutoff != cutoff:
         raise ValueError("input and resource must be built at the working cutoff")
-    return _prepare([input_state, resource], _TELEPORTER, 1.0)
+    return MultiModeState((cutoff,) * 3, _mixed(input_state.amps, resource, 1.0))
 
 
 def classify_outcome(n: int, m: int, parity: str = "odd"):
@@ -561,7 +530,7 @@ def enumerate_outcomes(state3: MultiModeState, parity: str = "odd"):
     """All (n, m) outcome records for detectors on modes a and b (no fidelities)."""
     if state3.num_modes != 3:
         raise ValueError("expected a 3-mode teleporter state")
-    [summary] = _herald(*_tables(state3, _TELEPORTER), _LOSSLESS, parity)
+    [summary] = _herald(*_tables(state3.amps), _LOSSLESS, parity)
     return list(summary.outcomes)
 
 
@@ -571,9 +540,9 @@ def _teleport(input_spec, resource_spec, eta1, detectors, cutoff, include_z, con
     The caller matches the input's amplitude to eta1. The circuit runs and
     its tables are built once, whatever the number of eta2 values.
     """
-    target = input_spec.to_fock(cutoff)
-    state = _prepare([target, resource_spec.to_fock(cutoff)], _TELEPORTER, eta1)
-    tables = _tables(state, _TELEPORTER, target.amps, _z_target(input_spec, cutoff))
+    target = input_spec.to_fock(cutoff).amps
+    amps = _mixed(target, resource_spec.to_fock(cutoff), eta1)
+    tables = _tables(amps, target, _z_target(input_spec, cutoff))
     return _herald(*tables, detectors, resource_spec.parity, include_z, config)
 
 
@@ -592,24 +561,16 @@ def _z_target(input_spec, cutoff):
     return flipped.to_fock(cutoff).amps
 
 
-def _bell_pair(phi: FockVector) -> MultiModeState:
-    """Split phi on a 50:50 beamsplitter with vacuum: the two-mode Bell state.
-
-    The vacuum port makes the split ``attenuate``'s gather, the same one
-    ``_prepare`` makes of the swapper's (a, b) split.
-    """
-    return attenuate(MultiModeState((phi.cutoff,), phi.amps), 0, 0.5)
-
-
 def _swap(phi_spec, resource_spec, eta1, detectors, cutoff, config):
     """Entanglement swapping of ``phi_spec`` as given, one summary per eta2 of ``detectors``.
 
     The caller matches the amplitudes to eta1. The circuit runs and its
-    tables are built once, whatever the number of eta2 values.
+    tables are built once, whatever the number of eta2 values. phi's Bell
+    pair is built once: it enters the circuit and is the target.
     """
-    phi = phi_spec.to_fock(cutoff)
-    state = _prepare([phi, resource_spec.to_fock(cutoff)], _SWAPPER, eta1)
-    tables = _tables(state, _SWAPPER, _bell_pair(phi).amps)
+    pair = _bell(phi_spec.to_fock(cutoff))
+    amps = _mixed(pair, resource_spec.to_fock(cutoff), eta1)
+    tables = _tables(amps, pair)
     return _herald(*tables, detectors, resource_spec.parity, config=config)
 
 
@@ -683,8 +644,8 @@ def success_probability_sweep(
         for name, (mu, nu) in families.items():
             qubit = InputSpec("superposition", alpha, mu, nu).to_fock(cutoff)
             for resource, vector in zip(resources, resource_vectors):
-                state = _prepare([qubit, vector], _TELEPORTER, 1.0)
-                [summary] = _herald(*_tables(state, _TELEPORTER), _LOSSLESS, resource.parity)
+                amps = _mixed(qubit.amps, vector, 1.0)
+                [summary] = _herald(*_tables(amps), _LOSSLESS, resource.parity)
                 p_success = summary.success_probability
                 rows.append((float(beta), name, resource.kind, p_success))
     return rows

@@ -95,6 +95,14 @@ class TestSqueezedStates:
         with pytest.raises(ValueError):
             squeezed_single_photon(-0.1, 15)
 
+    @pytest.mark.parametrize("state, r", [(squeezed_single_photon, 240.0), (squeezed_vacuum, 710.0)])
+    def test_unrepresentable_squeezing_raises(self, state, r):
+        # the weight bounds exp(-3 r) at r = 240 and exp(-r) at r = 710 are below every normal float
+        with pytest.raises(TruncationError):
+            state(r, 15)
+        with pytest.raises(TruncationError):
+            state(math.inf, 15)
+
     def test_even_approximation_threshold(self):
         vec = squeezed_vacuum(r_opt_v(0.5), 15)
         assert fidelity(vec, cat_state(0.5, "even", 15)) > 0.99
@@ -115,6 +123,12 @@ class TestOptimalSqueezing:
             math.log(math.sqrt(2.0 + math.sqrt(5.0))), abs=1e-12
         )
         assert r_opt_v(1.0) == pytest.approx(0.7216, abs=5e-4)
+
+    @pytest.mark.parametrize("beta", [1e49, 1e51, 1e200, 1e308])
+    def test_closed_forms_at_huge_beta(self, beta):
+        # ln sqrt(4 beta^2 / 3) and ln(2 beta): the constants under the roots round away
+        assert r_opt(beta) == pytest.approx(math.log(beta) + math.log(4.0 / 3.0) / 2.0, rel=1e-15)
+        assert r_opt_v(beta) == pytest.approx(math.log(2.0 * beta), rel=1e-15)
 
     def test_r_opt_matches_numeric_maximizer(self):
         cutoff = 25

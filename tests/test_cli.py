@@ -32,7 +32,7 @@ class TestHeaders:
         assert "# subcommand: approx" in header
         assert "# kind: odd" in header
         assert "# cutoff: 15" in header
-        assert any(ln.startswith("# seed:") for ln in header)
+        assert not any(ln.startswith("# seed:") for ln in header)
         assert columns == ["beta", "r_opt", "fidelity"]
         assert len(rows) == 2
 
@@ -85,6 +85,7 @@ class TestBadInput:
             (["teleport", "--beta", "0:inf:0.1"], None),
             (["teleport", "--beta", "0:1e9:1e-3"], None),
             (["teleport", "--jobs", "-4"], None),
+            (["teleport", "--seed", "3"], None),
             (["teleport", "--beta", "0.5:0.5:0.1"], "abc"),
             (["teleport", "--per-outcome", "--m-max", "20", "--beta", "1:1:1"], None),
             (["teleport", "--per-outcome", "--m-max", "0", "--beta", "1:1:1"], None),
@@ -108,6 +109,32 @@ class TestBadInput:
             code = exc.code
         captured = capsys.readouterr()
         assert code == 2
+        assert captured.out == ""
+        assert len([ln for ln in captured.err.splitlines() if "error:" in ln]) == 1
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["teleport", "--beta", "1e200:1e200:1"],
+            ["entswap", "--beta", "1e200:1e200:1"],
+            ["success-prob", "--beta", "1e200:1e200:1"],
+            ["approx", "--kind", "odd", "--beta", "1e200:1e200:1"],
+            ["approx", "--kind", "even", "--beta", "1e200:1e200:1"],
+            ["loss", "--amplitude", "1e200"],
+            ["wigner", "--state", "coherent", "--beta", "1e200"],
+            ["wigner", "--state", "sq1", "--beta", "1e200"],
+            ["wigner", "--state", "odd-cat", "--beta", "1e200"],
+            ["wigner", "--state", "sq1", "--r", "800"],
+            ["wigner", "--state", "sq0", "--r", "800"],
+            ["wigner", "--state", "sq1", "--r", "400"],
+        ],
+    )
+    def test_unrepresentable_state(self, capsys, argv):
+        # a state no float can hold is a truncation error: exit 1, one error line, no rows
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
         assert captured.out == ""
         assert len([ln for ln in captured.err.splitlines() if "error:" in ln]) == 1
         assert "Traceback" not in captured.err

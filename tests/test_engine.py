@@ -9,8 +9,9 @@ the conditional state and sums the branch fidelities.
 import itertools
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cskit.fock import (
@@ -26,14 +27,13 @@ from cskit.fock import (
 )
 from cskit.loss import LossConfig, run_lossy_entswap, run_lossy_teleportation
 from cskit.protocols import (
-    _SWAPPER,
-    _TELEPORTER,
     INPUT_FAMILIES,
     RESOURCE_KINDS,
     InputSpec,
     ResourceSpec,
+    _bell,
     _detectors,
-    _prepare,
+    _mixed,
     _swap,
     _teleport,
     apply_correction,
@@ -262,13 +262,14 @@ def test_reported_values_lie_in_unit_interval(
 
 @PROPERTY
 @given(
-    beta=st.floats(0.05, 1.2),
+    beta=st.one_of(st.sampled_from([0.0, 1e-300]), st.floats(0.0, 1.2)),
     family=st.sampled_from(list(INPUT_FAMILIES)),
     resource_kind=st.sampled_from(RESOURCE_KINDS),
     cutoff=st.integers(5, 12),
 )
+@example(beta=0.0, family="odd-cat-superposition", resource_kind="ideal-odd-cat", cutoff=5)
+@example(beta=1e-300, family="odd-cat-superposition", resource_kind="squeezed-vacuum", cutoff=5)
 def test_success_sweep_matches_run_teleportation(beta, family, resource_kind, cutoff):
-    # beta > 0: at beta = 0 the odd-cat superposition is the zero vector, in both paths
     [(_, _, _, p_success)] = success_probability_sweep(
         [beta], {family: INPUT_FAMILIES[family]}, (resource_kind,), cutoff
     )
@@ -278,7 +279,7 @@ def test_success_sweep_matches_run_teleportation(beta, family, resource_kind, cu
 
 
 def _row(protocol, input_kind, resource_kind, amplitude, eta1, eta2s, cutoff, include_z):
-    """(summaries of one eta1 row, the single run of one cell, its reference, prepared state)."""
+    """(summaries of one eta1 row, the single run and reference of a cell, the counters' amplitudes)."""
     spec = InputSpec(input_kind, amplitude).at_alpha(math.sqrt(eta1) * amplitude)
     if protocol == "teleport":
         resource = ResourceSpec(resource_kind, math.sqrt(2.0) * amplitude)
@@ -290,7 +291,7 @@ def _row(protocol, input_kind, resource_kind, amplitude, eta1, eta2s, cutoff, in
                 spec.at_alpha(amplitude), resource, loss, cutoff, include_z
             ), _reference_teleport(spec, resource, loss, cutoff, include_z)
 
-        circuit = _TELEPORTER
+        left = spec.to_fock(cutoff).amps
     else:
         resource = ResourceSpec(resource_kind, amplitude)
         row = _swap(spec, resource, eta1, _detectors(eta2s, cutoff), cutoff, None)
@@ -301,9 +302,8 @@ def _row(protocol, input_kind, resource_kind, amplitude, eta1, eta2s, cutoff, in
                 spec.at_alpha(amplitude), resource, loss, amplitude, cutoff
             ), _reference_swap(spec, resource, loss, cutoff)
 
-        circuit = _SWAPPER
-    prepared = _prepare([spec.to_fock(cutoff), resource.to_fock(cutoff)], circuit, eta1)
-    return row, single, prepared
+        left = _bell(spec.to_fock(cutoff))
+    return row, single, _mixed(left, resource.to_fock(cutoff), eta1)
 
 
 eta2_rows = st.lists(st.floats(0.0, 1.0), max_size=3).flatmap(
@@ -373,7 +373,7 @@ def test_row_outcomes_sum_to_prepared_norm(protocol, input_kind, resource_kind, 
     """Every eta2 of a row keeps the prepared norm^2: each response is column-stochastic."""
     eta2s = [0.0, 0.3, 1.0]
     cutoff = TELEPORT_CUTOFF if protocol == "teleport" else SWAP_CUTOFF
-    row, _, prepared = _row(protocol, input_kind, resource_kind, 0.5, eta1, eta2s, cutoff, True)
+    row, _, amps = _row(protocol, input_kind, resource_kind, 0.5, eta1, eta2s, cutoff, True)
     for summary in row:
         total = sum(rec.probability for rec in summary.outcomes)
-        assert abs(total - prepared.norm() ** 2) <= TOL
+        assert abs(total - np.linalg.norm(amps) ** 2) <= TOL

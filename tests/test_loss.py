@@ -14,7 +14,14 @@ from cskit.loss import (
     run_lossy_entswap,
     run_lossy_teleportation,
 )
-from cskit.protocols import InputSpec, ResourceSpec, run_entanglement_swap, run_teleportation
+from cskit.protocols import (
+    InputSpec,
+    ResourceSpec,
+    _bell,
+    _mixed,
+    run_entanglement_swap,
+    run_teleportation,
+)
 
 
 class TestLossConfig:
@@ -104,13 +111,19 @@ class TestLossyTeleportation:
         assert z_type and all(o.fidelity is None for o in z_type)
 
     def test_mode_count(self):
-        # 3 working + 3 environment modes, asserted inside the run
-        summary = run_lossy_teleportation(
-            InputSpec("coherent", 0.3),
-            ResourceSpec("squeezed-single-photon", 0.3 * math.sqrt(2.0)),
-            LossConfig(0.8, 0.9), 6,
-        )
-        assert 0.0 < summary.success_probability <= 1.0
+        # counters, outputs, then the source's environment: detector loss adds no mode
+        cutoff, eta1 = 6, 0.3
+        d = cutoff + 1
+        qubit = InputSpec("coherent", 0.3).to_fock(cutoff)
+        resource = ResourceSpec("squeezed-single-photon", 0.3).to_fock(cutoff)
+        lost = fock.detector_response(cutoff, 1.0 - eta1) @ np.abs(resource.amps) ** 2
+        for left, outputs in ((qubit.amps, 1), (_bell(qubit), 2)):
+            assert _mixed(left, resource, 1.0).shape == (d,) * (2 + outputs)
+            amps = _mixed(left, resource, eta1)
+            assert amps.shape == (d,) * (3 + outputs)
+            # the last axis holds the photons the source lost
+            env = np.sum(np.abs(amps) ** 2, axis=tuple(range(amps.ndim - 1)))
+            assert np.abs(env - lost).max() < 1e-9
 
     def test_purification_matches_partial_trace(self):
         spec = InputSpec("odd-cat", 0.4)
