@@ -109,12 +109,6 @@ class MultiModeState:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
-    def normalized(self) -> "MultiModeState":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize a zero state")
-        return MultiModeState(self.mode_cutoffs, self.amps / n)
-
 
 @dataclass(frozen=True)
 class DensityMatrix:

@@ -14,20 +14,23 @@ That is exact, since each count n with environment count e comes from one
 input k = n + e. Lossy teleportation states thus have d^4 amplitudes and
 lossy entanglement-swapping states d^5.
 
-``conditional_output_density`` keeps every loss as an environment mode and
-reduces by an explicit partial trace, as an independent cross-check. Inputs
-are amplitude-matched to the lossy resource: a nominal amplitude alpha
-becomes sqrt(eta1) * alpha.
+Inputs are amplitude-matched to the lossy resource: a nominal amplitude
+alpha becomes sqrt(eta1) * alpha. ``conditional_output_density`` keeps every
+loss as an environment mode, matches its own input and reduces by an
+explicit partial trace, as an independent cross-check.
 
 The lossy runs here and the lossless runs in ``cskit.protocols`` are one
 circuit-and-herald engine: a lossless run is the eta1 = eta2 = 1 case, where
-no environment mode is added and the tables are used as they are.
+no environment mode is added and the tables are used as they are, and the
+lossy runners at LossConfig() return summaries equal to the lossless ones.
 
-The sweeps go by rows. A row is one eta1 and a list of eta2: its circuit
+Everything goes by rows. A row is one eta1 and a list of eta2: its circuit
 runs once, and detector loss maps its tables through a stack of eta2
-responses. A contour's rows share one stack, built once for the sweep; a
-diagonal row holds its one eta2. One row function serves a single cell, both
-sweeps and the CLI, whose ``--jobs`` maps rows.
+responses. One row function, ``_row``, matches the amplitudes and runs the
+protocol's circuit for both runners, both sweeps and the CLI, whose
+``--jobs`` maps rows. A runner's row holds its one eta2, as does each row of
+a diagonal; a contour's rows share one stack, built once for the sweep.
+Every entry point that takes a cutoff defaults it from LOSS_CUTOFFS.
 """
 
 from __future__ import annotations
@@ -60,7 +63,6 @@ __all__ = [
     "run_lossy_teleportation",
     "run_lossy_entswap",
     "conditional_output_density",
-    "loss_cell_fidelity",
     "loss_contour_sweep",
     "loss_diagonal_sweep",
 ]
@@ -74,37 +76,49 @@ LOSS_CUTOFFS = {"teleport": 6, "entswap": 5}
 _ETA_GRID = [i / 20 for i in range(21)]
 
 
-def _matched(spec: InputSpec, alpha: float, eta1: float) -> InputSpec:
-    """``spec`` rebuilt at sqrt(eta1) * alpha, matching the attenuated resource."""
-    return spec.at_alpha(math.sqrt(eta1) * alpha)
+def _loss_cutoff(protocol, cutoff):
+    """``cutoff``, or LOSS_CUTOFFS[protocol] when it is None; an unknown protocol raises."""
+    if protocol not in LOSS_CUTOFFS:
+        raise ValueError(f"unknown protocol {protocol!r}")
+    return LOSS_CUTOFFS[protocol] if cutoff is None else cutoff
+
+
+def _row(protocol, input_spec, resource_spec, amplitude, cutoff, eta1, detectors, include_z=False):
+    """One summary per eta2 of ``detectors``, from one run of the circuit at eta1.
+
+    ``amplitude`` is the nominal qubit amplitude alpha for 'teleport' or the
+    Bell amplitude beta for 'entswap'. The input, or phi, is rebuilt at
+    sqrt(eta1) * amplitude to match the attenuated resource, and fidelities
+    are taken against that matched state; the entswap resource is prepared
+    at ``amplitude``. ``include_z`` folds the Z-type outcomes of a teleport
+    into its average.
+    """
+    matched = input_spec.at_alpha(math.sqrt(eta1) * amplitude)
+    if protocol == "teleport":
+        return _teleport(matched, resource_spec, eta1, detectors, cutoff, include_z)
+    if protocol == "entswap":
+        return _swap(matched, replace(resource_spec, beta=amplitude), eta1, detectors, cutoff)
+    raise ValueError(f"unknown protocol {protocol!r}")
 
 
 def run_lossy_teleportation(
     input_spec: InputSpec,
     resource_spec: ResourceSpec,
     loss: LossConfig,
-    cutoff: int = 6,
+    cutoff: int = None,
     include_z_outcomes: bool = False,
 ) -> ProtocolSummary:
     """Teleportation with source loss eta1 and detector loss eta2.
 
     ``input_spec.alpha`` is the nominal qubit amplitude; the input is built
     at sqrt(eta1) * alpha to match the attenuated resource, and per-outcome
-    fidelities are taken against that matched input. At eta1 = eta2 = 1 this
-    is the lossless run.
+    fidelities are taken against that matched input. The cutoff defaults to
+    LOSS_CUTOFFS['teleport']. At eta1 = eta2 = 1 this is the lossless run.
     """
-    config = {
-        "protocol": "lossy-teleportation",
-        "input": input_spec,
-        "resource": resource_spec,
-        "loss": loss,
-        "cutoff": cutoff,
-        "include_z_outcomes": include_z_outcomes,
-    }
-    matched = _matched(input_spec, input_spec.alpha, loss.eta1)
-    [summary] = _teleport(
-        matched, resource_spec, loss.eta1, _detectors([loss.eta2], cutoff), cutoff,
-        include_z_outcomes, config,
+    cutoff = _loss_cutoff("teleport", cutoff)
+    [summary] = _row(
+        "teleport", input_spec, resource_spec, input_spec.alpha, cutoff,
+        loss.eta1, _detectors([loss.eta2], cutoff), include_z_outcomes,
     )
     return summary
 
@@ -115,16 +129,19 @@ def conditional_output_density(
     loss: LossConfig,
     n: int,
     m: int,
-    cutoff: int = 6,
+    cutoff: int = None,
 ):
     """Reduced density matrix of the output mode for one outcome (cross-check path).
 
     Rebuilds the lossy circuit with every loss beamsplitter in place, eta = 1
     included, conditions on (n, m) and partial-traces the environment modes
-    instead of summing over the purification. Returns (probability,
+    instead of summing over the purification. The input is matched here, not
+    by the engine's row function, so the check stays independent. The cutoff
+    defaults to LOSS_CUTOFFS['teleport']. Returns (probability,
     DensityMatrix or None).
     """
-    matched = _matched(input_spec, input_spec.alpha, loss.eta1)
+    cutoff = _loss_cutoff("teleport", cutoff)
+    matched = input_spec.at_alpha(math.sqrt(loss.eta1) * input_spec.alpha)
     st = tensor(
         [matched.to_fock(cutoff), resource_spec.to_fock(cutoff), fock_basis_state(0, cutoff)]
     )
@@ -144,35 +161,21 @@ def run_lossy_entswap(
     resource_spec: ResourceSpec,
     loss: LossConfig,
     beta: float = 0.5,
-    cutoff: int = 5,
+    cutoff: int = None,
 ) -> ProtocolSummary:
     """Entanglement swapping with loss on the resource arm and the detectors.
 
     Modes a and d stay lossless. ``phi_spec`` is rebuilt at amplitude
     sqrt(eta1) * beta to match the attenuated resource; the reference Bell
     pair on (a, b) uses that matched phi. The resource is prepared at beta.
+    The cutoff defaults to LOSS_CUTOFFS['entswap'].
     """
-    config = {
-        "protocol": "lossy-entanglement-swap",
-        "phi": phi_spec,
-        "resource": resource_spec,
-        "loss": loss,
-        "beta": beta,
-        "cutoff": cutoff,
-    }
-    matched = _matched(phi_spec, beta, loss.eta1)
-    [summary] = _swap(
-        matched, replace(resource_spec, beta=beta), loss.eta1, _detectors([loss.eta2], cutoff),
-        cutoff, config,
+    cutoff = _loss_cutoff("entswap", cutoff)
+    [summary] = _row(
+        "entswap", phi_spec, resource_spec, beta, cutoff,
+        loss.eta1, _detectors([loss.eta2], cutoff),
     )
     return summary
-
-
-def _loss_cutoff(protocol, cutoff):
-    """``cutoff``, or LOSS_CUTOFFS[protocol] when it is None; an unknown protocol raises."""
-    if protocol not in LOSS_CUTOFFS:
-        raise ValueError(f"unknown protocol {protocol!r}")
-    return LOSS_CUTOFFS[protocol] if cutoff is None else cutoff
 
 
 def _contour_rows(eta1s, eta2s, cutoff):
@@ -194,19 +197,10 @@ def _diagonal_rows(etas, cutoff):
 def _row_fidelities(protocol, input_spec, resource_spec, amplitude, cutoff, row):
     """Average fidelity of each cell of a row (eta1, detectors), None where degenerate.
 
-    The circuit runs once at the row's eta1, and every eta2 of its detectors
-    is heralded from the same tables. ``_contour_rows`` and
-    ``_diagonal_rows`` build the rows and check every eta before any row runs.
+    ``_contour_rows`` and ``_diagonal_rows`` build the rows and check every
+    eta before any row runs.
     """
-    eta1, detectors = row
-    matched = _matched(input_spec, amplitude, eta1)
-    if protocol == "teleport":
-        summaries = _teleport(matched, resource_spec, eta1, detectors, cutoff, False, None)
-    elif protocol == "entswap":
-        resource = replace(resource_spec, beta=amplitude)
-        summaries = _swap(matched, resource, eta1, detectors, cutoff, None)
-    else:
-        raise ValueError(f"unknown protocol {protocol!r}")
+    summaries = _row(protocol, input_spec, resource_spec, amplitude, cutoff, *row)
     return [summary.average_fidelity for summary in summaries]
 
 
@@ -224,18 +218,6 @@ def _sweep(protocol, input_spec, resource_spec, amplitude, cutoff, rows):
     return _cells(rows, [
         _row_fidelities(protocol, input_spec, resource_spec, amplitude, cutoff, row) for row in rows
     ])
-
-
-def loss_cell_fidelity(protocol, input_spec, resource_spec, amplitude, loss, cutoff):
-    """Average fidelity of one loss grid cell, or None for a degenerate cell.
-
-    ``amplitude`` is the nominal qubit amplitude alpha for 'teleport' or the
-    Bell amplitude beta for 'entswap'. The cell is a row with one eta2.
-    """
-    cutoff = _loss_cutoff(protocol, cutoff)
-    row = (loss.eta1, _detectors([loss.eta2], cutoff))
-    [fidelity] = _row_fidelities(protocol, input_spec, resource_spec, amplitude, cutoff, row)
-    return fidelity
 
 
 def loss_contour_sweep(

@@ -30,7 +30,9 @@ summary per eta2. Heralding is a set of masked reductions over that stack,
 with the correction labels cached per (cutoff, parity), and a summary builds
 its outcome records only when they are read. Both losses apply only for
 eta < 1, so a lossless run is the eta1 = eta2 = 1 case of the same engine,
-with no environment mode and no matmul; a single run is a row of one eta2.
+with no environment mode and no matmul. A summary holds the run's results
+and nothing of its arguments, so the lossy runners of ``cskit.loss`` at
+eta1 = eta2 = 1 return a summary equal to the lossless one.
 """
 
 from __future__ import annotations
@@ -268,23 +270,28 @@ class OutcomeRecord:
 
 @dataclass(frozen=True)
 class ProtocolSummary:
-    """Aggregate of one protocol run.
+    """Aggregate of one protocol run, lossless or lossy.
 
     ``average_fidelity`` is probability-weighted over the accepted outcomes
     that need no Z correction (the odd detector counts for an odd-parity
-    resource). ``degenerate`` flags a run with zero accepted weight. The
-    summary keeps the outcome tables over the (n, m) counts; ``outcomes``
-    and ``outcome(n, m)`` build their records from them when read.
+    resource), or None for a degenerate run, one with zero accepted weight.
+    The summary holds no copy of the run's arguments, so a lossy run at
+    eta1 = eta2 = 1 compares equal to the lossless run. It keeps the outcome
+    tables over the (n, m) counts; ``outcomes`` and ``outcome(n, m)`` build
+    their records from them when read.
     """
 
     success_probability: float
     average_fidelity: float
-    config: dict = field(default_factory=dict)
-    degenerate: bool = False
     # Probability, fidelity (NaN where there is none) and correction label per (n, m).
     _probabilities: np.ndarray = field(default=None, compare=False, repr=False)
     _fidelities: np.ndarray = field(default=None, compare=False, repr=False)
     _labels: np.ndarray = field(default=None, compare=False, repr=False)
+
+    @property
+    def degenerate(self) -> bool:
+        """True when no accepted outcome has weight, so there is no average fidelity."""
+        return self.average_fidelity is None
 
     @cached_property
     def outcomes(self) -> tuple:
@@ -434,7 +441,7 @@ def _tables(amps, target=None, z_target=None):
     return np.concatenate([probs[None], overlaps]), tuple(targets)
 
 
-def _herald(tables, labels, detectors, parity, include_z=False, config=None):
+def _herald(tables, labels, detectors, parity, include_z=False):
     """One summary per eta2 of ``detectors``: every outcome of the tables, at once.
 
     Detector loss maps every table T to M T M^T, for the whole stack of
@@ -472,13 +479,11 @@ def _herald(tables, labels, detectors, parity, include_z=False, config=None):
             overlap_weight += _summed(np.where(nonzero, table, 0.0), cells[label])
     np.minimum(fids, 1.0, out=fids)
 
-    config = config or {}
-    summaries = []
     sums = zip(success.tolist(), weight.tolist(), overlap_weight.tolist(), probs, fids)
-    for p_success, w, ow, p, f in sums:
-        avg = min(ow / w, 1.0) if w else None
-        summaries.append(ProtocolSummary(p_success, avg, config, avg is None, p, f, label_table))
-    return summaries
+    return [
+        ProtocolSummary(p_success, min(ow / w, 1.0) if w else None, p, f, label_table)
+        for p_success, w, ow, p, f in sums
+    ]
 
 
 def build_teleporter_input(
@@ -534,7 +539,7 @@ def enumerate_outcomes(state3: MultiModeState, parity: str = "odd"):
     return list(summary.outcomes)
 
 
-def _teleport(input_spec, resource_spec, eta1, detectors, cutoff, include_z, config):
+def _teleport(input_spec, resource_spec, eta1, detectors, cutoff, include_z=False):
     """Teleportation of ``input_spec`` as given, one summary per eta2 of ``detectors``.
 
     The caller matches the input's amplitude to eta1. The circuit runs and
@@ -543,7 +548,7 @@ def _teleport(input_spec, resource_spec, eta1, detectors, cutoff, include_z, con
     target = input_spec.to_fock(cutoff).amps
     amps = _mixed(target, resource_spec.to_fock(cutoff), eta1)
     tables = _tables(amps, target, _z_target(input_spec, cutoff))
-    return _herald(*tables, detectors, resource_spec.parity, include_z, config)
+    return _herald(*tables, detectors, resource_spec.parity, include_z)
 
 
 def _z_target(input_spec, cutoff):
@@ -561,7 +566,7 @@ def _z_target(input_spec, cutoff):
     return flipped.to_fock(cutoff).amps
 
 
-def _swap(phi_spec, resource_spec, eta1, detectors, cutoff, config):
+def _swap(phi_spec, resource_spec, eta1, detectors, cutoff):
     """Entanglement swapping of ``phi_spec`` as given, one summary per eta2 of ``detectors``.
 
     The caller matches the amplitudes to eta1. The circuit runs and its
@@ -571,7 +576,7 @@ def _swap(phi_spec, resource_spec, eta1, detectors, cutoff, config):
     pair = _bell(phi_spec.to_fock(cutoff))
     amps = _mixed(pair, resource_spec.to_fock(cutoff), eta1)
     tables = _tables(amps, pair)
-    return _herald(*tables, detectors, resource_spec.parity, config=config)
+    return _herald(*tables, detectors, resource_spec.parity)
 
 
 def run_teleportation(
@@ -588,16 +593,7 @@ def run_teleportation(
     outcomes; pass ``include_z_outcomes=True`` to fold Z/XZ outcomes into the
     average as a diagnostic.
     """
-    config = {
-        "protocol": "teleportation",
-        "input": input_spec,
-        "resource": resource_spec,
-        "cutoff": cutoff,
-        "include_z_outcomes": include_z_outcomes,
-    }
-    [summary] = _teleport(
-        input_spec, resource_spec, 1.0, _LOSSLESS, cutoff, include_z_outcomes, config
-    )
+    [summary] = _teleport(input_spec, resource_spec, 1.0, _LOSSLESS, cutoff, include_z_outcomes)
     return summary
 
 
@@ -665,11 +661,5 @@ def run_entanglement_swap(
     conditional state on (a, d) against the reference Bell pair on (a, b),
     modes matched by position. Z-type outcomes carry no fidelity.
     """
-    config = {
-        "protocol": "entanglement-swap",
-        "phi": phi_spec,
-        "resource": resource_spec,
-        "cutoff": cutoff,
-    }
-    [summary] = _swap(phi_spec, resource_spec, 1.0, _LOSSLESS, cutoff, config)
+    [summary] = _swap(phi_spec, resource_spec, 1.0, _LOSSLESS, cutoff)
     return summary

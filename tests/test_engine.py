@@ -283,7 +283,7 @@ def _row(protocol, input_kind, resource_kind, amplitude, eta1, eta2s, cutoff, in
     spec = InputSpec(input_kind, amplitude).at_alpha(math.sqrt(eta1) * amplitude)
     if protocol == "teleport":
         resource = ResourceSpec(resource_kind, math.sqrt(2.0) * amplitude)
-        row = _teleport(spec, resource, eta1, _detectors(eta2s, cutoff), cutoff, include_z, None)
+        row = _teleport(spec, resource, eta1, _detectors(eta2s, cutoff), cutoff, include_z)
 
         def single(eta2):
             loss = LossConfig(eta1, eta2)
@@ -294,7 +294,7 @@ def _row(protocol, input_kind, resource_kind, amplitude, eta1, eta2s, cutoff, in
         left = spec.to_fock(cutoff).amps
     else:
         resource = ResourceSpec(resource_kind, amplitude)
-        row = _swap(spec, resource, eta1, _detectors(eta2s, cutoff), cutoff, None)
+        row = _swap(spec, resource, eta1, _detectors(eta2s, cutoff), cutoff)
 
         def single(eta2):
             loss = LossConfig(eta1, eta2)

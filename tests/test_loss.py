@@ -185,6 +185,59 @@ class TestLossyEntswap:
         assert even.average_fidelity > odd.average_fidelity
 
 
+class TestLosslessIsTheLossyRunAtEtaOne:
+    """The lossy runners at LossConfig() return the lossless runners' summaries, bit for bit."""
+
+    @pytest.mark.parametrize("amplitude", [0.0, 0.3, 0.9])
+    @pytest.mark.parametrize(
+        "input_kind, resource_kind",
+        [
+            ("squeezed-single-photon", "squeezed-single-photon"),
+            ("odd-cat", "ideal-odd-cat"),
+            ("even-cat", "ideal-even-cat"),
+            ("coherent", "squeezed-vacuum"),
+        ],
+    )
+    def test_teleport(self, input_kind, resource_kind, amplitude):
+        spec = InputSpec(input_kind, amplitude)
+        res = ResourceSpec(resource_kind, math.sqrt(2.0) * amplitude)
+        lossless = run_teleportation(spec, res, 6)
+        lossy = run_lossy_teleportation(spec, res, LossConfig(), 6)
+        assert lossy == lossless
+        assert lossy.outcomes == lossless.outcomes
+
+    @pytest.mark.parametrize("amplitude", [0.0, 0.3, 0.9])
+    @pytest.mark.parametrize(
+        "phi_kind, resource_kind",
+        [
+            ("squeezed-single-photon", "squeezed-single-photon"),
+            ("odd-cat", "ideal-odd-cat"),
+            ("even-cat", "ideal-even-cat"),
+            ("squeezed-vacuum", "squeezed-vacuum"),
+        ],
+    )
+    def test_entswap(self, phi_kind, resource_kind, amplitude):
+        phi = InputSpec(phi_kind, amplitude)
+        res = ResourceSpec(resource_kind, amplitude)
+        lossless = run_entanglement_swap(phi, res, 5)
+        lossy = run_lossy_entswap(phi, res, LossConfig(), amplitude, 5)
+        assert lossy == lossless
+        assert lossy.outcomes == lossless.outcomes
+
+
+def test_default_cutoffs_come_from_loss_cutoffs(monkeypatch):
+    monkeypatch.setattr(loss, "LOSS_CUTOFFS", {"teleport": 4, "entswap": 3})
+    spec = InputSpec("squeezed-single-photon", 0.4)
+    res = ResourceSpec("squeezed-single-photon", 0.4 * math.sqrt(2.0))
+    config = LossConfig(0.9, 0.8)
+    assert len(run_lossy_teleportation(spec, res, config).outcomes) == 5 * 5
+    swapped = run_lossy_entswap(spec, ResourceSpec("squeezed-single-photon", 0.4), config, 0.4)
+    assert len(swapped.outcomes) == 4 * 4
+    prob, rho = conditional_output_density(spec, res, config, 0, 1)
+    assert prob > 0.0
+    assert rho.elems.shape == (5, 5)
+
+
 class TestSweeps:
     def test_diagonal_endpoint_matches_lossless(self):
         spec = InputSpec("squeezed-single-photon", 0.5)
