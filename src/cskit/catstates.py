@@ -36,6 +36,18 @@ def _check_beta(beta: float, cutoff: int):
         )
 
 
+def _every_other(cutoff, offset, first, ratios):
+    """Amplitudes over 0..cutoff that are zero but at offset, offset + 2, ...
+
+    The one at ``offset`` is ``first`` and each next one is the last times
+    the next of ``ratios``. A term ratio has no power or factorial to
+    overflow, at any cutoff.
+    """
+    amps = np.zeros(cutoff + 1, dtype=complex)
+    amps[offset::2] = first * np.cumprod(np.concatenate([[1.0], ratios]))
+    return amps
+
+
 def cat_state(beta: float, parity: str, cutoff: int) -> FockVector:
     """Cat state N±(|beta> ± |-beta>) with real amplitude beta >= 0.
 
@@ -56,11 +68,9 @@ def cat_state(beta: float, parity: str, cutoff: int) -> FockVector:
     else:
         # 2 (1 - exp(-2 beta^2)) by expm1; the difference rounds to 0 below beta ~ 1e-8
         norm_sq = -2.0 * math.expm1(-2.0 * beta**2)
-    norm_const = 1.0 / math.sqrt(norm_sq)
-    amps = np.zeros(cutoff + 1, dtype=complex)
-    prefactor = 2.0 * norm_const * math.exp(-(beta**2) / 2.0)
-    for n in range(offset, cutoff + 1, 2):
-        amps[n] = prefactor * beta**n / math.sqrt(math.factorial(n))
+    first = 2.0 * math.exp(-(beta**2) / 2.0) / math.sqrt(norm_sq) * beta**offset
+    n = np.arange(offset + 2, cutoff + 1, 2)
+    amps = _every_other(cutoff, offset, first, beta**2 / np.sqrt(n * (n - 1.0)))
     captured = float(np.sum(np.abs(amps) ** 2))
     return FockVector(cutoff, amps / math.sqrt(captured), max(0.0, 1.0 - captured))
 
@@ -82,18 +92,16 @@ def _check_r(r: float, photons: int):
 def squeezed_vacuum(r: float, cutoff: int) -> FockVector:
     """Squeezed vacuum S_r|0>: even photon numbers only.
 
-    amps_{2n} = (tanh r)^n sqrt((2n)!) / (sqrt(cosh r) 2^n n!), renormalized
-    over the truncation.
+    amps_{2n} = (tanh r)^n sqrt((2n)!) / (sqrt(cosh r) 2^n n!), built by
+    its term ratio tanh r sqrt((2n - 1) / 2n) and renormalized over the
+    truncation.
     """
     _check_r(r, 0)
     if cutoff < 2 and r > 0:
         raise ValueError("cutoff must be >= 2 to hold a squeezed vacuum")
-    amps = np.zeros(cutoff + 1, dtype=complex)
-    t, c = math.tanh(r), math.cosh(r)
-    for n in range(0, cutoff // 2 + 1):
-        amps[2 * n] = (
-            t**n * math.sqrt(math.factorial(2 * n)) / (math.sqrt(c) * 2**n * math.factorial(n))
-        )
+    n = np.arange(2, cutoff + 1, 2)
+    t = math.tanh(r)
+    amps = _every_other(cutoff, 0, 1.0 / math.sqrt(math.cosh(r)), t * np.sqrt((n - 1) / n))
     captured = float(np.sum(np.abs(amps) ** 2))
     return FockVector(cutoff, amps / math.sqrt(captured), max(0.0, 1.0 - captured))
 
@@ -101,16 +109,13 @@ def squeezed_vacuum(r: float, cutoff: int) -> FockVector:
 def squeezed_single_photon(r: float, cutoff: int) -> FockVector:
     """Squeezed single photon S_r|1>: odd photon numbers only.
 
-    amps_{2n+1} = (tanh r)^n sqrt((2n+1)!) / ((cosh r)^{3/2} 2^n n!),
-    renormalized over the truncation. Equals |1> at r = 0.
+    amps_{2n+1} = (tanh r)^n sqrt((2n+1)!) / ((cosh r)^{3/2} 2^n n!), built
+    by its term ratio tanh r sqrt((2n + 1) / 2n) and renormalized over the
+    truncation. Equals |1> at r = 0.
     """
     _check_r(r, 1)
-    amps = np.zeros(cutoff + 1, dtype=complex)
-    t, c = math.tanh(r), math.cosh(r)
-    for n in range(0, (cutoff - 1) // 2 + 1):
-        amps[2 * n + 1] = (
-            t**n * math.sqrt(math.factorial(2 * n + 1)) / (c**1.5 * 2**n * math.factorial(n))
-        )
+    n = np.arange(3, cutoff + 1, 2)
+    amps = _every_other(cutoff, 1, math.cosh(r) ** -1.5, math.tanh(r) * np.sqrt(n / (n - 1)))
     captured = float(np.sum(np.abs(amps) ** 2))
     return FockVector(cutoff, amps / math.sqrt(captured), max(0.0, 1.0 - captured))
 

@@ -212,8 +212,14 @@ def _cmd_success_prob(args):
 
 
 def _cmd_teleport(args):
-    if args.per_outcome and not 1 <= args.m_max <= args.cutoff:
-        raise UsageError(f"--m-max {args.m_max} outside [1, cutoff={args.cutoff}]")
+    m_max = args.m_max
+    if not args.per_outcome:
+        if m_max is not None:
+            raise UsageError("--m-max is read only with --per-outcome")
+    else:
+        m_max = 5 if m_max is None else m_max
+        if not 1 <= m_max <= args.cutoff:
+            raise UsageError(f"--m-max {m_max} outside [1, cutoff={args.cutoff}]")
     grid = _parse_grid(args.beta)
     extra = [
         ("input", args.input),
@@ -221,7 +227,6 @@ def _cmd_teleport(args):
         ("beta-grid", args.beta),
         ("cutoff", args.cutoff),
     ]
-    m_max = args.m_max if args.per_outcome else None
     rows_of = partial(
         _teleport_rows,
         input_kind=args.input,
@@ -231,7 +236,7 @@ def _cmd_teleport(args):
     )
     rows = [row for chunk in _pmap(rows_of, grid, _jobs(args)) for row in chunk]
     if args.per_outcome:
-        extra.append(("m-max", args.m_max))
+        extra.append(("m-max", m_max))
         columns = ["beta", "m", "fidelity"]
     else:
         columns = ["beta", "avg_fidelity", "p_success"]
@@ -356,7 +361,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resource", choices=RESOURCE_KINDS, default="squeezed-single-photon")
     p.add_argument("--beta", default="0.05:1.2:0.05")
     p.add_argument("--per-outcome", action="store_true", help="emit per-(n=0,m) fidelities")
-    p.add_argument("--m-max", type=int, default=5)
+    p.add_argument(
+        "--m-max", type=int, default=None, help="largest m with --per-outcome (default 5)"
+    )
     common(p, 15)
     p.set_defaults(func=_cmd_teleport)
 

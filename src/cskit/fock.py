@@ -153,13 +153,9 @@ def coherent_state(alpha: complex, cutoff: int) -> FockVector:
             f"cutoff {cutoff} too small for |alpha|={abs(alpha):.4g}"
             " (need |alpha|^2 <= cutoff/3)"
         )
-    n = np.arange(cutoff + 1)
-    log_fact = np.cumsum(np.concatenate([[0.0], np.log(np.arange(1, cutoff + 1))]))
-    if alpha == 0:
-        amps = np.zeros(cutoff + 1, dtype=complex)
-        amps[0] = 1.0
-        return FockVector(cutoff, amps, 0.0)
-    amps = np.exp(-abs(alpha) ** 2 / 2) * alpha**n * np.exp(-log_fact / 2)
+    # a_n = a_{n-1} alpha / sqrt(n), in floats: no power or factorial to overflow or wrap
+    ratios = np.concatenate([[1.0], alpha / np.sqrt(np.arange(1, cutoff + 1))])
+    amps = np.exp(-abs(alpha) ** 2 / 2) * np.cumprod(ratios)
     captured = float(np.sum(np.abs(amps) ** 2))
     return FockVector(cutoff, amps / math.sqrt(captured), max(0.0, 1.0 - captured))
 

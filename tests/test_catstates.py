@@ -14,6 +14,43 @@ from cskit.catstates import (
     squeezed_vacuum,
 )
 from cskit.fock import TruncationError, fidelity, fock_basis_state
+from cskit.protocols import STATE_KINDS
+
+
+def _closed_form(cutoff, terms):
+    """(amplitudes renormalized over 0..cutoff, leakage) of the closed-form terms {n: a_n}."""
+    amps = np.zeros(cutoff + 1)
+    for n, term in terms.items():
+        if n <= cutoff:
+            amps[n] = term
+    captured = float(np.sum(amps**2))
+    return amps / math.sqrt(captured), max(0.0, 1.0 - captured)
+
+
+def _cat_closed_form(beta, parity, cutoff):
+    offset = 0 if parity == "even" else 1
+    sign = 1.0 if parity == "even" else -1.0
+    norm_const = 1.0 / math.sqrt(2.0 * (1.0 + sign * math.exp(-2.0 * beta**2)))
+    prefactor = 2.0 * norm_const * math.exp(-(beta**2) / 2.0)
+    return _closed_form(cutoff, {
+        n: prefactor * beta**n / math.sqrt(math.factorial(n)) for n in range(offset, cutoff + 1, 2)
+    })
+
+
+def _squeezed_vacuum_closed_form(r, cutoff):
+    t, c = math.tanh(r), math.cosh(r)
+    return _closed_form(cutoff, {
+        2 * n: t**n * math.sqrt(math.factorial(2 * n)) / (math.sqrt(c) * 2**n * math.factorial(n))
+        for n in range(cutoff // 2 + 1)
+    })
+
+
+def _squeezed_single_photon_closed_form(r, cutoff):
+    t, c = math.tanh(r), math.cosh(r)
+    return _closed_form(cutoff, {
+        2 * n + 1: t**n * math.sqrt(math.factorial(2 * n + 1)) / (c**1.5 * 2**n * math.factorial(n))
+        for n in range((cutoff - 1) // 2 + 1)
+    })
 
 
 def _argmax_r(objective, lo=0.0, hi=2.0):
@@ -71,6 +108,50 @@ class TestCatStates:
             cat_state(0.5, "sideways", 15)
         with pytest.raises(TruncationError):
             cat_state(3.0, "odd", 10)
+
+
+class TestTermRatios:
+    """The builders' term-ratio recurrences against the closed forms, and where those overflow."""
+
+    @pytest.mark.parametrize(
+        "beta, cutoff",
+        [
+            (beta, cutoff)
+            for beta in (0.3, 1.0, 2.5, 4.0)
+            for cutoff in (5, 15, 30, 60)
+            if beta**2 <= cutoff / 3
+        ],
+    )
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    def test_cat_matches_closed_form(self, parity, beta, cutoff):
+        vec = cat_state(beta, parity, cutoff)
+        amps, leakage = _cat_closed_form(beta, parity, cutoff)
+        assert np.max(np.abs(vec.amps - amps)) <= 1e-14
+        assert abs(vec.leakage - leakage) <= 1e-14
+
+    @pytest.mark.parametrize("cutoff", [5, 15, 30, 60])
+    @pytest.mark.parametrize("r", [0.0, 0.3, 1.0, 2.5])
+    @pytest.mark.parametrize(
+        "state, closed_form",
+        [
+            (squeezed_vacuum, _squeezed_vacuum_closed_form),
+            (squeezed_single_photon, _squeezed_single_photon_closed_form),
+        ],
+    )
+    def test_squeezed_matches_closed_form(self, state, closed_form, r, cutoff):
+        vec = state(r, cutoff)
+        amps, leakage = closed_form(r, cutoff)
+        assert np.max(np.abs(vec.amps - amps)) <= 1e-14
+        assert abs(vec.leakage - leakage) <= 1e-14
+
+    @pytest.mark.parametrize("kind", list(STATE_KINDS))
+    @pytest.mark.parametrize("amplitude", [0.5, 2.0, 8.0])
+    def test_finite_and_normalized_at_cutoff_200(self, kind, amplitude):
+        # sqrt(n!) leaves the float range at n = 171, where the closed forms raised
+        vec = STATE_KINDS[kind].build(amplitude, 200)
+        assert np.all(np.isfinite(vec.amps))
+        assert abs(vec.norm() - 1.0) <= 1e-12
+        assert 0.0 <= vec.leakage <= 1.0
 
 
 class TestSqueezedStates:

@@ -97,6 +97,7 @@ class TestBadInput:
             (["wigner", "--state", "sq1", "--r", "-1"], None),
             (["wigner", "--state", "sq0", "--r", "-0.5"], None),
             (["wigner", "--state", "odd-cat", "--r", "0.7"], None),
+            (["teleport", "--m-max", "3"], None),
         ],
     )
     def test_usage_error(self, capsys, monkeypatch, argv, env_jobs):
@@ -138,6 +139,27 @@ class TestBadInput:
         assert captured.out == ""
         assert len([ln for ln in captured.err.splitlines() if "error:" in ln]) == 1
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["approx", "--kind", "odd", "--cutoff", "171", "--beta", "0.5:0.5:1"],
+            ["approx", "--kind", "even", "--cutoff", "171", "--beta", "0.5:0.5:1"],
+            ["wigner", "--state", "sq0", "--cutoff", "180", "--steps", "2"],
+            ["wigner", "--state", "odd-cat", "--cutoff", "180", "--steps", "2"],
+            [
+                "wigner", "--state", "coherent", "--beta", "9.9", "--cutoff", "600",
+                "--steps", "2", "--range", "13", "15",
+            ],
+        ],
+    )
+    def test_large_cutoff_gives_finite_rows(self, capsys, argv):
+        # sqrt(n!) past n = 170 and alpha**n past the float range overflowed in the state builders
+        code, out = _run(capsys, argv)
+        assert code == 0
+        _, _, rows = _parse(out)
+        assert rows
+        assert all(np.isfinite(float(cell)) for row in rows for cell in row.split(","))
 
     @pytest.mark.parametrize(
         "grid, count, last",

@@ -81,6 +81,39 @@ class TestConstructors:
         assert ov < 4e-4
         assert abs(ov - math.exp(-8.0)) < 1e-8
 
+    @pytest.mark.parametrize(
+        "alpha, cutoff",
+        [
+            (alpha, cutoff)
+            for alpha in (0.0, 0.5, 1.0 - 0.7j, -2.0, 4.0)
+            for cutoff in (3, 15, 30, 60)
+            if abs(alpha) ** 2 <= cutoff / 3
+        ],
+    )
+    def test_coherent_matches_closed_form(self, alpha, cutoff):
+        n = np.arange(cutoff + 1)
+        terms = np.array(
+            [math.exp(-abs(alpha) ** 2 / 2) * alpha**k / math.sqrt(math.factorial(k)) for k in n]
+        )
+        captured = float(np.sum(np.abs(terms) ** 2))
+        vec = coherent_state(alpha, cutoff)
+        assert np.max(np.abs(vec.amps - terms / math.sqrt(captured))) <= 1e-14
+        assert abs(vec.leakage - max(0.0, 1.0 - captured)) <= 1e-14
+
+    @pytest.mark.parametrize("alpha, cutoff", [(3, 40), (-2, 30), (10, 300)])
+    def test_integer_alpha_is_the_float_state(self, alpha, cutoff):
+        # alpha**n in int64 wrapped: (3, 40) was off by 2.3e-7, and (10, 300) kept no weight
+        vec, want = coherent_state(alpha, cutoff), coherent_state(float(alpha), cutoff)
+        assert np.array_equal(vec.amps, want.amps)
+        assert vec.leakage == want.leakage < 1e-10
+
+    @pytest.mark.parametrize("alpha, cutoff", [(9.9, 600), (-8.0 + 3.0j, 250)])
+    def test_coherent_finite_where_the_power_overflows(self, alpha, cutoff):
+        vec = coherent_state(alpha, cutoff)
+        assert np.all(np.isfinite(vec.amps))
+        assert abs(vec.norm() - 1.0) <= 1e-12
+        assert vec.leakage < 1e-10
+
     def test_leakage_guard(self):
         with pytest.raises(TruncationError):
             coherent_state(3.0, 15)
