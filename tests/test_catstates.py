@@ -147,7 +147,7 @@ class TestTermRatios:
     @pytest.mark.parametrize("kind", list(STATE_KINDS))
     @pytest.mark.parametrize("amplitude", [0.5, 2.0, 8.0])
     def test_finite_and_normalized_at_cutoff_200(self, kind, amplitude):
-        # sqrt(n!) leaves the float range at n = 171, where the closed forms raised
+        # past n = 170, where sqrt(n!) leaves the float range of the closed forms
         vec = STATE_KINDS[kind].build(amplitude, 200)
         assert np.all(np.isfinite(vec.amps))
         assert abs(vec.norm() - 1.0) <= 1e-12

@@ -154,7 +154,7 @@ class TestBadInput:
         ],
     )
     def test_large_cutoff_gives_finite_rows(self, capsys, argv):
-        # sqrt(n!) past n = 170 and alpha**n past the float range overflowed in the state builders
+        # legal states past n = 170, where sqrt(n!) leaves the float range, and where alpha**n does
         code, out = _run(capsys, argv)
         assert code == 0
         _, _, rows = _parse(out)

@@ -102,7 +102,7 @@ class TestConstructors:
 
     @pytest.mark.parametrize("alpha, cutoff", [(3, 40), (-2, 30), (10, 300)])
     def test_integer_alpha_is_the_float_state(self, alpha, cutoff):
-        # alpha**n in int64 wrapped: (3, 40) was off by 2.3e-7, and (10, 300) kept no weight
+        # alpha**n in int64 wraps: (3, 40) by 2.3e-7, and (10, 300) to no kept weight
         vec, want = coherent_state(alpha, cutoff), coherent_state(float(alpha), cutoff)
         assert np.array_equal(vec.amps, want.amps)
         assert vec.leakage == want.leakage < 1e-10
