@@ -36,15 +36,17 @@ def _check_beta(beta: float, cutoff: int):
         )
 
 
-def _every_other(cutoff, offset, first, ratios):
+def _every_other(cutoff, offset, first, ratio):
     """Amplitudes over 0..cutoff that are zero but at offset, offset + 2, ...
 
-    The one at ``offset`` is ``first`` and each next one is the last times
-    the next of ``ratios``. A term ratio has no power or factorial to
-    overflow, at any cutoff.
+    The one at ``offset`` is ``first``, and the one at n is the one at n - 2
+    times ``ratio(n)``. A term ratio has no power or factorial to overflow,
+    at any cutoff.
     """
     amps = np.zeros(cutoff + 1, dtype=complex)
-    amps[offset::2] = first * np.cumprod(np.concatenate([[1.0], ratios]))
+    for n in range(offset, cutoff + 1, 2):
+        amps[n] = first
+        first *= ratio(n + 2)
     return amps
 
 
@@ -69,8 +71,7 @@ def cat_state(beta: float, parity: str, cutoff: int) -> FockVector:
         # 2 (1 - exp(-2 beta^2)) by expm1; the difference rounds to 0 below beta ~ 1e-8
         norm_sq = -2.0 * math.expm1(-2.0 * beta**2)
     first = 2.0 * math.exp(-(beta**2) / 2.0) / math.sqrt(norm_sq) * beta**offset
-    n = np.arange(offset + 2, cutoff + 1, 2)
-    amps = _every_other(cutoff, offset, first, beta**2 / np.sqrt(n * (n - 1.0)))
+    amps = _every_other(cutoff, offset, first, lambda n: beta**2 / math.sqrt(n * (n - 1)))
     captured = float(np.sum(np.abs(amps) ** 2))
     return FockVector(cutoff, amps / math.sqrt(captured), max(0.0, 1.0 - captured))
 
@@ -99,9 +100,8 @@ def squeezed_vacuum(r: float, cutoff: int) -> FockVector:
     _check_r(r, 0)
     if cutoff < 2 and r > 0:
         raise ValueError("cutoff must be >= 2 to hold a squeezed vacuum")
-    n = np.arange(2, cutoff + 1, 2)
     t = math.tanh(r)
-    amps = _every_other(cutoff, 0, 1.0 / math.sqrt(math.cosh(r)), t * np.sqrt((n - 1) / n))
+    amps = _every_other(cutoff, 0, math.cosh(r) ** -0.5, lambda n: t * math.sqrt((n - 1) / n))
     captured = float(np.sum(np.abs(amps) ** 2))
     return FockVector(cutoff, amps / math.sqrt(captured), max(0.0, 1.0 - captured))
 
@@ -114,8 +114,8 @@ def squeezed_single_photon(r: float, cutoff: int) -> FockVector:
     truncation. Equals |1> at r = 0.
     """
     _check_r(r, 1)
-    n = np.arange(3, cutoff + 1, 2)
-    amps = _every_other(cutoff, 1, math.cosh(r) ** -1.5, math.tanh(r) * np.sqrt(n / (n - 1)))
+    t = math.tanh(r)
+    amps = _every_other(cutoff, 1, math.cosh(r) ** -1.5, lambda n: t * math.sqrt(n / (n - 1)))
     captured = float(np.sum(np.abs(amps) ** 2))
     return FockVector(cutoff, amps / math.sqrt(captured), max(0.0, 1.0 - captured))
 

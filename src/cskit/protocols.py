@@ -539,7 +539,7 @@ def enumerate_outcomes(state3: MultiModeState, parity: str = "odd"):
     return list(summary.outcomes)
 
 
-def _teleport(input_spec, resource_spec, eta1, detectors, cutoff, include_z=False):
+def _teleport(input_spec, resource_spec, eta1, detectors, cutoff, include_z):
     """Teleportation of ``input_spec`` as given, one summary per eta2 of ``detectors``.
 
     The caller matches the input's amplitude to eta1. The circuit runs and
