@@ -144,7 +144,7 @@ class TestBadInput:
         "argv",
         [
             ["approx", "--kind", "odd", "--cutoff", "171", "--beta", "0.5:0.5:1"],
-            ["approx", "--kind", "even", "--cutoff", "171", "--beta", "0.5:0.5:1"],
+            ["approx", "--kind", "even", "--cutoff", "172", "--beta", "0.5:0.5:1"],
             ["wigner", "--state", "sq0", "--cutoff", "180", "--steps", "2"],
             ["wigner", "--state", "odd-cat", "--cutoff", "180", "--steps", "2"],
             [

@@ -107,7 +107,7 @@ class TestConstructors:
         assert np.array_equal(vec.amps, want.amps)
         assert vec.leakage == want.leakage < 1e-10
 
-    @pytest.mark.parametrize("alpha, cutoff", [(9.9, 600), (-8.0 + 3.0j, 250)])
+    @pytest.mark.parametrize("alpha, cutoff", [(9.9, 600), (-7.0 + 7.0j, 600)])
     def test_coherent_finite_where_the_power_overflows(self, alpha, cutoff):
         vec = coherent_state(alpha, cutoff)
         assert np.all(np.isfinite(vec.amps))
