@@ -21,8 +21,7 @@ def _closed_form(cutoff, terms):
     """(amplitudes renormalized over 0..cutoff, leakage) of the closed-form terms {n: a_n}."""
     amps = np.zeros(cutoff + 1)
     for n, term in terms.items():
-        if n <= cutoff:
-            amps[n] = term
+        amps[n] = term
     captured = float(np.sum(amps**2))
     return amps / math.sqrt(captured), max(0.0, 1.0 - captured)
 
