@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockVector, TruncationError, fidelity, fock_basis_state
+from .fock import FockVector, TruncationError, _check_weight, fidelity, fock_basis_state
 
 __all__ = [
     "cat_state",
@@ -34,6 +34,7 @@ def _check_beta(beta: float, cutoff: int):
         raise TruncationError(
             f"cutoff {cutoff} too small for beta={beta:.4g} (need beta^2 <= cutoff/3)"
         )
+    _check_weight(beta, "beta")
 
 
 def _every_other(cutoff, offset, first, ratio):

@@ -138,6 +138,21 @@ def _check_finite(value: complex, name: str):
         raise ValueError(f"{name} must be finite, got {value}")
 
 
+def _check_weight(amplitude: float, name: str):
+    """Refuse an amplitude whose exp(-amplitude^2 / 2) is below the smallest normal float.
+
+    The expansion starts from that weight, and its largest terms are about
+    its inverse: below it the weight loses precision, and from |alpha|^2 ~
+    1,420 on the terms overflow and the amplitudes are NaN.
+    ``catstates._check_r`` refuses a squeezing the same way.
+    """
+    if math.exp(-(amplitude**2) / 2) < np.finfo(float).tiny:
+        raise TruncationError(
+            f"{name}={amplitude:.4g} leaves the state no representable weight"
+            " (need exp(-amplitude^2 / 2) >= the smallest normal float)"
+        )
+
+
 def coherent_state(alpha: complex, cutoff: int) -> FockVector:
     """Coherent state |alpha>, renormalized over the truncated support.
 
@@ -153,6 +168,7 @@ def coherent_state(alpha: complex, cutoff: int) -> FockVector:
             f"cutoff {cutoff} too small for |alpha|={abs(alpha):.4g}"
             " (need |alpha|^2 <= cutoff/3)"
         )
+    _check_weight(abs(alpha), "|alpha|")
     # a_n = a_{n-1} alpha / sqrt(n), in floats: no power or factorial to overflow or wrap
     ratios = np.concatenate([[1.0], alpha / np.sqrt(np.arange(1, cutoff + 1))])
     amps = np.exp(-abs(alpha) ** 2 / 2) * np.cumprod(ratios)

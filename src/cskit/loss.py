@@ -11,8 +11,10 @@ branches, which the fidelities sum over. Detector loss is not a mode: the
 outcome tables of lossless counters are mapped through the binomial response
 M[n, k] of an inefficient counter (``fock.detector_response``) as M T M^T.
 That is exact, since each count n with environment count e comes from one
-input k = n + e. Lossy teleportation states thus have d^4 amplitudes and
-lossy entanglement-swapping states d^5.
+input k = n + e. The heralding never builds the joint lossy state: the
+environment axis of the resource's Bell pair is summed into its Gram matrix
+and, for the overlap tables, kept as one slice per environment count, so a
+lossy run costs O(d^4) time and O(d^3) memory, as a lossless one does.
 
 Inputs are amplitude-matched to the lossy resource: a nominal amplitude
 alpha becomes sqrt(eta1) * alpha. ``conditional_output_density`` keeps every
@@ -67,9 +69,8 @@ __all__ = [
     "loss_diagonal_sweep",
 ]
 
-# Default cutoff per protocol. Lossy teleport states are d^4 and lossy
-# entswap states d^5 (source loss adds one mode), with d = cutoff + 1. The
-# cross-check conditional_output_density keeps all three losses as modes, d^6.
+# Default cutoff per protocol. The cross-check conditional_output_density
+# keeps all three losses as modes, d^6 amplitudes with d = cutoff + 1.
 LOSS_CUTOFFS = {"teleport": 6, "entswap": 5}
 
 # The default eta grid: 0, 0.05, ..., 1.

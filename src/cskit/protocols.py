@@ -18,19 +18,25 @@ ideal Z (sign flip of the |-alpha> component).
 Both protocols, lossless and lossy, are one circuit: a Bell pair made from
 the resource (``_bell``) and one 50:50 beamsplitter that mixes its near half
 with the input, or with one half of phi's Bell pair, in front of the two
-counters (``_mixed``). Each Bell pair is a 50:50 split into a vacuum port,
-which is ``attenuate``'s gather, not a beamsplitter. Every outcome is
-heralded at once from one probability table and one overlap table per
-correction label. Source loss (see ``cskit.loss``) couples the resource mode
-to a vacuum environment mode before its split, so the circuit and its tables
-depend on eta1 alone. Detector loss acts on the tables through the
-detectors' response matrices: a stack of eta2 responses maps them in one
-batched matmul, so one circuit run heralds every eta2 of a row and gives one
-summary per eta2. Heralding is a set of masked reductions over that stack,
-with the correction labels cached per (cutoff, parity), and a summary builds
-its outcome records only when they are read. Both losses apply only for
-eta < 1, so a lossless run is the eta1 = eta2 = 1 case of the same engine,
-with no environment mode and no matmul. A summary holds the run's results
+counters. Each Bell pair is a 50:50 split into a vacuum port, which is
+``attenuate``'s gather, not a beamsplitter. Every outcome is heralded at once
+from one probability table and one overlap table per correction label, and
+``_tables`` builds them from the two factors that meet at the beamsplitter,
+never from their joint state: the beamsplitter conserves the total photon
+number, so each count (n, m) sees one block of it, and the probability table
+needs only the Gram matrices of the two factors over their photons at the
+beamsplitter. That is O(d^4) time and O(d^3) memory, where the joint state
+had d^4 amplitudes for the swapper. Source loss (see ``cskit.loss``) couples
+the resource mode to a vacuum environment mode before its split, which the
+resource's Gram matrix sums over, so the tables depend on eta1 alone.
+Detector loss acts on the tables through the detectors' response matrices:
+a stack of eta2 responses maps them in one batched matmul, so one circuit
+run heralds every eta2 of a row and gives one summary per eta2. Heralding
+is a set of masked reductions over that stack, with the correction labels
+cached per (cutoff, parity), and a summary builds its outcome records only
+when they are read. Both losses apply only for eta < 1, so a lossless run
+is the eta1 = eta2 = 1 case of the same engine, with no environment mode and
+no matmul. A summary holds the run's results
 and nothing of its arguments, so the lossy runners of ``cskit.loss`` at
 eta1 = eta2 = 1 return a summary equal to the lossless one.
 """
@@ -43,16 +49,19 @@ from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .catstates import cat_state, r_opt, r_opt_v, squeezed_single_photon, squeezed_vacuum
 from .fock import (
     FockVector,
     MultiModeState,
+    _beamsplitter_blocks,
     apply_beamsplitter,
     attenuate,
     coherent_state,
     detector_response,
     fock_basis_state,
+    tensor,
 )
 
 __all__ = [
@@ -337,24 +346,6 @@ def _bell(vec: FockVector, eta1: float = 1.0) -> np.ndarray:
     return attenuate(pair, 0, 0.5).amps
 
 
-def _mixed(left: np.ndarray, resource: FockVector, eta1: float) -> np.ndarray:
-    """Amplitudes at the counters, axes (counter, counter, outputs..., [env]).
-
-    The circuit's one full beamsplitter mixes ``left``'s last axis with the
-    near half of the resource's Bell pair at 50:50, and a counter sits on
-    each of its ports. ``left`` is the input (teleporter) or phi's Bell pair
-    (swapper), whose near half is then the first output; the resource
-    pair's far half is the last output. The axes are reordered as a view.
-    """
-    pair = _bell(resource, eta1)
-    amps = np.multiply.outer(left, pair)
-    k = left.ndim - 1
-    state = MultiModeState((resource.cutoff,) * amps.ndim, amps)
-    amps = apply_beamsplitter(state, k, k + 1, 0.5).amps
-    env = (k + 2,) if pair.ndim == 3 else ()
-    return amps.transpose(k, k + 1, *range(k), amps.ndim - 1, *env)
-
-
 @dataclass(frozen=True)
 class _Detectors:
     """The two counters at each detector transmitivity eta2 in ``etas``, as one stack.
@@ -409,36 +400,118 @@ def _summed(tables, cells):
     return tables.reshape(len(tables), -1).take(cells, axis=1).sum(axis=1)
 
 
-def _tables(amps, target=None, z_target=None):
-    """(tables, labels): the outcome tables of lossless counters, over the (k, l) counts.
+@lru_cache(maxsize=64)
+def _fifty_fifty(d: int):
+    """(stack, cells, by_count): the 50:50 blocks of ``fock._beamsplitter_blocks``, zero-padded.
 
-    ``amps`` has the axes ``_mixed`` gives: the two counters, the outputs,
-    then the environment, if any. ``tables[0]`` is the probability table,
-    which sums |amps|^2 over all non-counter axes. Each further table is the
-    overlap table of the correction label at the same place in ``labels``:
-    it contracts the label's target with the output axes and sums
-    |overlap|^2 over the environment axis. For X and XZ the target carries
-    the X correction's pi phase, a sign along its last axis, as the
-    correction lands on the last output. ``target`` and ``z_target`` are
-    amplitude arrays over the outputs, compared against the no-Z and the
-    Z-type outcomes; None gives those outcomes no table. The tables depend on
-    the amplitudes alone, so they serve every detector transmitivity.
+    The beamsplitter takes q photons in its first port and l = s - q in its
+    second to n and m = s - n in its counters through block s, clipped as
+    there. ``stack[s, n, q]`` is that amplitude, one d x d slice per s and
+    zero off the block. ``cells[n, m]`` is the flat index s d + n of each
+    count in an array over (s, n). ``by_count[n, m, l]`` is the entry of
+    ``stack`` that couples the count (n, m) to l photons in the second port,
+    zero where q = n + m - l is no photon number.
     """
-    d = amps.shape[0]
-    probs = np.sum(np.abs(amps) ** 2, axis=tuple(range(2, amps.ndim)))
-    if target is None:
+    stack = np.zeros((2 * d - 1, d, d))
+    for s, (_, block) in enumerate(_beamsplitter_blocks(d, 0.5)):
+        lo = max(0, s - d + 1)
+        stack[s, lo : lo + len(block), lo : lo + len(block)] = block
+    n, m, l = np.indices((d, d, d))
+    q = n + m - l
+    by_count = np.where((0 <= q) & (q < d), stack[n + m, n, q.clip(0, d - 1)], 0.0)
+    cells = (n + m)[..., 0] * d + n[..., 0]
+    for table in (stack, cells, by_count):
+        table.setflags(write=False)
+    return stack, cells, by_count
+
+
+def _tables(left, pair, target=None, z_target=None):
+    """(tables, labels): the outcome tables of lossless counters, over the (n, m) counts.
+
+    The circuit's one full beamsplitter mixes the last axis q of ``left``,
+    the input (teleporter) or phi's Bell pair (swapper), with the near half
+    l of the resource's Bell pair ``pair`` (axes near, [env,] far), so the
+    counters see amp[n, m, A, env, f] = sum_q B_s[n, q] left[A, q]
+    pair[s - q, env, f], with s = n + m and B_s the 50:50 blocks. That
+    joint array is never built.
+
+    ``tables[0]`` is the probability table, sum |amp|^2 over A, env and f:
+    sum_{q, q'} B_s[n, q] B_s[n, q'] Re(G1[q, q'] G2[s - q, s - q']), with
+    the Gram matrices G1 = left^T left* and G2 = pair pair^dagger over the
+    near half, which sums over the environment. A ``left`` of one row (the
+    teleporter) has G1 of rank one; it is folded into the blocks by count
+    instead, which is cheaper. Each further table is the overlap table of
+    the label at the same place in ``labels``, |sum_{A, f} target*[A, f]
+    amp[n, m, A, env, f]|^2 summed over env; X and XZ targets carry the X
+    correction's pi phase, a sign along the far half f. ``target`` and
+    ``z_target`` are arrays over the outputs, compared against the no-Z and
+    the Z-type outcomes; None gives those no table. The tables serve every
+    detector transmitivity. Time is O(d^4) and memory O(d^3).
+    """
+    d = pair.shape[0]
+    stack, cells, by_count = _fifty_fifty(d)
+    # real states, every kind but a complex superposition, run in float
+    left, pair = (a if a.imag.any() else a.real for a in (left.reshape(-1, d), pair))
+    near = pair.reshape(d, -1)
+    g2 = near @ near.conj().T
+    targets, labels = _targets(target, z_target, d)
+    rank_one = len(left) == 1
+    if rank_one:
+        # psi[n + m - l]: psi reversed between d - 1 zeros each side, read at
+        # 2d - 2 - n - m + l, a strided view over (d - 1 - n, d - 1 - m, l)
+        padded = np.zeros(3 * d - 2, left.dtype)
+        padded[d - 1 : 2 * d - 1] = left[0, ::-1]
+        psi = as_strided(padded, (d, d, d), padded.strides * 3, writeable=False)[::-1, ::-1]
+        folded = (by_count * psi).reshape(d * d, d)
+        product = folded @ g2
+        # Re sum_l product[k, l] folded*[k, l], from views of the two parts
+        probs = np.einsum("kl,kl->k", product.real, folded.real)
+        if np.iscomplexobj(folded):
+            probs += np.einsum("kl,kl->k", product.imag, folded.imag)
+        probs = probs.reshape(d, d)
+    else:
+        # g2[s - q, s - q']: g2 reversed between d - 1 zeros each side, read at
+        # (2d - 2 - s + q, 2d - 2 - s + q'), a strided view over (2d - 2 - s, q, q')
+        padded = np.zeros((3 * d - 2, 3 * d - 2), g2.dtype)
+        padded[d - 1 : 2 * d - 1, d - 1 : 2 * d - 1] = g2[::-1, ::-1]
+        rows, cols = padded.strides
+        strides = (rows + cols, rows, cols)
+        shifted = as_strided(padded, (2 * d - 1, d, d), strides, writeable=False)[::-1]
+        kernel = (left.T @ left.conj() * shifted).real
+        probs = np.einsum("snq,snq->sn", stack @ kernel, stack).reshape(-1)[cells]
+    if targets is None:
         return probs[None], ()
+    far = pair.reshape(d, -1, d)
+    env = far.shape[1]
+    if rank_one:
+        # sum_f pair[l, env, f] target*[t, f], then the folded blocks
+        overlap = folded @ (far @ targets[:, 0].conj().T).reshape(d, -1)
+        weights = (np.abs(overlap) ** 2).reshape(d, d, env, -1).sum(axis=2)
+    else:
+        # h[q, l, t, env] = sum_{A, f} left[A, q] target*[t, A, f] pair[l, env, f]
+        h = np.tensordot(left, targets.conj(), axes=(0, 1)) @ far.reshape(-1, d).T
+        h = np.ascontiguousarray(h.reshape(d, -1, d, env).transpose(0, 2, 1, 3))
+        # h[q, s - q] sits at the flat (q, l) index s + q (d - 1): a strided view
+        # over (s, q). Off block s it reads other cells of h, which the stack's
+        # zeros cancel.
+        cell = h.strides[1]
+        strides = (cell, h.strides[0] - cell, h.itemsize)
+        diagonals = as_strided(h, (2 * d - 1, d, h[0, 0].size), strides, writeable=False)
+        overlap = stack @ diagonals
+        weights = (np.abs(overlap) ** 2).reshape(2 * d - 1, d, -1, env).sum(axis=3)
+        weights = weights.reshape(-1, len(targets))[cells]
+    return np.concatenate([probs[None], weights.transpose(2, 0, 1)]), labels
+
+
+def _targets(target, z_target, d):
+    """(targets, labels): the comparison targets over (A, f), stacked, and their labels."""
+    if target is None:
+        return None, ()
     sign = np.where(np.arange(d) % 2 == 0, 1.0, -1.0)
     targets = {"I": target, "X": sign * target}
     if z_target is not None:
         targets.update(Z=z_target, XZ=sign * z_target)
-    outputs = range(target.ndim)
-    overlap = np.tensordot(
-        np.stack(list(targets.values())).conj(), amps,
-        axes=([k + 1 for k in outputs], [k + 2 for k in outputs]),
-    )
-    overlaps = np.sum(np.abs(overlap) ** 2, axis=tuple(range(3, overlap.ndim)))
-    return np.concatenate([probs[None], overlaps]), tuple(targets)
+    return np.stack(list(targets.values())).reshape(len(targets), -1, d), tuple(targets)
 
 
 def _herald(tables, labels, detectors, parity, include_z=False):
@@ -496,7 +569,8 @@ def build_teleporter_input(
     """
     if input_state.cutoff != cutoff or resource.cutoff != cutoff:
         raise ValueError("input and resource must be built at the working cutoff")
-    return MultiModeState((cutoff,) * 3, _mixed(input_state.amps, resource, 1.0))
+    state = tensor([input_state, resource, fock_basis_state(0, cutoff)])
+    return apply_beamsplitter(apply_beamsplitter(state, 1, 2, 0.5), 0, 1, 0.5)
 
 
 def classify_outcome(n: int, m: int, parity: str = "odd"):
@@ -535,7 +609,8 @@ def enumerate_outcomes(state3: MultiModeState, parity: str = "odd"):
     """All (n, m) outcome records for detectors on modes a and b (no fidelities)."""
     if state3.num_modes != 3:
         raise ValueError("expected a 3-mode teleporter state")
-    [summary] = _herald(*_tables(state3.amps), _LOSSLESS, parity)
+    probs = np.sum(np.abs(state3.amps) ** 2, axis=2)
+    [summary] = _herald(probs[None], (), _LOSSLESS, parity)
     return list(summary.outcomes)
 
 
@@ -546,8 +621,8 @@ def _teleport(input_spec, resource_spec, eta1, detectors, cutoff, include_z):
     its tables are built once, whatever the number of eta2 values.
     """
     target = input_spec.to_fock(cutoff).amps
-    amps = _mixed(target, resource_spec.to_fock(cutoff), eta1)
-    tables = _tables(amps, target, _z_target(input_spec, cutoff))
+    pair = _bell(resource_spec.to_fock(cutoff), eta1)
+    tables = _tables(target, pair, target, _z_target(input_spec, cutoff))
     return _herald(*tables, detectors, resource_spec.parity, include_z)
 
 
@@ -573,9 +648,8 @@ def _swap(phi_spec, resource_spec, eta1, detectors, cutoff):
     tables are built once, whatever the number of eta2 values. phi's Bell
     pair is built once: it enters the circuit and is the target.
     """
-    pair = _bell(phi_spec.to_fock(cutoff))
-    amps = _mixed(pair, resource_spec.to_fock(cutoff), eta1)
-    tables = _tables(amps, pair)
+    phi = _bell(phi_spec.to_fock(cutoff))
+    tables = _tables(phi, _bell(resource_spec.to_fock(cutoff), eta1), phi)
     return _herald(*tables, detectors, resource_spec.parity)
 
 
@@ -626,7 +700,8 @@ def success_probability_sweep(
     defaults to the four standard families in INPUT_FAMILIES. Returns rows
     of (beta, family_name, resource_kind, p_success), each the
     ``success_probability`` of ``run_teleportation``. The outcomes are
-    heralded with no target, as no fidelity is read.
+    heralded with no target, as no fidelity is read, and each resource's
+    Bell pair is built once per beta for every family.
     """
     betas = list(beta_grid)
     if not betas:
@@ -636,12 +711,11 @@ def success_probability_sweep(
     for beta in betas:
         alpha = beta / math.sqrt(2.0)
         resources = [ResourceSpec(kind, beta) for kind in resource_kinds]
-        resource_vectors = [resource.to_fock(cutoff) for resource in resources]
+        pairs = [_bell(resource.to_fock(cutoff)) for resource in resources]
         for name, (mu, nu) in families.items():
             qubit = InputSpec("superposition", alpha, mu, nu).to_fock(cutoff)
-            for resource, vector in zip(resources, resource_vectors):
-                amps = _mixed(qubit.amps, vector, 1.0)
-                [summary] = _herald(*_tables(amps), _LOSSLESS, resource.parity)
+            for resource, pair in zip(resources, pairs):
+                [summary] = _herald(*_tables(qubit.amps, pair), _LOSSLESS, resource.parity)
                 p_success = summary.success_probability
                 rows.append((float(beta), name, resource.kind, p_success))
     return rows

@@ -108,6 +108,15 @@ class TestCatStates:
         with pytest.raises(TruncationError):
             cat_state(3.0, "odd", 10)
 
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    def test_no_representable_weight(self, parity):
+        # exp(-39^2 / 2) is below the smallest normal float; 39^2 <= 4600 / 3
+        with pytest.raises(TruncationError):
+            cat_state(39.0, parity, 4600)
+        vec = cat_state(37.4, parity, 4200)
+        assert np.all(np.isfinite(vec.amps))
+        assert abs(vec.norm() - 1.0) <= 1e-12
+
 
 class TestTermRatios:
     """The builders' term-ratio recurrences against the closed forms, and where those overflow."""

@@ -254,6 +254,15 @@ class TestSubcommands:
         assert len(rows) == 25
         assert all(float(r.split(",")[2]) > -1e-15 for r in rows)
 
+    @pytest.mark.parametrize("far", [("1e154", "2e154"), ("1e307", "1.7e308")])
+    def test_wigner_far_from_the_origin_is_zero(self, capsys, far):
+        # 4|a|^2 overflows there; exp(-2|a|^2) is 0, and so is W, with no RuntimeWarning
+        code, out = _run(capsys, ["wigner", "--state", "odd-cat", "--steps", "2", "--range", *far])
+        assert code == 0
+        _, _, rows = _parse(out)
+        assert len(rows) == 4
+        assert all(row.split(",")[2] == "0.0" for row in rows)
+
     def test_wigner_rows_are_repr_of_the_library_surface(self, capsys):
         code, out = _run(
             capsys,

@@ -14,6 +14,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dense_circuit import mixed
+
 from cskit.fock import (
     FockVector,
     MultiModeState,
@@ -33,7 +35,6 @@ from cskit.protocols import (
     ResourceSpec,
     _bell,
     _detectors,
-    _mixed,
     _swap,
     _teleport,
     apply_correction,
@@ -279,7 +280,10 @@ def test_success_sweep_matches_run_teleportation(beta, family, resource_kind, cu
 
 
 def _row(protocol, input_kind, resource_kind, amplitude, eta1, eta2s, cutoff, include_z):
-    """(summaries of one eta1 row, the single run and reference of a cell, the counters' amplitudes)."""
+    """(summaries of one eta1 row, the single run and reference of a cell, the counters' amplitudes).
+
+    The amplitudes are the dense circuit's (``dense_circuit.mixed``), which the engine never builds.
+    """
     spec = InputSpec(input_kind, amplitude).at_alpha(math.sqrt(eta1) * amplitude)
     if protocol == "teleport":
         resource = ResourceSpec(resource_kind, math.sqrt(2.0) * amplitude)
@@ -303,7 +307,7 @@ def _row(protocol, input_kind, resource_kind, amplitude, eta1, eta2s, cutoff, in
             ), _reference_swap(spec, resource, loss, cutoff)
 
         left = _bell(spec.to_fock(cutoff))
-    return row, single, _mixed(left, resource.to_fock(cutoff), eta1)
+    return row, single, mixed(left, resource.to_fock(cutoff), eta1)
 
 
 eta2_rows = st.lists(st.floats(0.0, 1.0), max_size=3).flatmap(

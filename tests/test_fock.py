@@ -118,6 +118,19 @@ class TestConstructors:
         with pytest.raises(TruncationError):
             coherent_state(3.0, 15)
 
+    def test_no_representable_weight(self):
+        # exp(-39^2 / 2) is below the smallest normal float; 39^2 <= 4600 / 3
+        with pytest.raises(TruncationError):
+            coherent_state(39.0, 4600)
+        with pytest.raises(TruncationError):
+            coherent_state(27.0 + 28.0j, 4600)
+
+    def test_largest_representable_weight_is_finite(self):
+        # exp(-37.4^2 / 2) ~ 1.5e-304 is a normal float; the largest terms are ~1e304
+        vec = coherent_state(37.4, 4200)
+        assert np.all(np.isfinite(vec.amps))
+        assert abs(vec.norm() - 1.0) <= 1e-12
+
     def test_nonfinite_alpha(self):
         with pytest.raises(ValueError):
             coherent_state(float("nan"), 10)

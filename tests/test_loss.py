@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from dense_circuit import mixed, tables
 
 from cskit import fock, loss
 from cskit.fock import coherent_state, fidelity, partial_trace, tensor
@@ -18,7 +19,7 @@ from cskit.protocols import (
     InputSpec,
     ResourceSpec,
     _bell,
-    _mixed,
+    _tables,
     run_entanglement_swap,
     run_teleportation,
 )
@@ -111,19 +112,23 @@ class TestLossyTeleportation:
         assert z_type and all(o.fidelity is None for o in z_type)
 
     def test_mode_count(self):
-        # counters, outputs, then the source's environment: detector loss adds no mode
+        # The dense circuit's axes are the counters, the outputs, then the
+        # source's environment: detector loss adds no mode. The engine's
+        # probability table is that circuit's, summed over everything else.
         cutoff, eta1 = 6, 0.3
         d = cutoff + 1
         qubit = InputSpec("coherent", 0.3).to_fock(cutoff)
         resource = ResourceSpec("squeezed-single-photon", 0.3).to_fock(cutoff)
         lost = fock.detector_response(cutoff, 1.0 - eta1) @ np.abs(resource.amps) ** 2
         for left, outputs in ((qubit.amps, 1), (_bell(qubit), 2)):
-            assert _mixed(left, resource, 1.0).shape == (d,) * (2 + outputs)
-            amps = _mixed(left, resource, eta1)
+            assert mixed(left, resource, 1.0).shape == (d,) * (2 + outputs)
+            amps = mixed(left, resource, eta1)
             assert amps.shape == (d,) * (3 + outputs)
             # the last axis holds the photons the source lost
             env = np.sum(np.abs(amps) ** 2, axis=tuple(range(amps.ndim - 1)))
             assert np.abs(env - lost).max() < 1e-9
+            [probs], _ = _tables(left, _bell(resource, eta1))
+            assert np.abs(probs - tables(amps)[0][0]).max() < 1e-13
 
     def test_purification_matches_partial_trace(self):
         spec = InputSpec("odd-cat", 0.4)
