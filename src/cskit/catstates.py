@@ -12,7 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockVector, TruncationError, _check_weight, fidelity, fock_basis_state
+from .fock import (
+    FockVector, TruncationError, _check_weight, _renormalized, fidelity, fock_basis_state,
+)
 
 __all__ = [
     "cat_state",
@@ -73,8 +75,7 @@ def cat_state(beta: float, parity: str, cutoff: int) -> FockVector:
         norm_sq = -2.0 * math.expm1(-2.0 * beta**2)
     first = 2.0 * math.exp(-(beta**2) / 2.0) / math.sqrt(norm_sq) * beta**offset
     amps = _every_other(cutoff, offset, first, lambda n: beta**2 / math.sqrt(n * (n - 1)))
-    captured = float(np.sum(np.abs(amps) ** 2))
-    return FockVector(cutoff, amps / math.sqrt(captured), max(0.0, 1.0 - captured))
+    return _renormalized(cutoff, amps)
 
 
 def _check_r(r: float, photons: int):
@@ -103,8 +104,7 @@ def squeezed_vacuum(r: float, cutoff: int) -> FockVector:
         raise ValueError("cutoff must be >= 2 to hold a squeezed vacuum")
     t = math.tanh(r)
     amps = _every_other(cutoff, 0, math.cosh(r) ** -0.5, lambda n: t * math.sqrt((n - 1) / n))
-    captured = float(np.sum(np.abs(amps) ** 2))
-    return FockVector(cutoff, amps / math.sqrt(captured), max(0.0, 1.0 - captured))
+    return _renormalized(cutoff, amps)
 
 
 def squeezed_single_photon(r: float, cutoff: int) -> FockVector:
@@ -117,8 +117,7 @@ def squeezed_single_photon(r: float, cutoff: int) -> FockVector:
     _check_r(r, 1)
     t = math.tanh(r)
     amps = _every_other(cutoff, 1, math.cosh(r) ** -1.5, lambda n: t * math.sqrt(n / (n - 1)))
-    captured = float(np.sum(np.abs(amps) ** 2))
-    return FockVector(cutoff, amps / math.sqrt(captured), max(0.0, 1.0 - captured))
+    return _renormalized(cutoff, amps)
 
 
 # Above this amplitude 4 beta^4 swamps the constant under each closed form's

@@ -295,8 +295,8 @@ def _cmd_loss(args):
 
 def _cmd_wigner(args):
     lo, hi = args.range
-    if not lo < hi:
-        raise UsageError("wigner range must satisfy lo < hi")
+    if not (lo < hi and math.isfinite(hi - lo)):
+        raise UsageError("wigner range must satisfy lo < hi with a finite width hi - lo")
     if args.beta < 0.0 and args.state != "coherent":
         raise UsageError(f"--beta {args.beta} below 0 is defined only for the coherent state")
     if args.r is not None and args.state not in ("sq1", "sq0"):

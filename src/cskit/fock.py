@@ -153,6 +153,12 @@ def _check_weight(amplitude: float, name: str):
         )
 
 
+def _renormalized(cutoff: int, amps: np.ndarray) -> FockVector:
+    """The truncated expansion ``amps``, renormalized; the weight it lacks is the leakage."""
+    captured = float(np.sum(np.abs(amps) ** 2))
+    return FockVector(cutoff, amps / math.sqrt(captured), max(0.0, 1.0 - captured))
+
+
 def coherent_state(alpha: complex, cutoff: int) -> FockVector:
     """Coherent state |alpha>, renormalized over the truncated support.
 
@@ -171,9 +177,7 @@ def coherent_state(alpha: complex, cutoff: int) -> FockVector:
     _check_weight(abs(alpha), "|alpha|")
     # a_n = a_{n-1} alpha / sqrt(n), in floats: no power or factorial to overflow or wrap
     ratios = np.concatenate([[1.0], alpha / np.sqrt(np.arange(1, cutoff + 1))])
-    amps = np.exp(-abs(alpha) ** 2 / 2) * np.cumprod(ratios)
-    captured = float(np.sum(np.abs(amps) ** 2))
-    return FockVector(cutoff, amps / math.sqrt(captured), max(0.0, 1.0 - captured))
+    return _renormalized(cutoff, np.exp(-abs(alpha) ** 2 / 2) * np.cumprod(ratios))
 
 
 def fock_basis_state(n: int, cutoff: int) -> FockVector:
@@ -197,22 +201,22 @@ def tensor(states) -> MultiModeState:
 
 
 @lru_cache(maxsize=64)
-def _beamsplitter_blocks(dim: int, eta: float) -> tuple:
-    """The two-mode beamsplitter unitary as its blocks of fixed total photon number.
+def _beamsplitter_blocks(dim: int, eta: float) -> np.ndarray:
+    """The two-mode beamsplitter unitary as a zero-padded stack of its blocks.
 
     Convention: coherent amplitudes map as a -> sqrt(eta) a + sqrt(1-eta) b,
     b -> sqrt(1-eta) a - sqrt(eta) b. The beamsplitter conserves s = m + n, so
-    on the flattened |m>|n> basis it is one block per s, and every entry
-    outside the blocks is zero. Block s is the exponential of the rotation
-    generator restricted to it, followed by a pi phase on the second mode.
-    Its rows and columns are the flat indices m * dim + (s - m) = s + m (dim - 1)
-    for the representable m, one strided slice. Blocks with s > cutoff are
-    clipped to that sub-block; the discarded entries are genuine truncation
-    leakage. Returns one (slice, real block) pair per s.
+    it is one block per s: the exponential of the rotation generator
+    restricted to it, followed by a pi phase on the second mode.
+    ``stack[s, p, m]``, read-only and of shape (2 dim - 1, dim, dim), is the
+    amplitude of |p>|s - p> from |m>|s - m>, and exactly 0 off block s. Blocks
+    with s > cutoff are clipped to the representable p, m >= s - cutoff; the
+    discarded entries are genuine truncation leakage. Every consumer of the
+    blocks reads this one table.
     """
     nmax = dim - 1
     theta = math.atan2(math.sqrt(1.0 - eta), math.sqrt(eta))
-    blocks = []
+    stack = np.zeros((2 * nmax + 1, dim, dim))
     for s in range(2 * nmax + 1):
         size = s + 1
         g = np.zeros((size, size))
@@ -224,10 +228,9 @@ def _beamsplitter_blocks(dim: int, eta: float) -> tuple:
         signs = np.array([(-1.0) ** (s - p) for p in range(size)])
         block = signs[:, None] * block
         lo, hi = max(0, s - nmax), min(s, nmax)
-        block = np.ascontiguousarray(block[lo : hi + 1, lo : hi + 1])
-        block.setflags(write=False)
-        blocks.append((slice(s + lo * nmax, s + hi * nmax + 1, max(nmax, 1)), block))
-    return tuple(blocks)
+        stack[s, lo : hi + 1, lo : hi + 1] = block[lo : hi + 1, lo : hi + 1]
+    stack.setflags(write=False)
+    return stack
 
 
 def apply_beamsplitter(
@@ -237,7 +240,9 @@ def apply_beamsplitter(
 
     mode_i plays the role of "a" and mode_j of "b" in the convention
     a -> sqrt(eta) a + sqrt(1-eta) b, b -> sqrt(1-eta) a - sqrt(eta) b.
-    Each real block multiplies the (re, im) float view of its rows.
+    Block s of ``_beamsplitter_blocks`` acts on the flat indices
+    m * d + (s - m) = s + m (d - 1) of the representable m, one strided
+    slice of rows; it multiplies the (re, im) float view of those rows.
     """
     if mode_i == mode_j:
         raise ValueError("beamsplitter needs two distinct modes")
@@ -251,8 +256,11 @@ def apply_beamsplitter(
     rest = a.shape[2:]
     flat = np.ascontiguousarray(a.reshape(d * d, -1)).view(np.float64)
     out = np.empty_like(flat)
-    for rows, block in _beamsplitter_blocks(d, float(transmitivity)):
-        out[rows] = block @ flat[rows]
+    stack = _beamsplitter_blocks(d, float(transmitivity))
+    for s in range(2 * ci + 1):
+        lo, hi = max(0, s - ci), min(s, ci)
+        rows = slice(s + lo * ci, s + hi * ci + 1, max(ci, 1))
+        out[rows] = stack[s, lo : hi + 1, lo : hi + 1] @ flat[rows]
     out = np.moveaxis(out.view(complex).reshape((d, d) + rest), (0, 1), (mode_i, mode_j))
     return MultiModeState(state.mode_cutoffs, out)
 
@@ -271,15 +279,13 @@ def _loss_amplitudes(dim: int, eta: float) -> tuple:
     """(k, c): what a transmitivity-eta beamsplitter makes of |k>|0>.
 
     |k>|0> goes to sum_e c[p, e] |p>|e> over p + e = k, so c[p, e] is the
-    column of input |p + e>|0> in block p + e, and k[p, e] = p + e is clipped
-    to the cutoff where c is zero (such an input is not representable).
+    entry ``stack[p + e, p, p + e]`` of ``_beamsplitter_blocks``, and
+    k[p, e] = p + e is clipped to the cutoff where c is zero (such an input
+    is not representable).
     """
-    nmax = dim - 1
-    c = np.zeros((dim, dim))
-    for s, (_, block) in enumerate(_beamsplitter_blocks(dim, eta)[:dim]):
-        p = np.arange(s + 1)
-        c[p, s - p] = block[:, s]
-    k = np.minimum(np.add.outer(np.arange(dim), np.arange(dim)), nmax)
+    p, e = np.indices((dim, dim))
+    k = np.minimum(p + e, dim - 1)
+    c = np.where(p + e == k, _beamsplitter_blocks(dim, eta)[k, p, k], 0.0)
     c.setflags(write=False)
     k.setflags(write=False)
     return k, c
@@ -305,18 +311,16 @@ def attenuate(state: MultiModeState, mode: int, eta: float) -> MultiModeState:
 def detector_response(cutoff: int, eta: float) -> np.ndarray:
     """M[n, k]: the probability that a transmitivity-eta counter reports n of k photons.
 
-    This is the binomial C(k, n) eta^n (1 - eta)^(k - n), taken as c[n, k - n]^2
-    from the amplitudes ``attenuate`` uses. A table T[k, l] of outcome weights
-    of two lossless counters becomes M T M^T behind loss, the same numbers as
-    heralding the purification: each count n with environment count e comes
-    from exactly one input k = n + e, so the environment branches add no
-    cross terms.
+    This is the binomial C(k, n) eta^n (1 - eta)^(k - n), taken as the square
+    of ``stack[k, n, k]`` of ``_beamsplitter_blocks``: the amplitude c[n, k - n]
+    that ``attenuate`` uses, and exactly 0 off the block, where n > k. A table
+    T[k, l] of outcome weights of two lossless counters becomes M T M^T behind
+    loss, the same numbers as heralding the purification: each count n with
+    environment count e comes from exactly one input k = n + e, so the
+    environment branches add no cross terms.
     """
-    d = cutoff + 1
-    _, c = _loss_amplitudes(d, float(eta))
-    m = np.zeros((d, d))
-    for n in range(d):
-        m[n, n:] = c[n, : d - n] ** 2
+    k = np.arange(cutoff + 1)
+    m = _beamsplitter_blocks(cutoff + 1, float(eta))[k, :, k].T ** 2
     m.setflags(write=False)
     return m
 

@@ -114,12 +114,14 @@ def _cat(parity):
     return lambda amplitude, cutoff, r=None: cat_state(amplitude, parity, cutoff)
 
 
-def _squeezed(state, r_best):
-    return lambda amplitude, cutoff, r=None: state(r_best(amplitude) if r is None else r, cutoff)
+# As in _number and _cat, the builder is looked up at each call, so a replaced attribute sees it
+def _SQ1(amplitude, cutoff, r=None):
+    return squeezed_single_photon(r_opt(amplitude) if r is None else r, cutoff)
 
 
-_SQ1 = _squeezed(squeezed_single_photon, r_opt)
-_SQ0 = _squeezed(squeezed_vacuum, r_opt_v)
+def _SQ0(amplitude, cutoff, r=None):
+    return squeezed_vacuum(r_opt_v(amplitude) if r is None else r, cutoff)
+
 
 STATE_KINDS = {
     "vacuum": StateKind(("wigner",), _number(0), "even"),
@@ -402,25 +404,23 @@ def _summed(tables, cells):
 
 @lru_cache(maxsize=64)
 def _fifty_fifty(d: int):
-    """(stack, cells, by_count): the 50:50 blocks of ``fock._beamsplitter_blocks``, zero-padded.
+    """(stack, cells, by_count): the 50:50 blocks and the heralding indices into them.
 
     The beamsplitter takes q photons in its first port and l = s - q in its
-    second to n and m = s - n in its counters through block s, clipped as
-    there. ``stack[s, n, q]`` is that amplitude, one d x d slice per s and
-    zero off the block. ``cells[n, m]`` is the flat index s d + n of each
-    count in an array over (s, n). ``by_count[n, m, l]`` is the entry of
-    ``stack`` that couples the count (n, m) to l photons in the second port,
-    zero where q = n + m - l is no photon number.
+    second to n and m = s - n in its counters through block s.
+    ``stack[s, n, q]`` is that amplitude: ``fock._beamsplitter_blocks(d, 0.5)``
+    itself, clipped there and zero off each block. ``cells[n, m]`` is the
+    flat index s d + n of each count in an array over (s, n).
+    ``by_count[n, m, l]`` is the entry of ``stack`` that couples the count
+    (n, m) to l photons in the second port, zero where q = n + m - l is no
+    photon number.
     """
-    stack = np.zeros((2 * d - 1, d, d))
-    for s, (_, block) in enumerate(_beamsplitter_blocks(d, 0.5)):
-        lo = max(0, s - d + 1)
-        stack[s, lo : lo + len(block), lo : lo + len(block)] = block
+    stack = _beamsplitter_blocks(d, 0.5)
     n, m, l = np.indices((d, d, d))
     q = n + m - l
     by_count = np.where((0 <= q) & (q < d), stack[n + m, n, q.clip(0, d - 1)], 0.0)
     cells = (n + m)[..., 0] * d + n[..., 0]
-    for table in (stack, cells, by_count):
+    for table in (cells, by_count):
         table.setflags(write=False)
     return stack, cells, by_count
 

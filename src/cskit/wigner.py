@@ -50,8 +50,9 @@ class PhaseGrid:
         if self.steps < 2:
             raise ValueError("steps must be >= 2")
         for lo, hi in (self.x_range, self.p_range):
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-                raise ValueError("grid ranges must be finite with lo < hi")
+            # a width that overflows breaks linspace, even between finite ends
+            if not (lo < hi and math.isfinite(float(hi) - float(lo))):
+                raise ValueError("grid ranges must be finite with lo < hi and a finite width")
 
     @property
     def xs(self) -> np.ndarray:

@@ -10,6 +10,10 @@ from cskit.cli import main
 from cskit.protocols import STATE_KINDS
 from cskit.wigner import PhaseGrid, wigner_grid
 
+# 1.7e308 in digits, as argparse reads "-1.7e308" as an option: -BIG and BIG
+# are finite, and the width between them overflows
+BIG = "17" + "0" * 307
+
 
 def _run(capsys, argv):
     code = main(argv)
@@ -98,6 +102,8 @@ class TestBadInput:
             (["wigner", "--state", "sq0", "--r", "-0.5"], None),
             (["wigner", "--state", "odd-cat", "--r", "0.7"], None),
             (["teleport", "--m-max", "3"], None),
+            # finite ends whose width overflows
+            (["wigner", "--state", "vacuum", "--steps", "3", "--range", "-" + BIG, BIG], None),
         ],
     )
     def test_usage_error(self, capsys, monkeypatch, argv, env_jobs):

@@ -1,11 +1,12 @@
 """The benchmark's golden rows, checked in the test suite.
 
 At seed 0 the benchmark compares every sweep's rows with the rows recorded in
-``perfbench/golden/seed0.json``, to 1e-12. This runs every sweep of the
-``lossless-figures`` and ``loss-contour`` workloads at seed 0 through the
-benchmark's own ``workloads`` and ``checks`` modules, read from
-``perfbench/`` by path and not changed here, so a change that moves a golden
-row fails here first. The ``wigner-views`` sweeps are left to the benchmark.
+``perfbench/golden/seed0.json``, to 1e-12. This runs every sweep of the four
+workloads at seed 0 through the benchmark's own ``workloads`` and ``checks``
+modules, read from ``perfbench/`` by path and not changed here, so a change
+that moves a golden row fails here first. The ``loss-contour-jobs2`` sweeps
+run serially here, with ``CSKIT_JOBS`` unset, and must give the same rows as
+the benchmark's process pool.
 """
 
 import importlib.util
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-WORKLOADS = ("lossless-figures", "loss-contour")
+WORKLOADS = ("lossless-figures", "loss-contour", "wigner-views", "loss-contour-jobs2")
 
 
 def _modules():
@@ -48,5 +49,6 @@ GOLDEN = checks.load_golden()
     [sweep for name in WORKLOADS for sweep in workloads.build(name, workloads.DEFAULT_SEED).sweeps],
     ids=lambda sweep: sweep.name,
 )
-def test_sweep_matches_golden_rows(sweep):
+def test_sweep_matches_golden_rows(monkeypatch, sweep):
+    monkeypatch.delenv("CSKIT_JOBS", raising=False)
     assert checks.golden_problems(sweep, workloads.run_sweep(sweep), GOLDEN) == []

@@ -20,6 +20,7 @@ from cskit.fock import (
     attenuate,
     detector_response,
 )
+from cskit.protocols import _fifty_fifty
 
 TOL = 1e-12
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -69,8 +70,34 @@ def states(draw, min_modes=2, max_modes=4):
 @PROPERTY
 @given(dim=st.integers(1, 9), eta=etas)
 def test_unclipped_blocks_are_orthogonal(dim, eta):
-    for _, block in _beamsplitter_blocks(dim, eta)[:dim]:
-        assert np.max(np.abs(block @ block.T - np.eye(block.shape[0]))) <= TOL
+    stack = _beamsplitter_blocks(dim, eta)
+    for s in range(dim):
+        block = stack[s, : s + 1, : s + 1]
+        assert np.max(np.abs(block @ block.T - np.eye(s + 1))) <= TOL
+
+
+@PROPERTY
+@given(dim=st.integers(1, 9), eta=etas)
+def test_block_stack_is_the_dense_unitary_zero_padded(dim, eta):
+    # stack[s, p, m] is the dense entry <p, s - p| U |m, s - m> where both are
+    # representable, clipped blocks included, and exactly 0 everywhere else
+    stack = _beamsplitter_blocks(dim, eta)
+    assert stack.shape == (2 * dim - 1, dim, dim) and not stack.flags.writeable
+    dense = _dense_beamsplitter(dim, eta)
+    s, p, m = np.indices(stack.shape)
+    on_block = (s - p < dim) & (s - m < dim) & (p <= s) & (m <= s)
+    rows = np.where(on_block, p * dim + (s - p), 0)
+    cols = np.where(on_block, m * dim + (s - m), 0)
+    want = np.where(on_block, dense[rows, cols], 0.0)
+    assert np.max(np.abs(stack - want)) <= TOL
+    assert np.all(stack[~on_block] == 0.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 7, 16])
+def test_fifty_fifty_reads_the_one_block_stack(dim):
+    # each is cached, and an entry evicted from fock's cache alone is built anew
+    _fifty_fifty.cache_clear()
+    assert _fifty_fifty(dim)[0] is _beamsplitter_blocks(dim, 0.5)
 
 
 @PROPERTY

@@ -75,6 +75,11 @@ class TestPhaseGrid:
             PhaseGrid((-1.0, 1.0), (-1.0, 1.0), 1)
         with pytest.raises(ValueError):
             PhaseGrid((1.0, -1.0), (-1.0, 1.0), 10)
+        # finite ends whose width hi - lo overflows would give nan and inf points
+        with pytest.raises(ValueError):
+            PhaseGrid((-1.7e308, 1.7e308), (-1.0, 1.0), 3)
+        with pytest.raises(ValueError):
+            PhaseGrid((-1.0, 1.0), (-1e308, 1e308), 3)
 
 
 class TestPointValues:
