@@ -48,9 +48,11 @@ from .protocols import (
     QubitSuperposition,
     ResourceSpec,
     classify_outcome,
+    entanglement_swap_sweep,
     run_entanglement_swap,
     run_teleportation,
     success_probability_sweep,
+    teleportation_sweep,
 )
 from .wigner import PhaseGrid, wigner_grid, wigner_point
 
@@ -85,6 +87,8 @@ __all__ = [
     "classify_outcome",
     "run_teleportation",
     "run_entanglement_swap",
+    "teleportation_sweep",
+    "entanglement_swap_sweep",
     "success_probability_sweep",
     "LossConfig",
     "attenuate",

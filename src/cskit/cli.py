@@ -16,7 +16,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from decimal import Decimal
-from functools import partial
+from functools import lru_cache, partial
 
 from . import __version__
 from .catstates import approximation_fidelity_sweep
@@ -33,10 +33,10 @@ from .protocols import (
     STATE_KINDS,
     InputSpec,
     ResourceSpec,
-    run_entanglement_swap,
-    run_teleportation,
+    entanglement_swap_sweep,
     state_kinds,
     success_probability_sweep,
+    teleportation_sweep,
 )
 from .wigner import PhaseGrid, wigner_grid
 
@@ -156,30 +156,28 @@ def _pmap(fn, items, jobs):
         return list(pool.map(fn, items))
 
 
+def _beta_chunks(sweep, grid, args) -> list:
+    """``sweep`` over the grid in contiguous chunks, one per job, joined in grid order.
+
+    A sweep heralds its whole chunk in one batch, and each beta's result does
+    not depend on the others in it, so the rows are the same for any --jobs.
+    """
+    jobs = _jobs(args)
+    size = -(-len(grid) // min(jobs, len(grid)))
+    chunks = [grid[i : i + size] for i in range(0, len(grid), size)]
+    return [result for chunk in _pmap(sweep, chunks, jobs) for result in chunk]
+
+
 def _header(args, extra):
     return [("subcommand", args.command), *extra]
 
 
-# Row workers are module-level so a process pool can pickle them.
-
-def _teleport_rows(beta, input_kind, resource_kind, cutoff, m_max):
-    """The (beta, avg_fidelity, p_success) row, or with ``m_max`` the (beta, m, fidelity) rows."""
-    alpha = beta / math.sqrt(2.0)
-    summary = run_teleportation(
-        InputSpec(input_kind, alpha), ResourceSpec(resource_kind, beta), cutoff
-    )
-    if m_max is None:
-        return [(float(beta), summary.average_fidelity, summary.success_probability)]
+def _fidelity_rows(grid, summaries) -> list:
+    """(beta, avg_fidelity, p_success) for each beta of the grid and its summary."""
     return [
-        (float(beta), m, summary.outcome(0, m).fidelity) for m in range(1, m_max + 1)
+        (beta, summary.average_fidelity, summary.success_probability)
+        for beta, summary in zip(grid, summaries)
     ]
-
-
-def _entswap_row(beta, phi_kind, resource_kind, cutoff):
-    summary = run_entanglement_swap(
-        InputSpec(phi_kind, beta), ResourceSpec(resource_kind, beta), cutoff
-    )
-    return (float(beta), summary.average_fidelity, summary.success_probability)
 
 
 def _cmd_approx(args):
@@ -196,8 +194,7 @@ def _cmd_success_prob(args):
     grid = _parse_grid(args.beta)
     kinds = tuple(args.resource)
     sweep = partial(success_probability_sweep, resource_kinds=kinds, cutoff=args.cutoff)
-    chunks = _pmap(sweep, [[beta] for beta in grid], _jobs(args))
-    rows = [row for chunk in chunks for row in chunk]
+    rows = _beta_chunks(sweep, grid, args)
     extra = [
         ("resource", " ".join(kinds)),
         ("beta-grid", args.beta),
@@ -227,29 +224,30 @@ def _cmd_teleport(args):
         ("beta-grid", args.beta),
         ("cutoff", args.cutoff),
     ]
-    rows_of = partial(
-        _teleport_rows,
-        input_kind=args.input,
-        resource_kind=args.resource,
-        cutoff=args.cutoff,
-        m_max=m_max,
+    sweep = partial(
+        teleportation_sweep, input_kind=args.input, resource_kind=args.resource, cutoff=args.cutoff
     )
-    rows = [row for chunk in _pmap(rows_of, grid, _jobs(args)) for row in chunk]
+    summaries = _beta_chunks(sweep, grid, args)
     if args.per_outcome:
         extra.append(("m-max", m_max))
         columns = ["beta", "m", "fidelity"]
+        rows = [
+            (beta, m, summary.outcome(0, m).fidelity)
+            for beta, summary in zip(grid, summaries)
+            for m in range(1, m_max + 1)
+        ]
     else:
         columns = ["beta", "avg_fidelity", "p_success"]
+        rows = _fidelity_rows(grid, summaries)
     _emit(args.output, _header(args, extra), columns, _csv_lines(rows))
 
 
 def _cmd_entswap(args):
     grid = _parse_grid(args.beta)
-    rows = _pmap(
-        partial(_entswap_row, phi_kind=args.phi, resource_kind=args.resource, cutoff=args.cutoff),
-        grid,
-        _jobs(args),
+    sweep = partial(
+        entanglement_swap_sweep, phi_kind=args.phi, resource_kind=args.resource, cutoff=args.cutoff
     )
+    rows = _fidelity_rows(grid, _beta_chunks(sweep, grid, args))
     extra = [
         ("phi", args.phi),
         ("resource", args.resource),
@@ -351,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", default="0.05:1.5:0.05")
     p.add_argument(
         "--resource", nargs="+", choices=RESOURCE_KINDS,
-        default=["ideal-odd-cat", "squeezed-single-photon"],
+        default=("ideal-odd-cat", "squeezed-single-photon"),
     )
     common(p, 15)
     p.set_defaults(func=_cmd_success_prob)
@@ -404,9 +402,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reads, built once per process; it holds no state between parses."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         args.func(args)
     except UsageError as exc:

@@ -14,7 +14,9 @@ That is exact, since each count n with environment count e comes from one
 input k = n + e. The heralding never builds the joint lossy state: the
 environment axis of the resource's Bell pair is summed into its Gram matrix
 and, for the overlap tables, kept as one slice per environment count, so a
-lossy run costs O(d^4) time and O(d^3) memory, as a lossless one does.
+lossy run costs O(d^4) time and O(d^3) memory. Behind lossless counters
+(eta2 = 1) only the accepted counts are heralded, in O(d^3) time, as in
+``cskit.protocols``.
 
 Inputs are amplitude-matched to the lossy resource: a nominal amplitude
 alpha becomes sqrt(eta1) * alpha. ``conditional_output_density`` keeps every

@@ -16,7 +16,7 @@ included for diagnostics, in which case the comparison target absorbs an
 ideal Z (sign flip of the |-alpha> component).
 
 Both protocols, lossless and lossy, are one circuit: a Bell pair made from
-the resource (``_bell``) and one 50:50 beamsplitter that mixes its near half
+the resource (``_bells``) and one 50:50 beamsplitter that mixes its near half
 with the input, or with one half of phi's Bell pair, in front of the two
 counters. Each Bell pair is a 50:50 split into a vacuum port, which is
 ``attenuate``'s gather, not a beamsplitter. Every outcome is heralded at once
@@ -25,27 +25,41 @@ from one probability table and one overlap table per correction label, and
 never from their joint state: the beamsplitter conserves the total photon
 number, so each count (n, m) sees one block of it, and the probability table
 needs only the Gram matrices of the two factors over their photons at the
-beamsplitter. That is O(d^4) time and O(d^3) memory, where the joint state
-had d^4 amplitudes for the swapper. Source loss (see ``cskit.loss``) couples
-the resource mode to a vacuum environment mode before its split, which the
-resource's Gram matrix sums over, so the tables depend on eta1 alone.
-Detector loss acts on the tables through the detectors' response matrices:
-a stack of eta2 responses maps them in one batched matmul, so one circuit
-run heralds every eta2 of a row and gives one summary per eta2. Heralding
-is a set of masked reductions over that stack, with the correction labels
-cached per (cutoff, parity), and a summary builds its outcome records only
-when they are read. Both losses apply only for eta < 1, so a lossless run
-is the eta1 = eta2 = 1 case of the same engine, with no environment mode and
-no matmul. A summary holds the run's results
-and nothing of its arguments, so the lossy runners of ``cskit.loss`` at
-eta1 = eta2 = 1 return a summary equal to the lossless one.
+beamsplitter. Source loss (see ``cskit.loss``) couples the resource mode to
+a vacuum environment mode before its split, which the resource's Gram matrix
+sums over, so the tables depend on eta1 alone.
+
+The engine runs a batch of circuits at once, one per beta of a grid, along
+a leading axis, and fills only the counts it is given. An accepted outcome
+has exactly one nonzero count, so lossless counters need only the edge
+counts (0, s) and (s, 0), rows 0 and s of each block: O(d^3) time per
+circuit. Detector loss acts on the tables through the detectors' response
+matrices, which mix every count into the accepted ones, so lossy counters
+fill the rejected counts too, in O(d^4); memory is O(d^3) either way, where
+the joint state had d^4 amplitudes for the swapper. A stack of eta2
+responses maps the tables in one batched matmul, so one circuit run heralds
+every eta2 of a row and gives one summary per eta2. Heralding is a set of
+masked reductions over that stack, with the correction labels cached per
+(cutoff, parity). A summary builds its outcome records only when they are
+read, and behind lossless counters it builds the probabilities at the
+rejected counts, from its circuit's factors, only when it reads one.
+
+``teleportation_sweep``, ``entanglement_swap_sweep`` and
+``success_probability_sweep`` herald a whole beta grid in one batch, and
+``run_teleportation`` and ``run_entanglement_swap`` are its one-circuit case.
+Every contraction is per circuit, so a beta's result is the same bits in any
+batch. Both losses apply only for eta < 1, so a lossless run is the
+eta1 = eta2 = 1 case of the same engine, with no environment mode and no
+matmul. A summary holds the run's results and nothing of its arguments, so
+the lossy runners of ``cskit.loss`` at eta1 = eta2 = 1 return a summary
+equal to the lossless one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -56,8 +70,8 @@ from .fock import (
     FockVector,
     MultiModeState,
     _beamsplitter_blocks,
+    _vacuum_coupled,
     apply_beamsplitter,
-    attenuate,
     coherent_state,
     detector_response,
     fock_basis_state,
@@ -83,8 +97,10 @@ __all__ = [
     "apply_correction",
     "run_teleportation",
     "per_outcome_fidelity",
+    "teleportation_sweep",
     "success_probability_sweep",
     "run_entanglement_swap",
+    "entanglement_swap_sweep",
 ]
 
 
@@ -176,16 +192,24 @@ class QubitSuperposition:
         norm underflows) it is |1>, the odd cat's limit as alpha -> 0, up to
         a global phase.
         """
-        plus = coherent_state(self.alpha, cutoff)
-        minus = coherent_state(-self.alpha, cutoff)
-        vec = FockVector(cutoff, self.mu * plus.amps + self.nu * minus.amps)
-        if vec.norm() == 0.0 and self.mu + self.nu == 0.0 and self.mu != 0.0:
-            return fock_basis_state(1, cutoff)
-        return vec.normalized()
+        return _qubit(self.mu, self.nu, coherent_state(self.alpha, cutoff))
 
     def z_flipped(self) -> "QubitSuperposition":
         """Qubit after an ideal Z: the |-alpha> component changes sign."""
         return QubitSuperposition(self.mu, -self.nu, self.alpha)
+
+
+def _qubit(mu, nu, plus: FockVector) -> FockVector:
+    """mu|alpha> + nu|-alpha>, normalized as ``QubitSuperposition.to_fock`` describes, from |alpha>.
+
+    |-alpha> is |alpha> with the sign of its odd photon numbers flipped,
+    which is exactly ``coherent_state(-alpha)``.
+    """
+    minus = np.where(np.arange(plus.dim) % 2 == 0, plus.amps, -plus.amps)
+    vec = FockVector(plus.cutoff, mu * plus.amps + nu * minus)
+    if vec.norm() == 0.0 and mu + nu == 0.0 and mu != 0.0:
+        return fock_basis_state(1, plus.cutoff)
+    return vec.normalized()
 
 
 @dataclass(frozen=True)
@@ -289,7 +313,10 @@ class ProtocolSummary:
     The summary holds no copy of the run's arguments, so a lossy run at
     eta1 = eta2 = 1 compares equal to the lossless run. It keeps the outcome
     tables over the (n, m) counts; ``outcomes`` and ``outcome(n, m)`` build
-    their records from them when read.
+    their records from them when read. Behind lossless counters only the
+    accepted counts are heralded: the probabilities of the rejected ones are
+    built, from the run's factors, the first time ``outcomes``,
+    ``both_nonzero_weight`` or ``outcome`` at a rejected count reads one.
     """
 
     success_probability: float
@@ -298,6 +325,8 @@ class ProtocolSummary:
     _probabilities: np.ndarray = field(default=None, compare=False, repr=False)
     _fidelities: np.ndarray = field(default=None, compare=False, repr=False)
     _labels: np.ndarray = field(default=None, compare=False, repr=False)
+    # Builds the probabilities at the rejected counts, or None when _probabilities has them.
+    _rejected: Callable = field(default=None, compare=False, repr=False)
 
     @property
     def degenerate(self) -> bool:
@@ -305,9 +334,15 @@ class ProtocolSummary:
         return self.average_fidelity is None
 
     @cached_property
+    def _every_probability(self) -> np.ndarray:
+        if self._rejected is None:
+            return self._probabilities
+        return np.where(self._labels == "none", self._rejected(), self._probabilities)
+
+    @cached_property
     def outcomes(self) -> tuple:
         """One OutcomeRecord per (n, m), n-major."""
-        probs, fids = self._probabilities.tolist(), self._fidelities.tolist()
+        probs, fids = self._every_probability.tolist(), self._fidelities.tolist()
         labels = self._labels.tolist()
         counts = range(len(labels))
         return tuple(
@@ -315,17 +350,16 @@ class ProtocolSummary:
         )
 
     def both_nonzero_weight(self) -> float:
-        return float(self._probabilities[1:, 1:].sum())
+        return float(self._every_probability[1:, 1:].sum())
 
     def outcome(self, n: int, m: int) -> OutcomeRecord:
         counts = range(len(self._labels))
         if n not in counts or m not in counts:
             raise KeyError((n, m))
         n, m = int(n), int(m)
-        return _record(
-            n, m, float(self._probabilities[n, m]), str(self._labels[n, m]),
-            float(self._fidelities[n, m]),
-        )
+        label = str(self._labels[n, m])
+        probs = self._every_probability if label == "none" else self._probabilities
+        return _record(n, m, float(probs[n, m]), label, float(self._fidelities[n, m]))
 
 
 def _record(n, m, probability, label, fidelity):
@@ -334,18 +368,20 @@ def _record(n, m, probability, label, fidelity):
     )
 
 
-def _bell(vec: FockVector, eta1: float = 1.0) -> np.ndarray:
-    """Amplitudes of ``vec`` split 50:50 with vacuum into a Bell pair, axes (near, [env,] far).
+def _bells(amps: np.ndarray, eta1: float = 1.0) -> np.ndarray:
+    """Each state of the stack ``amps`` (..., d) split 50:50 with vacuum into a Bell pair.
 
-    Source loss at eta1 < 1 first couples the mode to a vacuum environment
-    mode; at eta1 = 1 none is added, as attenuation would leave the state
-    times the environment vacuum. The split's second port is vacuum, so it
-    is ``attenuate``'s gather at eta = 0.5, whose new axis is the far half.
+    The pairs have axes (..., near, [env,] far). Source loss at eta1 < 1
+    first couples the mode to a vacuum environment mode; at eta1 = 1 none is
+    added, as attenuation would leave the state times the environment
+    vacuum. The split's second port is vacuum, so it is ``attenuate``'s
+    gather at eta = 0.5, whose new axis is the far half.
     """
-    pair = MultiModeState((vec.cutoff,), vec.amps)
+    amps = np.asarray(amps, dtype=complex)
+    axis = amps.ndim - 1
     if eta1 < 1.0:
-        pair = attenuate(pair, 0, eta1)
-    return attenuate(pair, 0, 0.5).amps
+        amps = _vacuum_coupled(amps, axis, eta1)
+    return _vacuum_coupled(amps, axis, 0.5)
 
 
 @dataclass(frozen=True)
@@ -402,40 +438,91 @@ def _summed(tables, cells):
     return tables.reshape(len(tables), -1).take(cells, axis=1).sum(axis=1)
 
 
-@lru_cache(maxsize=64)
 def _fifty_fifty(d: int):
-    """(stack, cells, by_count): the 50:50 blocks and the heralding indices into them.
+    """(stack, by_count): the 50:50 blocks and the coupling of each count to the second port.
 
     The beamsplitter takes q photons in its first port and l = s - q in its
     second to n and m = s - n in its counters through block s.
     ``stack[s, n, q]`` is that amplitude: ``fock._beamsplitter_blocks(d, 0.5)``
-    itself, clipped there and zero off each block. ``cells[n, m]`` is the
-    flat index s d + n of each count in an array over (s, n).
-    ``by_count[n, m, l]`` is the entry of ``stack`` that couples the count
-    (n, m) to l photons in the second port, zero where q = n + m - l is no
-    photon number.
+    itself, clipped there and zero off each block, read from fock's cache at
+    each call so that one copy of it is held. ``by_count[n, m, l]`` is the
+    entry of ``stack`` that couples the count (n, m) to l photons in the
+    second port, zero where q = n + m - l is no photon number.
     """
+    return _beamsplitter_blocks(d, 0.5), _by_count(d)
+
+
+@lru_cache(maxsize=64)
+def _by_count(d: int) -> np.ndarray:
     stack = _beamsplitter_blocks(d, 0.5)
     n, m, l = np.indices((d, d, d))
     q = n + m - l
     by_count = np.where((0 <= q) & (q < d), stack[n + m, n, q.clip(0, d - 1)], 0.0)
-    cells = (n + m)[..., 0] * d + n[..., 0]
-    for table in (cells, by_count):
+    by_count.setflags(write=False)
+    return by_count
+
+
+@dataclass(frozen=True)
+class _Counts:
+    """A list of detector counts (n, m) to fill, and where the 50:50 blocks reach them.
+
+    ``flat[k]`` is n d + m of count k, which sits at row n of block s = n + m.
+    The Gram route reads the block rows ``rows``, one row of them per block of
+    the slice ``blocks``, each as its flat index s d + n into the stack's rows;
+    ``cells[k]`` is count k's place among them, flattened. The rank-one route
+    reads the input at ``shifts[k, l]`` = n + m - l, the photon number that
+    meets l photons of the second port at count k; below 0 or above d - 1 it
+    is none.
+    """
+
+    flat: np.ndarray
+    blocks: slice
+    rows: np.ndarray
+    cells: np.ndarray
+    shifts: np.ndarray
+
+
+def _count_list(d, flat, blocks, rows, cells) -> _Counts:
+    shifts = (flat // d + flat % d)[:, None] - np.arange(d)
+    for table in (flat, rows, cells, shifts):
         table.setflags(write=False)
-    return stack, cells, by_count
+    return _Counts(flat, blocks, rows, cells, shifts)
 
 
-def _tables(left, pair, target=None, z_target=None):
+@lru_cache(maxsize=64)
+def _edge_counts(d: int) -> _Counts:
+    """The accepted counts (0, s) and (s, 0), s = 1 .. d - 1: rows 0 and s of block s.
+
+    An accepted outcome has exactly one nonzero count, so lossless counters
+    need no other count.
+    """
+    s = np.arange(1, d)[:, None]
+    n = np.hstack([np.zeros_like(s), s])
+    return _count_list(d, (n * (d - 1) + s).ravel(), slice(1, d), s * d + n, np.arange(2 * d - 2))
+
+
+@lru_cache(maxsize=64)
+def _rejected_counts(d: int) -> _Counts:
+    """Every other count, (0, 0) and both counts nonzero, read from every row of every block."""
+    n, m = np.indices((d, d))
+    rejected = ((n == 0) == (m == 0)).ravel()
+    s = np.arange(2 * d - 1)[:, None]
+    cells = ((n + m) * d + n).ravel()[rejected]
+    rows = s * d + np.arange(d)
+    return _count_list(d, np.flatnonzero(rejected), slice(0, 2 * d - 1), rows, cells)
+
+
+def _tables(count_lists, left, pair, target=None, z_target=None):
     """(tables, labels): the outcome tables of lossless counters, over the (n, m) counts.
 
-    The circuit's one full beamsplitter mixes the last axis q of ``left``,
-    the input (teleporter) or phi's Bell pair (swapper), with the near half
-    l of the resource's Bell pair ``pair`` (axes near, [env,] far), so the
-    counters see amp[n, m, A, env, f] = sum_q B_s[n, q] left[A, q]
-    pair[s - q, env, f], with s = n + m and B_s the 50:50 blocks. That
-    joint array is never built.
+    Every array has a leading batch axis of circuits. The circuit's one full
+    beamsplitter mixes the last axis q of ``left``, the input (teleporter) or
+    phi's Bell pair (swapper), with the near half l of the resource's Bell
+    pair ``pair`` (axes near, [env,] far), so the counters see
+    amp[n, m, A, env, f] = sum_q B_s[n, q] left[A, q] pair[s - q, env, f],
+    with s = n + m and B_s the 50:50 blocks. That joint array is never built.
 
-    ``tables[0]`` is the probability table, sum |amp|^2 over A, env and f:
+    ``tables[:, 0]`` is the probability table, sum |amp|^2 over A, env and f:
     sum_{q, q'} B_s[n, q] B_s[n, q'] Re(G1[q, q'] G2[s - q, s - q']), with
     the Gram matrices G1 = left^T left* and G2 = pair pair^dagger over the
     near half, which sums over the environment. A ``left`` of one row (the
@@ -445,96 +532,122 @@ def _tables(left, pair, target=None, z_target=None):
     amp[n, m, A, env, f]|^2 summed over env; X and XZ targets carry the X
     correction's pi phase, a sign along the far half f. ``target`` and
     ``z_target`` are arrays over the outputs, compared against the no-Z and
-    the Z-type outcomes; None gives those no table. The tables serve every
-    detector transmitivity. Time is O(d^4) and memory O(d^3).
+    the Z-type outcomes; None gives those no table.
+
+    Only the counts of the lists ``count_lists`` are filled, the rest are 0,
+    and each list is filled by its own contractions, so a count's value does
+    not depend on the other lists or on the other circuits of the batch. The
+    accepted counts alone cost O(d^3) time per circuit and every count O(d^4);
+    memory is O(d^3). The tables serve every detector transmitivity.
     """
-    d = pair.shape[0]
-    stack, cells, by_count = _fifty_fifty(d)
+    b, d = len(pair), pair.shape[1]
+    stack, by_count = _fifty_fifty(d)
     # real states, every kind but a complex superposition, run in float
-    left, pair = (a if a.imag.any() else a.real for a in (left.reshape(-1, d), pair))
-    near = pair.reshape(d, -1)
-    g2 = near @ near.conj().T
+    left, pair = (a if a.imag.any() else a.real for a in (left.reshape(b, -1, d), pair))
+    near = pair.reshape(b, d, -1)
+    g2 = near @ near.conj().swapaxes(1, 2)
     targets, labels = _targets(target, z_target, d)
-    rank_one = len(left) == 1
-    if rank_one:
-        # psi[n + m - l]: psi reversed between d - 1 zeros each side, read at
-        # 2d - 2 - n - m + l, a strided view over (d - 1 - n, d - 1 - m, l)
-        padded = np.zeros(3 * d - 2, left.dtype)
-        padded[d - 1 : 2 * d - 1] = left[0, ::-1]
-        psi = as_strided(padded, (d, d, d), padded.strides * 3, writeable=False)[::-1, ::-1]
-        folded = (by_count * psi).reshape(d * d, d)
-        product = folded @ g2
-        # Re sum_l product[k, l] folded*[k, l], from views of the two parts
-        probs = np.einsum("kl,kl->k", product.real, folded.real)
-        if np.iscomplexobj(folded):
-            probs += np.einsum("kl,kl->k", product.imag, folded.imag)
-        probs = probs.reshape(d, d)
+    far = pair.reshape(b, d, -1, d)
+    env = far.shape[2]
+    if left.shape[1] == 1:
+        # the input between d - 1 zeros, read at n + m - l: a shift below 0 wraps into the zeros
+        padded = np.zeros((b, 2 * d - 1), left.dtype)
+        padded[:, :d] = left[:, 0]
+        if targets is not None:
+            # sum_f pair[l, env, f] target*[t, f]
+            outputs = (far.reshape(b, -1, d) @ targets[:, :, 0].conj().swapaxes(1, 2))
+            outputs = outputs.reshape(b, d, -1)
+
+        def fill(counts):
+            folded = by_count.reshape(d * d, d)[counts.flat] * padded[:, counts.shifts]
+            product = folded @ g2
+            # Re sum_l product[k, l] folded*[k, l], from views of the two parts
+            probs = (product.real * folded.real).sum(axis=2)
+            if np.iscomplexobj(folded):
+                probs += (product.imag * folded.imag).sum(axis=2)
+            if targets is None:
+                return probs, None
+            overlap = folded @ outputs
+            return probs, (np.abs(overlap) ** 2).reshape(b, len(counts.flat), env, -1).sum(axis=2)
     else:
         # g2[s - q, s - q']: g2 reversed between d - 1 zeros each side, read at
         # (2d - 2 - s + q, 2d - 2 - s + q'), a strided view over (2d - 2 - s, q, q')
-        padded = np.zeros((3 * d - 2, 3 * d - 2), g2.dtype)
-        padded[d - 1 : 2 * d - 1, d - 1 : 2 * d - 1] = g2[::-1, ::-1]
-        rows, cols = padded.strides
-        strides = (rows + cols, rows, cols)
-        shifted = as_strided(padded, (2 * d - 1, d, d), strides, writeable=False)[::-1]
-        kernel = (left.T @ left.conj() * shifted).real
-        probs = np.einsum("snq,snq->sn", stack @ kernel, stack).reshape(-1)[cells]
-    if targets is None:
-        return probs[None], ()
-    far = pair.reshape(d, -1, d)
-    env = far.shape[1]
-    if rank_one:
-        # sum_f pair[l, env, f] target*[t, f], then the folded blocks
-        overlap = folded @ (far @ targets[:, 0].conj().T).reshape(d, -1)
-        weights = (np.abs(overlap) ** 2).reshape(d, d, env, -1).sum(axis=2)
-    else:
-        # h[q, l, t, env] = sum_{A, f} left[A, q] target*[t, A, f] pair[l, env, f]
-        h = np.tensordot(left, targets.conj(), axes=(0, 1)) @ far.reshape(-1, d).T
-        h = np.ascontiguousarray(h.reshape(d, -1, d, env).transpose(0, 2, 1, 3))
-        # h[q, s - q] sits at the flat (q, l) index s + q (d - 1): a strided view
-        # over (s, q). Off block s it reads other cells of h, which the stack's
-        # zeros cancel.
-        cell = h.strides[1]
-        strides = (cell, h.strides[0] - cell, h.itemsize)
-        diagonals = as_strided(h, (2 * d - 1, d, h[0, 0].size), strides, writeable=False)
-        overlap = stack @ diagonals
-        weights = (np.abs(overlap) ** 2).reshape(2 * d - 1, d, -1, env).sum(axis=3)
-        weights = weights.reshape(-1, len(targets))[cells]
-    return np.concatenate([probs[None], weights.transpose(2, 0, 1)]), labels
+        padded = np.zeros((b, 3 * d - 2, 3 * d - 2), g2.dtype)
+        padded[:, d - 1 : 2 * d - 1, d - 1 : 2 * d - 1] = g2[:, ::-1, ::-1]
+        batch, rows, cols = padded.strides
+        strides = (batch, rows + cols, rows, cols)
+        shifted = as_strided(padded, (b, 2 * d - 1, d, d), strides, writeable=False)[:, ::-1]
+        g1 = left.swapaxes(1, 2) @ left.conj()
+        if targets is not None:
+            # h[q, l, t, env] = sum_{A, f} left[A, q] target*[t, A, f] pair[l, env, f]
+            n_t = len(labels)
+            h = left.swapaxes(1, 2) @ targets.conj().swapaxes(1, 2).reshape(b, left.shape[1], -1)
+            h = h.reshape(b, -1, d) @ far.reshape(b, -1, d).swapaxes(1, 2)
+            h = np.ascontiguousarray(h.reshape(b, d, n_t, d, env).transpose(0, 1, 3, 2, 4))
+            # h[q, s - q] sits at the flat (q, l) index s + q (d - 1): a strided view
+            # over (s, q). Off block s it reads other cells of h, which the stack's
+            # zeros cancel.
+            cell = h.strides[2]
+            strides = (h.strides[0], cell, h.strides[1] - cell, h.itemsize)
+            diagonals = as_strided(h, (b, 2 * d - 1, d, n_t * env), strides, writeable=False)
+
+        def fill(counts):
+            block_rows = stack.reshape(-1, d)[counts.rows]
+            kernel = (g1[:, None] * shifted[:, counts.blocks]).real
+            probs = ((block_rows @ kernel) * block_rows).sum(axis=3).reshape(b, -1)[:, counts.cells]
+            if targets is None:
+                return probs, None
+            overlap = block_rows @ diagonals[:, counts.blocks]
+            weights = (np.abs(overlap) ** 2).reshape(b, -1, n_t, env).sum(axis=3)
+            return probs, weights[:, counts.cells]
+
+    # each fill gives (probabilities, weights) over (circuit, count[, label])
+    tables = np.zeros((b, 1 + len(labels), d * d))
+    for counts in count_lists:
+        probs, weights = fill(counts)
+        tables[:, 0, counts.flat] = probs
+        if weights is not None:
+            tables[:, 1:, counts.flat] = weights.transpose(0, 2, 1)
+    return tables.reshape(b, -1, d, d), labels
 
 
 def _targets(target, z_target, d):
-    """(targets, labels): the comparison targets over (A, f), stacked, and their labels."""
+    """(targets, labels): each circuit's comparison targets over (A, f), stacked, and the labels."""
     if target is None:
         return None, ()
     sign = np.where(np.arange(d) % 2 == 0, 1.0, -1.0)
     targets = {"I": target, "X": sign * target}
     if z_target is not None:
         targets.update(Z=z_target, XZ=sign * z_target)
-    return np.stack(list(targets.values())).reshape(len(targets), -1, d), tuple(targets)
+    stacked = np.stack(list(targets.values()), axis=1)
+    return stacked.reshape(len(target), len(targets), -1, d), tuple(targets)
 
 
-def _herald(tables, labels, detectors, parity, include_z=False):
-    """One summary per eta2 of ``detectors``: every outcome of the tables, at once.
+def _herald(tables, labels, detectors, parity, include_z=False, rejected=None):
+    """One list of summaries per circuit of ``tables``, one summary per eta2 of ``detectors``.
 
     Detector loss maps every table T to M T M^T, for the whole stack of
     responses M in one batched matmul; with no stack the tables are used as
     they are. The fidelity of an outcome is its overlap weight divided by its
     probability.
 
-    No loop visits the outcomes or the eta2 values. The success probability,
-    the fidelity table and the average, sum(weight) / sum(probability) over
-    the averaged labels, are masked reductions over the stack, with the label
-    masks cached per (d, parity). Rounding can leave a value a few ulps above
-    1, so every probability, the success probability and every fidelity are
-    clamped at 1. Each summary builds its outcome records only when they are
-    read.
+    No loop visits the outcomes, the circuits or the eta2 values. The success
+    probability, the fidelity table and the average, sum(weight) /
+    sum(probability) over the averaged labels, are masked reductions over the
+    stack, with the label masks cached per (d, parity). Rounding can leave a
+    value a few ulps above 1, so every probability, the success probability
+    and every fidelity are clamped at 1. Each summary builds its outcome
+    records only when they are read. Where the tables hold the accepted
+    counts alone, ``rejected[i]`` builds circuit i's probabilities at the
+    rejected counts, which its summaries call only when they read one.
     """
+    n_eta = len(detectors.etas)
     if detectors.responses is None:
-        tables = tables[None].repeat(len(detectors.etas), axis=0)
+        tables = tables.repeat(n_eta, axis=0)
     else:
         responses = detectors.responses[:, None]
-        tables = responses @ tables @ responses.swapaxes(-1, -2)
+        tables = responses @ tables[:, None] @ responses.swapaxes(-1, -2)
+        tables = tables.reshape(-1, *tables.shape[2:])
     probs = np.minimum(tables[:, 0], 1.0)
     d = probs.shape[-1]
     label_table, masks, cells = _label_table(d, parity)
@@ -553,10 +666,52 @@ def _herald(tables, labels, detectors, parity, include_z=False):
     np.minimum(fids, 1.0, out=fids)
 
     sums = zip(success.tolist(), weight.tolist(), overlap_weight.tolist(), probs, fids)
-    return [
-        ProtocolSummary(p_success, min(ow / w, 1.0) if w else None, p, f, label_table)
-        for p_success, w, ow, p, f in sums
+    summaries = [
+        ProtocolSummary(
+            p_success, min(ow / w, 1.0) if w else None, p, f, label_table,
+            None if rejected is None else rejected[i // n_eta],
+        )
+        for i, (p_success, w, ow, p, f) in enumerate(sums)
     ]
+    return [summaries[i : i + n_eta] for i in range(0, len(summaries), n_eta)]
+
+
+def _heralded(left, pair, target, z_target, detectors, parity, include_z=False):
+    """One list of summaries per circuit of a batch, one summary per eta2 of ``detectors``.
+
+    The circuits share a resource parity and a set of targets (see
+    ``_tables``). Lossless counters need only the accepted counts, so only
+    those are filled, and each summary builds its circuit's probabilities at
+    the rejected counts, from the same factors, when it first reads one.
+    Detector loss maps every count into the accepted ones, so lossy counters
+    fill the rejected counts too.
+    """
+    d = pair.shape[1]
+    if detectors.responses is not None:
+        tables = _tables((_edge_counts(d), _rejected_counts(d)), left, pair, target, z_target)
+        return _herald(*tables, detectors, parity, include_z)
+    tables = _tables((_edge_counts(d),), left, pair, target, z_target)
+    rejected = [partial(_rejected_probabilities, left[i], pair[i]) for i in range(len(pair))]
+    return _herald(*tables, detectors, parity, include_z, rejected)
+
+
+def _rejected_probabilities(left, pair):
+    """One circuit's probabilities at its rejected counts, 0 elsewhere, clamped at 1."""
+    [[probs]], _ = _tables((_rejected_counts(len(pair)),), left[None], pair[None])
+    return np.minimum(probs, 1.0)
+
+
+def _by_group(keys, run):
+    """``run(indices, key)`` once per distinct key, over the indices that hold it.
+
+    ``run`` returns one result per index; they come back in index order.
+    """
+    results = [None] * len(keys)
+    for key in dict.fromkeys(keys):
+        batch = [i for i, k in enumerate(keys) if k == key]
+        for i, result in zip(batch, run(batch, key)):
+            results[i] = result
+    return results
 
 
 def build_teleporter_input(
@@ -610,20 +765,41 @@ def enumerate_outcomes(state3: MultiModeState, parity: str = "odd"):
     if state3.num_modes != 3:
         raise ValueError("expected a 3-mode teleporter state")
     probs = np.sum(np.abs(state3.amps) ** 2, axis=2)
-    [summary] = _herald(probs[None], (), _LOSSLESS, parity)
+    [[summary]] = _herald(probs[None, None], (), _LOSSLESS, parity)
     return list(summary.outcomes)
 
 
-def _teleport(input_spec, resource_spec, eta1, detectors, cutoff, include_z):
-    """Teleportation of ``input_spec`` as given, one summary per eta2 of ``detectors``.
+def _teleports(input_specs, resource_specs, eta1, detectors, cutoff, include_z):
+    """Teleportation of each input, as given, with its resource: a list of summaries per input.
 
-    The caller matches the input's amplitude to eta1. The circuit runs and
-    its tables are built once, whatever the number of eta2 values.
+    Each list holds one summary per eta2 of ``detectors``. The caller
+    matches the inputs' amplitudes to eta1. The states are built input by
+    input, then every circuit is heralded at once, whatever the number of
+    eta2 values: one batch per resource parity and per presence of a Z
+    target, which set the labels.
     """
-    target = input_spec.to_fock(cutoff).amps
-    pair = _bell(resource_spec.to_fock(cutoff), eta1)
-    tables = _tables(target, pair, target, _z_target(input_spec, cutoff))
-    return _herald(*tables, detectors, resource_spec.parity, include_z)
+    inputs, resources, z_targets = [], [], []
+    for input_spec, resource_spec in zip(input_specs, resource_specs):
+        inputs.append(input_spec.to_fock(cutoff).amps)
+        resources.append(resource_spec.to_fock(cutoff).amps)
+        z_targets.append(_z_target(input_spec, cutoff))
+    inputs, pairs = np.stack(inputs), _bells(np.stack(resources), eta1)
+
+    def run(batch, key):
+        parity, has_z = key
+        z_target = np.stack([z_targets[i] for i in batch]) if has_z else None
+        return _heralded(
+            inputs[batch], pairs[batch], inputs[batch], z_target, detectors, parity, include_z
+        )
+
+    keys = [(spec.parity, z is not None) for spec, z in zip(resource_specs, z_targets)]
+    return _by_group(keys, run)
+
+
+def _teleport(input_spec, resource_spec, eta1, detectors, cutoff, include_z):
+    """Teleportation of ``input_spec`` as given, one summary per eta2 of ``detectors``."""
+    [summaries] = _teleports([input_spec], [resource_spec], eta1, detectors, cutoff, include_z)
+    return summaries
 
 
 def _z_target(input_spec, cutoff):
@@ -641,16 +817,37 @@ def _z_target(input_spec, cutoff):
     return flipped.to_fock(cutoff).amps
 
 
-def _swap(phi_spec, resource_spec, eta1, detectors, cutoff):
-    """Entanglement swapping of ``phi_spec`` as given, one summary per eta2 of ``detectors``.
+def _swaps(phi_specs, resource_specs, eta1, detectors, cutoff):
+    """Entanglement swapping of each phi, as given, with its resource: a list of summaries per phi.
 
-    The caller matches the amplitudes to eta1. The circuit runs and its
-    tables are built once, whatever the number of eta2 values. phi's Bell
-    pair is built once: it enters the circuit and is the target.
+    Each list holds one summary per eta2 of ``detectors``. The caller
+    matches the amplitudes to eta1. Every circuit is heralded at once, one
+    batch per resource parity. Each phi's Bell pair is built once: it enters
+    the circuit and is the target.
     """
-    phi = _bell(phi_spec.to_fock(cutoff))
-    tables = _tables(phi, _bell(resource_spec.to_fock(cutoff), eta1), phi)
-    return _herald(*tables, detectors, resource_spec.parity)
+    phis, resources = [], []
+    for phi_spec, resource_spec in zip(phi_specs, resource_specs):
+        phis.append(phi_spec.to_fock(cutoff).amps)
+        resources.append(resource_spec.to_fock(cutoff).amps)
+    phis, pairs = _bells(np.stack(phis)), _bells(np.stack(resources), eta1)
+
+    def run(batch, parity):
+        return _heralded(phis[batch], pairs[batch], phis[batch], None, detectors, parity)
+
+    return _by_group([spec.parity for spec in resource_specs], run)
+
+
+def _swap(phi_spec, resource_spec, eta1, detectors, cutoff):
+    """Entanglement swapping of ``phi_spec`` as given, one summary per eta2 of ``detectors``."""
+    [summaries] = _swaps([phi_spec], [resource_spec], eta1, detectors, cutoff)
+    return summaries
+
+
+def _betas(beta_grid) -> list:
+    betas = list(beta_grid)
+    if not betas:
+        raise ValueError("beta grid must be nonempty")
+    return betas
 
 
 def run_teleportation(
@@ -665,10 +862,32 @@ def run_teleportation(
     the input state (Z/XZ outcomes against the Z-flipped input, where the
     input has an exact qubit decomposition). The average covers the no-Z
     outcomes; pass ``include_z_outcomes=True`` to fold Z/XZ outcomes into the
-    average as a diagnostic.
+    average as a diagnostic. This is the one-circuit case of
+    ``teleportation_sweep``'s batch.
     """
     [summary] = _teleport(input_spec, resource_spec, 1.0, _LOSSLESS, cutoff, include_z_outcomes)
     return summary
+
+
+def teleportation_sweep(
+    beta_grid,
+    input_kind: str = "squeezed-single-photon",
+    resource_kind: str = "squeezed-single-photon",
+    cutoff: int = 15,
+    include_z_outcomes: bool = False,
+) -> list:
+    """``run_teleportation`` over a beta grid, every beta heralded in one batch.
+
+    At each beta the input of kind ``input_kind`` has amplitude
+    alpha = beta / sqrt(2) and the resource of kind ``resource_kind`` has
+    amplitude beta. Returns one ProtocolSummary per beta, each equal, bit for
+    bit, to the run of its beta alone.
+    """
+    betas = _betas(beta_grid)
+    inputs = [InputSpec(input_kind, beta / math.sqrt(2.0)) for beta in betas]
+    resources = [ResourceSpec(resource_kind, beta) for beta in betas]
+    runs = _teleports(inputs, resources, 1.0, _LOSSLESS, cutoff, include_z_outcomes)
+    return [summary for [summary] in runs]
 
 
 def per_outcome_fidelity(
@@ -699,26 +918,36 @@ def success_probability_sweep(
     Input families are (mu, nu) superpositions at alpha = beta / sqrt(2);
     defaults to the four standard families in INPUT_FAMILIES. Returns rows
     of (beta, family_name, resource_kind, p_success), each the
-    ``success_probability`` of ``run_teleportation``. The outcomes are
-    heralded with no target, as no fidelity is read, and each resource's
-    Bell pair is built once per beta for every family.
+    ``success_probability`` of ``run_teleportation``. At each beta one
+    coherent state |alpha> is built, and every family from it and its sign
+    flip |-alpha>; each resource's Bell pair is built once per beta for
+    every family. The outcomes are heralded with no target, as no fidelity
+    is read, in one batch per resource kind over every beta and family.
     """
-    betas = list(beta_grid)
-    if not betas:
-        raise ValueError("beta grid must be nonempty")
+    betas = _betas(beta_grid)
     families = dict(INPUT_FAMILIES if input_families is None else input_families)
-    rows = []
+    qubits, resources = [], []
     for beta in betas:
-        alpha = beta / math.sqrt(2.0)
-        resources = [ResourceSpec(kind, beta) for kind in resource_kinds]
-        pairs = [_bell(resource.to_fock(cutoff)) for resource in resources]
-        for name, (mu, nu) in families.items():
-            qubit = InputSpec("superposition", alpha, mu, nu).to_fock(cutoff)
-            for resource, pair in zip(resources, pairs):
-                [summary] = _herald(*_tables(qubit.amps, pair), _LOSSLESS, resource.parity)
-                p_success = summary.success_probability
-                rows.append((float(beta), name, resource.kind, p_success))
-    return rows
+        specs = [ResourceSpec(kind, beta) for kind in resource_kinds]
+        resources.append([spec.to_fock(cutoff).amps for spec in specs])
+        if families:
+            plus = coherent_state(beta / math.sqrt(2.0), cutoff)
+            qubits.extend(_qubit(mu, nu, plus).amps for mu, nu in families.values())
+    if not families:
+        return []
+    left = np.stack(qubits)
+    p_success = []
+    for kind, states in zip(resource_kinds, zip(*resources)):
+        pairs = np.repeat(_bells(np.stack(states)), len(families), axis=0)
+        runs = _heralded(left, pairs, None, None, _LOSSLESS, resource_parity(kind))
+        p_success.append([summary.success_probability for [summary] in runs])
+    names = list(families)
+    return [
+        (float(beta), name, kind, p[i * len(names) + j])
+        for i, beta in enumerate(betas)
+        for j, name in enumerate(names)
+        for kind, p in zip(resource_kinds, p_success)
+    ]
 
 
 def run_entanglement_swap(
@@ -733,7 +962,26 @@ def run_entanglement_swap(
     (c, d); the teleporter beamsplitter mixes (b, c) and photon numbers
     (n, m) are counted there. Per-outcome fidelity compares the corrected
     conditional state on (a, d) against the reference Bell pair on (a, b),
-    modes matched by position. Z-type outcomes carry no fidelity.
+    modes matched by position. Z-type outcomes carry no fidelity. This is
+    the one-circuit case of ``entanglement_swap_sweep``'s batch.
     """
     [summary] = _swap(phi_spec, resource_spec, 1.0, _LOSSLESS, cutoff)
     return summary
+
+
+def entanglement_swap_sweep(
+    beta_grid,
+    phi_kind: str = "squeezed-single-photon",
+    resource_kind: str = "squeezed-single-photon",
+    cutoff: int = 15,
+) -> list:
+    """``run_entanglement_swap`` over a beta grid, every beta heralded in one batch.
+
+    At each beta phi of kind ``phi_kind`` and the resource of kind
+    ``resource_kind`` both have amplitude beta. Returns one ProtocolSummary
+    per beta, each equal, bit for bit, to the run of its beta alone.
+    """
+    betas = _betas(beta_grid)
+    phis = [InputSpec(phi_kind, beta) for beta in betas]
+    resources = [ResourceSpec(resource_kind, beta) for beta in betas]
+    return [summary for [summary] in _swaps(phis, resources, 1.0, _LOSSLESS, cutoff)]

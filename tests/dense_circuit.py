@@ -10,7 +10,7 @@ with the output axes by ``tensordot`` for the overlap tables.
 import numpy as np
 
 from cskit.fock import FockVector, MultiModeState, apply_beamsplitter
-from cskit.protocols import _bell
+from cskit.protocols import _bells
 
 
 def mixed(left: np.ndarray, resource: FockVector, eta1: float) -> np.ndarray:
@@ -22,7 +22,7 @@ def mixed(left: np.ndarray, resource: FockVector, eta1: float) -> np.ndarray:
     (swapper), whose near half is then the first output; the resource
     pair's far half is the last output.
     """
-    pair = _bell(resource, eta1)
+    pair = _bells(resource.amps, eta1)
     amps = np.multiply.outer(left, pair)
     k = left.ndim - 1
     state = MultiModeState((resource.cutoff,) * amps.ndim, amps)

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import cskit
+from cskit import cli
 from cskit.cli import main
-from cskit.protocols import STATE_KINDS
+from cskit.protocols import RESOURCE_KINDS, STATE_KINDS
 from cskit.wigner import PhaseGrid, wigner_grid
 
 # 1.7e308 in digits, as argparse reads "-1.7e308" as an option: -BIG and BIG
@@ -296,12 +297,60 @@ def test_cli_import_leaves_out_scipy_special():
     assert done.stdout.strip() == "False"
 
 
+class TestParser:
+    def test_main_reads_one_parser_and_build_parser_builds_anew(self):
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_back_to_back_calls_match_calls_alone(self, capsys):
+        """A parser reused across calls carries nothing from one call into the next."""
+        calls = [
+            ["success-prob", "--beta", "0.3:0.6:0.3", "--resource", "squeezed-vacuum", "--cutoff", "8"],
+            ["success-prob", "--beta", "0.3:0.6:0.3", "--cutoff", "8"],
+            ["teleport", "--beta", "0.3:0.6:0.3", "--cutoff", "8", "--per-outcome"],
+            ["teleport", "--beta", "0.3:0.6:0.3", "--cutoff", "8"],
+        ]
+        alone = []
+        for argv in calls:
+            cli._parser.cache_clear()
+            alone.append(_run(capsys, argv))
+        assert len({out for _, out in alone}) == len(calls)
+        back_to_back = [_run(capsys, argv) for argv in calls + calls[::-1]]
+        assert back_to_back == alone + alone[::-1]
+
+
 class TestJobs:
     def test_parallel_matches_serial(self, capsys):
         argv = ["teleport", "--beta", "0.2:0.6:0.2", "--input", "odd-cat", "--resource", "squeezed-single-photon"]
         _, serial = _run(capsys, argv)
         _, parallel = _run(capsys, argv + ["--jobs", "2"])
         assert serial == parallel
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["teleport", "--input", "even-cat", "--resource", "ideal-odd-cat", "--cutoff", "12"],
+            ["teleport", "--per-outcome", "--m-max", "4", "--cutoff", "12"],
+            ["entswap", "--cutoff", "10"],
+            ["success-prob", "--resource", *RESOURCE_KINDS, "--cutoff", "12"],
+        ],
+        ids=["teleport", "teleport-per-outcome", "entswap", "success-prob"],
+    )
+    def test_rows_do_not_depend_on_the_batch(self, capsys, argv):
+        """Each row is the same bytes from the whole grid, from its beta alone and with --jobs 2."""
+        grid = ["--beta", "0:1.2:0.15"]
+        code, whole = _run(capsys, argv + grid)
+        assert code == 0
+        _, parallel = _run(capsys, argv + grid + ["--jobs", "2"])
+        assert parallel == whole
+        rows = _parse(whole)[2]
+        alone = []
+        for beta in dict.fromkeys(row.split(",")[0] for row in rows):
+            code, out = _run(capsys, argv + ["--beta", f"{beta}:{beta}:0.15"])
+            assert code == 0
+            alone.extend(_parse(out)[2])
+        assert alone == rows
+        assert len(rows) >= 9
 
     def test_env_fallback(self, capsys, monkeypatch):
         monkeypatch.setenv("CSKIT_JOBS", "2")

@@ -33,7 +33,7 @@ from cskit.protocols import (
     RESOURCE_KINDS,
     InputSpec,
     ResourceSpec,
-    _bell,
+    _bells,
     _detectors,
     _swap,
     _teleport,
@@ -306,7 +306,7 @@ def _row(protocol, input_kind, resource_kind, amplitude, eta1, eta2s, cutoff, in
                 spec.at_alpha(amplitude), resource, loss, amplitude, cutoff
             ), _reference_swap(spec, resource, loss, cutoff)
 
-        left = _bell(spec.to_fock(cutoff))
+        left = _bells(spec.to_fock(cutoff).amps)
     return row, single, mixed(left, resource.to_fock(cutoff), eta1)
 
 

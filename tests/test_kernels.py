@@ -95,9 +95,17 @@ def test_block_stack_is_the_dense_unitary_zero_padded(dim, eta):
 
 @pytest.mark.parametrize("dim", [1, 2, 7, 16])
 def test_fifty_fifty_reads_the_one_block_stack(dim):
-    # each is cached, and an entry evicted from fock's cache alone is built anew
-    _fifty_fifty.cache_clear()
     assert _fifty_fifty(dim)[0] is _beamsplitter_blocks(dim, 0.5)
+
+
+def test_fifty_fifty_holds_no_evicted_stack():
+    """Once fock's cache evicts the 50:50 stack, ``_fifty_fifty`` reads the one built anew."""
+    _fifty_fifty(7)
+    size = _beamsplitter_blocks.cache_info().maxsize
+    for k in range(size + 1):
+        _beamsplitter_blocks(2 + k % 4, 0.01 + 0.9 * k / size)
+    assert _beamsplitter_blocks.cache_info().currsize == size
+    assert _fifty_fifty(7)[0] is _beamsplitter_blocks(7, 0.5)
 
 
 @PROPERTY

@@ -18,7 +18,9 @@ from cskit.loss import (
 from cskit.protocols import (
     InputSpec,
     ResourceSpec,
-    _bell,
+    _bells,
+    _edge_counts,
+    _rejected_counts,
     _tables,
     run_entanglement_swap,
     run_teleportation,
@@ -120,14 +122,15 @@ class TestLossyTeleportation:
         qubit = InputSpec("coherent", 0.3).to_fock(cutoff)
         resource = ResourceSpec("squeezed-single-photon", 0.3).to_fock(cutoff)
         lost = fock.detector_response(cutoff, 1.0 - eta1) @ np.abs(resource.amps) ** 2
-        for left, outputs in ((qubit.amps, 1), (_bell(qubit), 2)):
+        for left, outputs in ((qubit.amps, 1), (_bells(qubit.amps), 2)):
             assert mixed(left, resource, 1.0).shape == (d,) * (2 + outputs)
             amps = mixed(left, resource, eta1)
             assert amps.shape == (d,) * (3 + outputs)
             # the last axis holds the photons the source lost
             env = np.sum(np.abs(amps) ** 2, axis=tuple(range(amps.ndim - 1)))
             assert np.abs(env - lost).max() < 1e-9
-            [probs], _ = _tables(left, _bell(resource, eta1))
+            counts = (_edge_counts(d), _rejected_counts(d))
+            [[probs]], _ = _tables(counts, left[None], _bells(resource.amps, eta1)[None])
             assert np.abs(probs - tables(amps)[0][0]).max() < 1e-13
 
     def test_purification_matches_partial_trace(self):
