@@ -302,17 +302,9 @@ def attenuate(state: MultiModeState, mode: int, eta: float) -> MultiModeState:
     of the loss channel.
     """
     d = state.mode_cutoffs[mode] + 1
-    return MultiModeState(state.mode_cutoffs + (d - 1,), _vacuum_coupled(state.amps, mode, eta))
-
-
-def _vacuum_coupled(amps: np.ndarray, axis: int, eta: float) -> np.ndarray:
-    """``attenuate``'s amplitudes: ``axis`` (>= 0) of ``amps`` coupled to a vacuum axis put last.
-
-    The other axes may be anything, so one call couples a whole stack of states.
-    """
-    k, c = _loss_amplitudes(amps.shape[axis], float(eta))
-    out = np.moveaxis(amps, axis, -1)[..., k] * c
-    return np.moveaxis(out, -2, axis)
+    k, c = _loss_amplitudes(d, float(eta))
+    out = np.moveaxis(state.amps, mode, -1)[..., k] * c
+    return MultiModeState(state.mode_cutoffs + (d - 1,), np.moveaxis(out, -2, mode))
 
 
 @lru_cache(maxsize=64)

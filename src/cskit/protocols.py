@@ -70,8 +70,8 @@ from .fock import (
     FockVector,
     MultiModeState,
     _beamsplitter_blocks,
-    _vacuum_coupled,
     apply_beamsplitter,
+    attenuate,
     coherent_state,
     detector_response,
     fock_basis_state,
@@ -375,13 +375,14 @@ def _bells(amps: np.ndarray, eta1: float = 1.0) -> np.ndarray:
     first couples the mode to a vacuum environment mode; at eta1 = 1 none is
     added, as attenuation would leave the state times the environment
     vacuum. The split's second port is vacuum, so it is ``attenuate``'s
-    gather at eta = 0.5, whose new axis is the far half.
+    gather at eta = 0.5, whose new axis is the far half. The stack's leading
+    axes ride along as modes that ``attenuate`` leaves alone.
     """
-    amps = np.asarray(amps, dtype=complex)
-    axis = amps.ndim - 1
+    state = MultiModeState(tuple(n - 1 for n in np.shape(amps)), amps)
+    mode = state.num_modes - 1
     if eta1 < 1.0:
-        amps = _vacuum_coupled(amps, axis, eta1)
-    return _vacuum_coupled(amps, axis, 0.5)
+        state = attenuate(state, mode, eta1)
+    return attenuate(state, mode, 0.5).amps
 
 
 @dataclass(frozen=True)
@@ -438,22 +439,16 @@ def _summed(tables, cells):
     return tables.reshape(len(tables), -1).take(cells, axis=1).sum(axis=1)
 
 
-def _fifty_fifty(d: int):
-    """(stack, by_count): the 50:50 blocks and the coupling of each count to the second port.
-
-    The beamsplitter takes q photons in its first port and l = s - q in its
-    second to n and m = s - n in its counters through block s.
-    ``stack[s, n, q]`` is that amplitude: ``fock._beamsplitter_blocks(d, 0.5)``
-    itself, clipped there and zero off each block, read from fock's cache at
-    each call so that one copy of it is held. ``by_count[n, m, l]`` is the
-    entry of ``stack`` that couples the count (n, m) to l photons in the
-    second port, zero where q = n + m - l is no photon number.
-    """
-    return _beamsplitter_blocks(d, 0.5), _by_count(d)
-
-
 @lru_cache(maxsize=64)
 def _by_count(d: int) -> np.ndarray:
+    """The coupling of each count to the second port of the 50:50 beamsplitter.
+
+    The beamsplitter takes q photons in its first port and l = s - q in its
+    second to n and m = s - n in its counters through block s, whose
+    amplitude is ``stack[s, n, q]`` of ``fock._beamsplitter_blocks(d, 0.5)``.
+    ``by_count[n, m, l]`` is the entry that couples the count (n, m) to l
+    photons in the second port, zero where q = n + m - l is no photon number.
+    """
     stack = _beamsplitter_blocks(d, 0.5)
     n, m, l = np.indices((d, d, d))
     q = n + m - l
@@ -541,7 +536,7 @@ def _tables(count_lists, left, pair, target=None, z_target=None):
     memory is O(d^3). The tables serve every detector transmitivity.
     """
     b, d = len(pair), pair.shape[1]
-    stack, by_count = _fifty_fifty(d)
+    stack, by_count = _beamsplitter_blocks(d, 0.5), _by_count(d)
     # real states, every kind but a complex superposition, run in float
     left, pair = (a if a.imag.any() else a.real for a in (left.reshape(b, -1, d), pair))
     near = pair.reshape(b, d, -1)
@@ -701,19 +696,6 @@ def _rejected_probabilities(left, pair):
     return np.minimum(probs, 1.0)
 
 
-def _by_group(keys, run):
-    """``run(indices, key)`` once per distinct key, over the indices that hold it.
-
-    ``run`` returns one result per index; they come back in index order.
-    """
-    results = [None] * len(keys)
-    for key in dict.fromkeys(keys):
-        batch = [i for i, k in enumerate(keys) if k == key]
-        for i, result in zip(batch, run(batch, key)):
-            results[i] = result
-    return results
-
-
 def build_teleporter_input(
     input_state: FockVector, resource: FockVector, cutoff: int
 ) -> MultiModeState:
@@ -769,36 +751,43 @@ def enumerate_outcomes(state3: MultiModeState, parity: str = "odd"):
     return list(summary.outcomes)
 
 
-def _teleports(input_specs, resource_specs, eta1, detectors, cutoff, include_z):
-    """Teleportation of each input, as given, with its resource: a list of summaries per input.
+def _teleports(input_specs, resource_kind, betas, eta1, detectors, cutoff, include_z):
+    """Teleportation of each input, as given, with a resource of amplitude beta: summaries per input.
 
-    Each list holds one summary per eta2 of ``detectors``. The caller
-    matches the inputs' amplitudes to eta1. The states are built input by
-    input, then every circuit is heralded at once, whatever the number of
-    eta2 values: one batch per resource parity and per presence of a Z
-    target, which set the labels.
+    The resources are of the one kind ``resource_kind``, at the amplitudes
+    ``betas``, one per input. Each list holds one summary per eta2 of
+    ``detectors``. The caller matches the inputs' amplitudes to eta1. The
+    states are built input by input, then every circuit is heralded at
+    once, whatever the number of eta2 values. An input with no Z target (the
+    even cat at alpha = 0) has no Z labels, so such inputs herald in a batch
+    of their own.
     """
-    inputs, resources, z_targets = [], [], []
-    for input_spec, resource_spec in zip(input_specs, resource_specs):
+    inputs, z_targets = [], []
+    for input_spec in input_specs:
         inputs.append(input_spec.to_fock(cutoff).amps)
-        resources.append(resource_spec.to_fock(cutoff).amps)
         z_targets.append(_z_target(input_spec, cutoff))
+    resources = [ResourceSpec(resource_kind, beta).to_fock(cutoff).amps for beta in betas]
     inputs, pairs = np.stack(inputs), _bells(np.stack(resources), eta1)
-
-    def run(batch, key):
-        parity, has_z = key
+    parity = resource_parity(resource_kind)
+    results = [None] * len(inputs)
+    for has_z in (False, True):
+        batch = [i for i, z in enumerate(z_targets) if (z is not None) == has_z]
+        if not batch:
+            continue
         z_target = np.stack([z_targets[i] for i in batch]) if has_z else None
-        return _heralded(
+        runs = _heralded(
             inputs[batch], pairs[batch], inputs[batch], z_target, detectors, parity, include_z
         )
-
-    keys = [(spec.parity, z is not None) for spec, z in zip(resource_specs, z_targets)]
-    return _by_group(keys, run)
+        for i, summaries in zip(batch, runs):
+            results[i] = summaries
+    return results
 
 
 def _teleport(input_spec, resource_spec, eta1, detectors, cutoff, include_z):
     """Teleportation of ``input_spec`` as given, one summary per eta2 of ``detectors``."""
-    [summaries] = _teleports([input_spec], [resource_spec], eta1, detectors, cutoff, include_z)
+    [summaries] = _teleports(
+        [input_spec], resource_spec.kind, [resource_spec.beta], eta1, detectors, cutoff, include_z
+    )
     return summaries
 
 
@@ -817,29 +806,26 @@ def _z_target(input_spec, cutoff):
     return flipped.to_fock(cutoff).amps
 
 
-def _swaps(phi_specs, resource_specs, eta1, detectors, cutoff):
-    """Entanglement swapping of each phi, as given, with its resource: a list of summaries per phi.
+def _swaps(phi_specs, resource_kind, betas, eta1, detectors, cutoff):
+    """Entanglement swapping of each phi, as given, with a resource of amplitude beta: summaries per phi.
 
-    Each list holds one summary per eta2 of ``detectors``. The caller
-    matches the amplitudes to eta1. Every circuit is heralded at once, one
-    batch per resource parity. Each phi's Bell pair is built once: it enters
-    the circuit and is the target.
+    The resources are of the one kind ``resource_kind``, at the amplitudes
+    ``betas``, one per phi. Each list holds one summary per eta2 of
+    ``detectors``. The caller matches the amplitudes to eta1. Every circuit
+    is heralded at once. Each phi's Bell pair is built once: it enters the
+    circuit and is the target.
     """
-    phis, resources = [], []
-    for phi_spec, resource_spec in zip(phi_specs, resource_specs):
-        phis.append(phi_spec.to_fock(cutoff).amps)
-        resources.append(resource_spec.to_fock(cutoff).amps)
-    phis, pairs = _bells(np.stack(phis)), _bells(np.stack(resources), eta1)
-
-    def run(batch, parity):
-        return _heralded(phis[batch], pairs[batch], phis[batch], None, detectors, parity)
-
-    return _by_group([spec.parity for spec in resource_specs], run)
+    phis = _bells(np.stack([phi_spec.to_fock(cutoff).amps for phi_spec in phi_specs]))
+    resources = [ResourceSpec(resource_kind, beta).to_fock(cutoff).amps for beta in betas]
+    pairs = _bells(np.stack(resources), eta1)
+    return _heralded(phis, pairs, phis, None, detectors, resource_parity(resource_kind))
 
 
 def _swap(phi_spec, resource_spec, eta1, detectors, cutoff):
     """Entanglement swapping of ``phi_spec`` as given, one summary per eta2 of ``detectors``."""
-    [summaries] = _swaps([phi_spec], [resource_spec], eta1, detectors, cutoff)
+    [summaries] = _swaps(
+        [phi_spec], resource_spec.kind, [resource_spec.beta], eta1, detectors, cutoff
+    )
     return summaries
 
 
@@ -874,19 +860,18 @@ def teleportation_sweep(
     input_kind: str = "squeezed-single-photon",
     resource_kind: str = "squeezed-single-photon",
     cutoff: int = 15,
-    include_z_outcomes: bool = False,
 ) -> list:
     """``run_teleportation`` over a beta grid, every beta heralded in one batch.
 
     At each beta the input of kind ``input_kind`` has amplitude
     alpha = beta / sqrt(2) and the resource of kind ``resource_kind`` has
-    amplitude beta. Returns one ProtocolSummary per beta, each equal, bit for
-    bit, to the run of its beta alone.
+    amplitude beta. The average fidelity covers the no-Z outcomes, as
+    ``run_teleportation``'s does by default. Returns one ProtocolSummary per
+    beta, each equal, bit for bit, to the run of its beta alone.
     """
     betas = _betas(beta_grid)
     inputs = [InputSpec(input_kind, beta / math.sqrt(2.0)) for beta in betas]
-    resources = [ResourceSpec(resource_kind, beta) for beta in betas]
-    runs = _teleports(inputs, resources, 1.0, _LOSSLESS, cutoff, include_z_outcomes)
+    runs = _teleports(inputs, resource_kind, betas, 1.0, _LOSSLESS, cutoff, False)
     return [summary for [summary] in runs]
 
 
@@ -983,5 +968,4 @@ def entanglement_swap_sweep(
     """
     betas = _betas(beta_grid)
     phis = [InputSpec(phi_kind, beta) for beta in betas]
-    resources = [ResourceSpec(resource_kind, beta) for beta in betas]
-    return [summary for [summary] in _swaps(phis, resources, 1.0, _LOSSLESS, cutoff)]
+    return [summary for [summary] in _swaps(phis, resource_kind, betas, 1.0, _LOSSLESS, cutoff)]

@@ -5,7 +5,9 @@ same per-block exponentials and applied as one matrix product, as cskit did
 before it applied the blocks one at a time.
 """
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -20,7 +22,13 @@ from cskit.fock import (
     attenuate,
     detector_response,
 )
-from cskit.protocols import _fifty_fifty
+from cskit.protocols import (
+    InputSpec,
+    ResourceSpec,
+    _by_count,
+    run_entanglement_swap,
+    run_teleportation,
+)
 
 TOL = 1e-12
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -94,18 +102,32 @@ def test_block_stack_is_the_dense_unitary_zero_padded(dim, eta):
 
 
 @pytest.mark.parametrize("dim", [1, 2, 7, 16])
-def test_fifty_fifty_reads_the_one_block_stack(dim):
-    assert _fifty_fifty(dim)[0] is _beamsplitter_blocks(dim, 0.5)
+def test_by_count_reads_the_one_block_stack(dim):
+    # by_count[n, m, l] is stack[n + m, n, n + m - l] where that is a photon number, else 0
+    stack, by_count = _beamsplitter_blocks(dim, 0.5), _by_count(dim)
+    n, m, l = np.indices(by_count.shape)
+    q = n + m - l
+    inside = (0 <= q) & (q < dim)
+    assert np.array_equal(by_count[inside], stack[(n + m)[inside], n[inside], q[inside]])
+    assert np.all(by_count[~inside] == 0.0)
 
 
-def test_fifty_fifty_holds_no_evicted_stack():
-    """Once fock's cache evicts the 50:50 stack, ``_fifty_fifty`` reads the one built anew."""
-    _fifty_fifty(7)
+def test_protocols_hold_no_evicted_stack():
+    """Once fock's cache evicts the 50:50 stack, nothing the protocols built keeps it alive."""
+    cutoff = 6
+    resource = ResourceSpec("ideal-odd-cat", 1.2)
+    summaries = [
+        run_teleportation(InputSpec("odd-cat", 0.8), resource, cutoff),
+        run_entanglement_swap(InputSpec("odd-cat", 1.2), resource, cutoff),
+    ]
+    [summary.outcomes for summary in summaries]
+    evicted = weakref.ref(_beamsplitter_blocks(cutoff + 1, 0.5))
     size = _beamsplitter_blocks.cache_info().maxsize
     for k in range(size + 1):
         _beamsplitter_blocks(2 + k % 4, 0.01 + 0.9 * k / size)
     assert _beamsplitter_blocks.cache_info().currsize == size
-    assert _fifty_fifty(7)[0] is _beamsplitter_blocks(7, 0.5)
+    gc.collect()
+    assert evicted() is None
 
 
 @PROPERTY
