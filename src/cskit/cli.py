@@ -20,14 +20,7 @@ from functools import lru_cache, partial
 
 from . import __version__
 from .catstates import approximation_fidelity_sweep
-from .loss import (
-    LOSS_CUTOFFS,
-    _cells,
-    _contour_rows,
-    _diagonal_rows,
-    _loss_cutoff,
-    _row_fidelities,
-)
+from .loss import LOSS_CUTOFFS, loss_contour_sweep, loss_diagonal_sweep
 from .protocols import (
     RESOURCE_KINDS,
     STATE_KINDS,
@@ -42,6 +35,11 @@ from .wigner import PhaseGrid, wigner_grid
 
 # Larger grids are refused rather than left to exhaust memory.
 MAX_GRID_POINTS = 10**6
+
+# At most this many grid points go into one sweep call of a gridded
+# subcommand, so a long grid needs the memory of one chunk. The default grids
+# and the benchmark's, of at most 30 points, fit in one chunk.
+CHUNK_POINTS = 64
 
 
 class UsageError(Exception):
@@ -152,32 +150,65 @@ def _pmap(fn, items, jobs):
     items = list(items)
     if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
         return list(pool.map(fn, items))
 
 
-def _beta_chunks(sweep, grid, args) -> list:
-    """``sweep`` over the grid in contiguous chunks, one per job, joined in grid order.
+def _lines(rows_of, chunk) -> list:
+    """The CSV lines of ``rows_of(chunk)``; module-level, so that a process pool can pickle it."""
+    return _csv_lines(rows_of(chunk))
 
-    A sweep heralds its whole chunk in one batch, and each beta's result does
-    not depend on the others in it, so the rows are the same for any --jobs.
+
+def _chunked_lines(rows_of, grid, args) -> list:
+    """CSV lines of ``rows_of`` over the grid in contiguous chunks, joined in grid order.
+
+    A chunk holds at most CHUNK_POINTS points, and there is at least one per
+    job where the grid allows. Each chunk is swept and turned into lines
+    where it runs, so no sweep result outlives its chunk or crosses the
+    pool. A point's rows do not depend on its chunk, so they are the same
+    bytes for any --jobs.
     """
     jobs = _jobs(args)
-    size = -(-len(grid) // min(jobs, len(grid)))
+    size = min(CHUNK_POINTS, -(-len(grid) // jobs))
     chunks = [grid[i : i + size] for i in range(0, len(grid), size)]
-    return [result for chunk in _pmap(sweep, chunks, jobs) for result in chunk]
+    return [line for lines in _pmap(partial(_lines, rows_of), chunks, jobs) for line in lines]
 
 
 def _header(args, extra):
     return [("subcommand", args.command), *extra]
 
 
-def _fidelity_rows(grid, summaries) -> list:
+def _fidelity_rows(betas, summaries) -> list:
     """(beta, avg_fidelity, p_success) for each beta of the grid and its summary."""
     return [
         (beta, summary.average_fidelity, summary.success_probability)
-        for beta, summary in zip(grid, summaries)
+        for beta, summary in zip(betas, summaries)
     ]
+
+
+def _teleport_rows(input_kind, resource_kind, cutoff, m_max, betas) -> list:
+    """Fidelity rows, or with ``m_max`` the (beta, m, fidelity) of each outcome (0, m)."""
+    summaries = teleportation_sweep(betas, input_kind, resource_kind, cutoff)
+    if m_max is None:
+        return _fidelity_rows(betas, summaries)
+    return [
+        (beta, m, summary.outcome(0, m).fidelity)
+        for beta, summary in zip(betas, summaries)
+        for m in range(1, m_max + 1)
+    ]
+
+
+def _entswap_rows(phi_kind, resource_kind, cutoff, betas) -> list:
+    return _fidelity_rows(betas, entanglement_swap_sweep(betas, phi_kind, resource_kind, cutoff))
+
+
+def _loss_rows(protocol, input_spec, resource_spec, amplitude, cutoff, eta2s, eta1s) -> list:
+    """(eta1, eta2, fidelity) over eta1s x eta2s, or the eta1 = eta2 slice when eta2s is None."""
+    sweep_args = (protocol, input_spec, resource_spec, amplitude)
+    if eta2s is None:
+        cells = loss_diagonal_sweep(*sweep_args, eta1s, cutoff)
+        return [(eta, eta, fidelity) for eta, fidelity in cells]
+    return loss_contour_sweep(*sweep_args, eta1s, eta2s, cutoff)
 
 
 def _cmd_approx(args):
@@ -193,8 +224,8 @@ def _cmd_approx(args):
 def _cmd_success_prob(args):
     grid = _parse_grid(args.beta)
     kinds = tuple(args.resource)
-    sweep = partial(success_probability_sweep, resource_kinds=kinds, cutoff=args.cutoff)
-    rows = _beta_chunks(sweep, grid, args)
+    rows_of = partial(success_probability_sweep, resource_kinds=kinds, cutoff=args.cutoff)
+    lines = _chunked_lines(rows_of, grid, args)
     extra = [
         ("resource", " ".join(kinds)),
         ("beta-grid", args.beta),
@@ -204,7 +235,7 @@ def _cmd_success_prob(args):
         args.output,
         _header(args, extra),
         ["beta", "input_family", "resource_kind", "p_success"],
-        _csv_lines(rows),
+        lines,
     )
 
 
@@ -224,30 +255,19 @@ def _cmd_teleport(args):
         ("beta-grid", args.beta),
         ("cutoff", args.cutoff),
     ]
-    sweep = partial(
-        teleportation_sweep, input_kind=args.input, resource_kind=args.resource, cutoff=args.cutoff
-    )
-    summaries = _beta_chunks(sweep, grid, args)
+    rows_of = partial(_teleport_rows, args.input, args.resource, args.cutoff, m_max)
+    lines = _chunked_lines(rows_of, grid, args)
     if args.per_outcome:
         extra.append(("m-max", m_max))
         columns = ["beta", "m", "fidelity"]
-        rows = [
-            (beta, m, summary.outcome(0, m).fidelity)
-            for beta, summary in zip(grid, summaries)
-            for m in range(1, m_max + 1)
-        ]
     else:
         columns = ["beta", "avg_fidelity", "p_success"]
-        rows = _fidelity_rows(grid, summaries)
-    _emit(args.output, _header(args, extra), columns, _csv_lines(rows))
+    _emit(args.output, _header(args, extra), columns, lines)
 
 
 def _cmd_entswap(args):
     grid = _parse_grid(args.beta)
-    sweep = partial(
-        entanglement_swap_sweep, phi_kind=args.phi, resource_kind=args.resource, cutoff=args.cutoff
-    )
-    rows = _fidelity_rows(grid, _beta_chunks(sweep, grid, args))
+    lines = _chunked_lines(partial(_entswap_rows, args.phi, args.resource, args.cutoff), grid, args)
     extra = [
         ("phi", args.phi),
         ("resource", args.resource),
@@ -258,7 +278,7 @@ def _cmd_entswap(args):
         args.output,
         _header(args, extra),
         ["beta", "avg_fidelity", "p_success"],
-        _csv_lines(rows),
+        lines,
     )
 
 
@@ -266,19 +286,19 @@ def _cmd_loss(args):
     grid = _parse_grid(args.eta)
     if grid[-1] > 1.0:
         raise UsageError(f"eta grid {args.eta!r} leaves [0, 1]")
-    cutoff = _loss_cutoff(args.protocol, args.cutoff)
-    rows = _diagonal_rows(grid, cutoff) if args.diagonal else _contour_rows(grid, grid, cutoff)
+    cutoff = LOSS_CUTOFFS[args.protocol] if args.cutoff is None else args.cutoff
     amplitude = args.amplitude
     resource_beta = math.sqrt(2.0) * amplitude if args.protocol == "teleport" else amplitude
-    fidelities_of = partial(
-        _row_fidelities,
+    rows_of = partial(
+        _loss_rows,
         args.protocol,
         InputSpec(args.input, amplitude),
         ResourceSpec(args.resource, resource_beta),
         amplitude,
         cutoff,
+        None if args.diagonal else grid,
     )
-    cells = _cells(rows, _pmap(fidelities_of, rows, _jobs(args)))
+    lines = _chunked_lines(rows_of, grid, args)
     extra = [
         ("protocol", args.protocol),
         ("input", args.input),
@@ -288,7 +308,7 @@ def _cmd_loss(args):
         ("diagonal", args.diagonal),
         ("cutoff", cutoff),
     ]
-    _emit(args.output, _header(args, extra), ["eta1", "eta2", "fidelity"], _csv_lines(cells))
+    _emit(args.output, _header(args, extra), ["eta1", "eta2", "fidelity"], lines)
 
 
 def _cmd_wigner(args):
@@ -331,18 +351,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     input_kinds = state_kinds("input")
 
-    def common(p, cutoff_default):
+    def common(p, cutoff_default, gridded):
         p.add_argument("-o", "--output", default=None, help="output path (default stdout)")
-        p.add_argument(
-            "--jobs", type=_positive_int, default=None, help="worker processes (env CSKIT_JOBS)"
-        )
-        if cutoff_default is not None:
-            p.add_argument("--cutoff", type=_positive_int, default=cutoff_default)
+        p.add_argument("--cutoff", type=_positive_int, default=cutoff_default)
+        if gridded:
+            p.add_argument(
+                "--jobs", type=_positive_int, default=None, help="worker processes (env CSKIT_JOBS)"
+            )
 
     p = sub.add_parser("approx", help="cat-approximation fidelity vs beta")
     p.add_argument("--kind", choices=("even", "odd"), required=True)
     p.add_argument("--beta", default="0:1.5:0.01", help="grid start:stop:step")
-    common(p, 15)
+    common(p, 15, False)
     p.set_defaults(func=_cmd_approx)
 
     p = sub.add_parser("success-prob", help="teleportation success probability vs beta")
@@ -351,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--resource", nargs="+", choices=RESOURCE_KINDS,
         default=("ideal-odd-cat", "squeezed-single-photon"),
     )
-    common(p, 15)
+    common(p, 15, True)
     p.set_defaults(func=_cmd_success_prob)
 
     p = sub.add_parser("teleport", help="average teleportation fidelity vs beta")
@@ -362,14 +382,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--m-max", type=int, default=None, help="largest m with --per-outcome (default 5)"
     )
-    common(p, 15)
+    common(p, 15, True)
     p.set_defaults(func=_cmd_teleport)
 
     p = sub.add_parser("entswap", help="entanglement-swapping fidelity vs beta")
     p.add_argument("--phi", choices=input_kinds, default="squeezed-single-photon")
     p.add_argument("--resource", choices=RESOURCE_KINDS, default="squeezed-single-photon")
     p.add_argument("--beta", default="0.05:1.2:0.05")
-    common(p, 15)
+    common(p, 15, True)
     p.set_defaults(func=_cmd_entswap)
 
     p = sub.add_parser("loss", help="fidelity over an (eta1, eta2) loss grid")
@@ -382,8 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--eta", default="0:1:0.05", help="grid start:stop:step for both etas")
     p.add_argument("--diagonal", action="store_true", help="only the eta1=eta2 slice")
-    p.add_argument("--cutoff", type=_positive_int, default=None)
-    common(p, None)
+    common(p, None, True)
     p.set_defaults(func=_cmd_loss)
 
     p = sub.add_parser("wigner", help="Wigner function on a phase-space grid")
@@ -396,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--range", type=_finite_float, nargs=2, default=(-5.0, 5.0), metavar=("LO", "HI")
     )
     p.add_argument("--steps", type=_steps, default=101)
-    common(p, 15)
+    common(p, 15, False)
     p.set_defaults(func=_cmd_wigner)
 
     return parser

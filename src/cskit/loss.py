@@ -31,9 +31,11 @@ lossy runners at LossConfig() return summaries equal to the lossless ones.
 Everything goes by rows. A row is one eta1 and a list of eta2: its circuit
 runs once, and detector loss maps its tables through a stack of eta2
 responses. One row function, ``_row``, matches the amplitudes and runs the
-protocol's circuit for both runners, both sweeps and the CLI, whose
-``--jobs`` maps rows. A runner's row holds its one eta2, as does each row of
-a diagonal; a contour's rows share one stack, built once for the sweep.
+protocol's circuit for both runners and both sweeps. A runner's row holds
+its one eta2, as does each row of a diagonal; a contour's rows share one
+stack, built once per call. The CLI's ``loss`` runs the two sweeps
+themselves on contiguous chunks of its eta1 grid, or of its eta grid for a
+diagonal, and ``--jobs`` maps those chunks.
 Every entry point that takes a cutoff defaults it from LOSS_CUTOFFS.
 """
 
@@ -99,9 +101,7 @@ def _row(protocol, input_spec, resource_spec, amplitude, cutoff, eta1, detectors
     matched = input_spec.at_alpha(math.sqrt(eta1) * amplitude)
     if protocol == "teleport":
         return _teleport(matched, resource_spec, eta1, detectors, cutoff, include_z)
-    if protocol == "entswap":
-        return _swap(matched, replace(resource_spec, beta=amplitude), eta1, detectors, cutoff)
-    raise ValueError(f"unknown protocol {protocol!r}")
+    return _swap(matched, replace(resource_spec, beta=amplitude), eta1, detectors, cutoff)
 
 
 def run_lossy_teleportation(
@@ -181,48 +181,6 @@ def run_lossy_entswap(
     return summary
 
 
-def _contour_rows(eta1s, eta2s, cutoff):
-    """The rows (eta1, detectors) of an (eta1, eta2) grid, all sharing one response stack.
-
-    Every eta is checked as LossConfig checks it before the stack is built.
-    """
-    eta1s = [LossConfig(eta1=float(eta1)).eta1 for eta1 in eta1s]
-    detectors = _detectors(eta2s, cutoff)
-    return [(eta1, detectors) for eta1 in eta1s]
-
-
-def _diagonal_rows(etas, cutoff):
-    """The rows (eta, detectors) of the eta1 = eta2 slice, each holding its one eta2."""
-    etas = [LossConfig(float(eta), float(eta)).eta1 for eta in etas]
-    return [(eta, _detectors([eta], cutoff)) for eta in etas]
-
-
-def _row_fidelities(protocol, input_spec, resource_spec, amplitude, cutoff, row):
-    """Average fidelity of each cell of a row (eta1, detectors), None where degenerate.
-
-    ``_contour_rows`` and ``_diagonal_rows`` build the rows and check every
-    eta before any row runs.
-    """
-    summaries = _row(protocol, input_spec, resource_spec, amplitude, cutoff, *row)
-    return [summary.average_fidelity for summary in summaries]
-
-
-def _cells(rows, fidelities):
-    """(eta1, eta2, fidelity) for every cell of the rows, row by row."""
-    return [
-        (eta1, eta2, fid)
-        for (eta1, detectors), row_fids in zip(rows, fidelities)
-        for eta2, fid in zip(detectors.etas, row_fids)
-    ]
-
-
-def _sweep(protocol, input_spec, resource_spec, amplitude, cutoff, rows):
-    """(eta1, eta2, fidelity) for every cell of the rows, the rows run in turn."""
-    return _cells(rows, [
-        _row_fidelities(protocol, input_spec, resource_spec, amplitude, cutoff, row) for row in rows
-    ])
-
-
 def loss_contour_sweep(
     protocol: str,
     input_spec: InputSpec,
@@ -243,12 +201,17 @@ def loss_contour_sweep(
     any circuit runs.
     """
     cutoff = _loss_cutoff(protocol, cutoff)
-    rows = _contour_rows(
-        _ETA_GRID if eta1_grid is None else eta1_grid,
-        _ETA_GRID if eta2_grid is None else eta2_grid,
-        cutoff,
-    )
-    return _sweep(protocol, input_spec, resource_spec, amplitude, cutoff, rows)
+    eta1_grid = _ETA_GRID if eta1_grid is None else eta1_grid
+    eta1s = [LossConfig(eta1=float(eta1)).eta1 for eta1 in eta1_grid]
+    detectors = _detectors(_ETA_GRID if eta2_grid is None else eta2_grid, cutoff)
+    cells = []
+    for eta1 in eta1s:
+        summaries = _row(protocol, input_spec, resource_spec, amplitude, cutoff, eta1, detectors)
+        cells.extend(
+            (eta1, eta2, summary.average_fidelity)
+            for eta2, summary in zip(detectors.etas, summaries)
+        )
+    return cells
 
 
 def loss_diagonal_sweep(
@@ -264,6 +227,11 @@ def loss_diagonal_sweep(
     Each eta is a row of one eta2, so the circuit runs once per eta.
     """
     cutoff = _loss_cutoff(protocol, cutoff)
-    rows = _diagonal_rows(_ETA_GRID if eta_grid is None else eta_grid, cutoff)
-    cells = _sweep(protocol, input_spec, resource_spec, amplitude, cutoff, rows)
-    return [(eta, fid) for eta, _, fid in cells]
+    eta_grid = _ETA_GRID if eta_grid is None else eta_grid
+    etas = [LossConfig(float(eta), float(eta)).eta1 for eta in eta_grid]
+    rows = [(eta, _detectors([eta], cutoff)) for eta in etas]
+    fidelities = []
+    for eta, detectors in rows:
+        [summary] = _row(protocol, input_spec, resource_spec, amplitude, cutoff, eta, detectors)
+        fidelities.append((eta, summary.average_fidelity))
+    return fidelities

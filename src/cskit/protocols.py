@@ -206,10 +206,13 @@ def _qubit(mu, nu, plus: FockVector) -> FockVector:
     which is exactly ``coherent_state(-alpha)``.
     """
     minus = np.where(np.arange(plus.dim) % 2 == 0, plus.amps, -plus.amps)
-    vec = FockVector(plus.cutoff, mu * plus.amps + nu * minus)
-    if vec.norm() == 0.0 and mu + nu == 0.0 and mu != 0.0:
-        return fock_basis_state(1, plus.cutoff)
-    return vec.normalized()
+    amps = mu * plus.amps + nu * minus
+    norm = float(np.linalg.norm(amps))
+    if norm == 0.0:
+        if mu + nu == 0.0 and mu != 0.0:
+            return fock_basis_state(1, plus.cutoff)
+        raise ValueError("cannot normalize a zero vector")
+    return FockVector(plus.cutoff, amps / norm)
 
 
 @dataclass(frozen=True)

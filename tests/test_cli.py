@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,6 +106,9 @@ class TestBadInput:
             (["teleport", "--m-max", "3"], None),
             # finite ends whose width overflows
             (["wigner", "--state", "vacuum", "--steps", "3", "--range", "-" + BIG, BIG], None),
+            # only the gridded subcommands take --jobs
+            (["approx", "--kind", "odd", "--jobs", "2"], None),
+            (["wigner", "--state", "vacuum", "--jobs", "2"], None),
         ],
     )
     def test_usage_error(self, capsys, monkeypatch, argv, env_jobs):
@@ -329,37 +333,72 @@ class TestJobs:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["teleport", "--input", "even-cat", "--resource", "ideal-odd-cat", "--cutoff", "12"],
-            ["teleport", "--per-outcome", "--m-max", "4", "--cutoff", "12"],
-            ["entswap", "--cutoff", "10"],
-            ["success-prob", "--resource", *RESOURCE_KINDS, "--cutoff", "12"],
+            ["teleport", "--input", "even-cat", "--resource", "ideal-odd-cat", "--cutoff", "6"],
+            ["teleport", "--per-outcome", "--m-max", "4", "--cutoff", "6"],
+            ["entswap", "--cutoff", "6"],
+            ["success-prob", "--resource", *RESOURCE_KINDS, "--cutoff", "6"],
         ],
         ids=["teleport", "teleport-per-outcome", "entswap", "success-prob"],
     )
-    def test_rows_do_not_depend_on_the_batch(self, capsys, argv):
-        """Each row is the same bytes from the whole grid, from its beta alone and with --jobs 2."""
-        grid = ["--beta", "0:1.2:0.15"]
+    def test_rows_do_not_depend_on_the_batch(self, capsys, monkeypatch, argv):
+        """Each row is the same bytes from the chunked grid, from one chunk, from its beta alone
+        and with --jobs 2."""
+        grid = ["--beta", "0:1.2:0.008"]
         code, whole = _run(capsys, argv + grid)
         assert code == 0
         _, parallel = _run(capsys, argv + grid + ["--jobs", "2"])
         assert parallel == whole
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "CHUNK_POINTS", 10**6)
+            assert _run(capsys, argv + grid) == (0, whole)
         rows = _parse(whole)[2]
+        betas = dict.fromkeys(row.split(",")[0] for row in rows)
         alone = []
-        for beta in dict.fromkeys(row.split(",")[0] for row in rows):
+        for beta in betas:
             code, out = _run(capsys, argv + ["--beta", f"{beta}:{beta}:0.15"])
             assert code == 0
             alone.extend(_parse(out)[2])
         assert alone == rows
-        assert len(rows) >= 9
+        assert len(betas) == 151 > 2 * cli.CHUNK_POINTS
 
     def test_env_fallback(self, capsys, monkeypatch):
+        jobs = []
+        pmap = cli._pmap
+        monkeypatch.setattr(
+            cli, "_pmap", lambda fn, items, n: jobs.append(n) or pmap(fn, items, n)
+        )
         monkeypatch.setenv("CSKIT_JOBS", "2")
-        argv = ["approx", "--kind", "odd", "--beta", "0.1:0.3:0.1"]
+        argv = ["loss", "--eta", "0:1:0.25", "--cutoff", "3"]
         code, out = _run(capsys, argv)
         assert code == 0
         monkeypatch.delenv("CSKIT_JOBS")
         _, again = _run(capsys, argv)
         assert out == again
+        assert jobs == [2, 1]
+
+    def test_pool_has_no_more_workers_than_chunks(self, capsys, monkeypatch):
+        workers = []
+
+        class Pool:
+            """Records its size and maps in this process: no worker is started."""
+
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        argv = ["loss", "--eta", "0:1:0.5", "--cutoff", "2"]
+        _, serial = _run(capsys, argv)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+        assert _run(capsys, argv + ["--jobs", "64"]) == (0, serial)
+        assert workers == [3]
 
     @pytest.mark.parametrize(
         "argv",
@@ -367,11 +406,40 @@ class TestJobs:
             ["loss", "--eta", "0:1:0.25", "--cutoff", "4"],
             ["loss", "--protocol", "entswap", "--eta", "0:1:0.25", "--cutoff", "3"],
             ["loss", "--eta", "0:1:0.1", "--cutoff", "4", "--diagonal"],
+            # grids of more than one chunk
+            ["loss", "--eta", "0:1:0.015", "--cutoff", "2"],
+            ["loss", "--protocol", "entswap", "--eta", "0:1:0.0075", "--cutoff", "2", "--diagonal"],
         ],
-        ids=["teleport-contour", "entswap-contour", "teleport-diagonal"],
+        ids=[
+            "teleport-contour", "entswap-contour", "teleport-diagonal",
+            "teleport-contour-chunked", "entswap-diagonal-chunked",
+        ],
     )
-    def test_loss_rows_parallel_match_serial(self, capsys, argv):
+    def test_loss_rows_parallel_match_serial(self, capsys, monkeypatch, argv):
+        """The rows are the same bytes with --jobs 2 and with the whole grid in one chunk."""
         code, serial = _run(capsys, argv)
         assert code == 0
         _, parallel = _run(capsys, argv + ["--jobs", "2"])
         assert serial == parallel
+        monkeypatch.setattr(cli, "CHUNK_POINTS", 10**6)
+        assert _run(capsys, argv) == (0, serial)
+
+
+def test_entswap_peak_does_not_grow_with_the_grid(capsys):
+    """A long beta grid is swept chunk by chunk, so its allocation peak stays that of a chunk.
+
+    Holding every beta's summary to the end of this grid peaks near 38 MB;
+    one chunk at a time stays under 3 MB.
+    """
+    argv = ["entswap", "--cutoff", "10"]
+    assert main(argv + ["--beta", "0.5:0.5:1"]) == 0
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = main(argv + ["--beta", "0.001:1:0.001"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1000 + 7
+    assert peak < 6e6

@@ -115,6 +115,17 @@ class TestCircuitAssembly:
                 ref = _eq3_reference(mu, nu, alpha, CUTOFF)
                 assert abs(np.vdot(ref, st.amps)) ** 2 > 1 - 1e-8
 
+    def test_qubit_normalization_and_its_zero_norm_cases(self):
+        # mu = -nu at alpha = 0 is the odd cat's limit |1>; mu = nu = 0 has no state
+        qubit = QubitSuperposition(0.8, 0.6j, 0.5).to_fock(CUTOFF)
+        assert np.linalg.norm(qubit.amps) == pytest.approx(1.0, abs=1e-15)
+        assert np.array_equal(
+            QubitSuperposition(1.0, -1.0, 0.0).to_fock(CUTOFF).amps,
+            fock_basis_state(1, CUTOFF).amps,
+        )
+        with pytest.raises(ValueError, match="zero vector"):
+            QubitSuperposition(0.0, 0.0, 0.5).to_fock(CUTOFF)
+
     def test_cutoff_mismatch(self):
         with pytest.raises(ValueError):
             build_teleporter_input(
