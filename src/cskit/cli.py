@@ -36,9 +36,10 @@ from .wigner import PhaseGrid, wigner_grid
 # Larger grids are refused rather than left to exhaust memory.
 MAX_GRID_POINTS = 10**6
 
-# At most this many grid points go into one sweep call of a gridded
-# subcommand, so a long grid needs the memory of one chunk. The default grids
-# and the benchmark's, of at most 30 points, fit in one chunk.
+# At most this many cells, one per beta or per (eta1, eta2), go into one
+# sweep call of a gridded subcommand, so a long grid needs the memory of one
+# chunk. The default beta grids, of at most 30 points, fit in one chunk; a
+# loss contour's chunk holds CHUNK_POINTS // len(eta grid) rows, at least one.
 CHUNK_POINTS = 64
 
 
@@ -120,17 +121,17 @@ def _csv_lines(rows) -> list:
     return [",".join(_fmt(v) for v in row) for row in rows]
 
 
-def _emit(path, header_pairs, columns, data_lines):
-    lines = [f"# tool: cskit {__version__}"]
-    for key, value in header_pairs:
-        lines.append(f"# {key}: {value}")
+def _emit(args, extra, columns, data_lines):
+    """Write the header, the subcommand and the pairs ``extra``, then the columns and the rows."""
+    lines = [f"# tool: cskit {__version__}", f"# subcommand: {args.command}"]
+    lines.extend(f"# {key}: {value}" for key, value in extra)
     lines.append(",".join(columns))
     lines.extend(data_lines)
     text = "\n".join(lines) + "\n"
-    if path is None or path == "-":
+    if args.output is None or args.output == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
 
 
@@ -159,23 +160,20 @@ def _lines(rows_of, chunk) -> list:
     return _csv_lines(rows_of(chunk))
 
 
-def _chunked_lines(rows_of, grid, args) -> list:
+def _chunked_lines(rows_of, grid, args, cells=1) -> list:
     """CSV lines of ``rows_of`` over the grid in contiguous chunks, joined in grid order.
 
-    A chunk holds at most CHUNK_POINTS points, and there is at least one per
-    job where the grid allows. Each chunk is swept and turned into lines
-    where it runs, so no sweep result outlives its chunk or crosses the
-    pool. A point's rows do not depend on its chunk, so they are the same
-    bytes for any --jobs.
+    Each point of the grid is ``cells`` cells of the sweep. A chunk holds at
+    most CHUNK_POINTS cells, or one point where a point has more, and there
+    is at least one chunk per job where the grid allows. Each chunk is swept
+    and turned into lines where it runs, so no sweep result outlives its
+    chunk or crosses the pool. A point's rows do not depend on its chunk, so
+    they are the same bytes for any --jobs.
     """
     jobs = _jobs(args)
-    size = min(CHUNK_POINTS, -(-len(grid) // jobs))
+    size = min(max(1, CHUNK_POINTS // cells), -(-len(grid) // jobs))
     chunks = [grid[i : i + size] for i in range(0, len(grid), size)]
     return [line for lines in _pmap(partial(_lines, rows_of), chunks, jobs) for line in lines]
-
-
-def _header(args, extra):
-    return [("subcommand", args.command), *extra]
 
 
 def _fidelity_rows(betas, summaries) -> list:
@@ -218,7 +216,7 @@ def _cmd_approx(args):
         for row in approximation_fidelity_sweep(args.kind, grid, args.cutoff)
     ]
     extra = [("kind", args.kind), ("beta-grid", args.beta), ("cutoff", args.cutoff)]
-    _emit(args.output, _header(args, extra), ["beta", "r_opt", "fidelity"], _csv_lines(rows))
+    _emit(args, extra, ["beta", "r_opt", "fidelity"], _csv_lines(rows))
 
 
 def _cmd_success_prob(args):
@@ -231,12 +229,7 @@ def _cmd_success_prob(args):
         ("beta-grid", args.beta),
         ("cutoff", args.cutoff),
     ]
-    _emit(
-        args.output,
-        _header(args, extra),
-        ["beta", "input_family", "resource_kind", "p_success"],
-        lines,
-    )
+    _emit(args, extra, ["beta", "input_family", "resource_kind", "p_success"], lines)
 
 
 def _cmd_teleport(args):
@@ -262,7 +255,7 @@ def _cmd_teleport(args):
         columns = ["beta", "m", "fidelity"]
     else:
         columns = ["beta", "avg_fidelity", "p_success"]
-    _emit(args.output, _header(args, extra), columns, lines)
+    _emit(args, extra, columns, lines)
 
 
 def _cmd_entswap(args):
@@ -274,18 +267,17 @@ def _cmd_entswap(args):
         ("beta-grid", args.beta),
         ("cutoff", args.cutoff),
     ]
-    _emit(
-        args.output,
-        _header(args, extra),
-        ["beta", "avg_fidelity", "p_success"],
-        lines,
-    )
+    _emit(args, extra, ["beta", "avg_fidelity", "p_success"], lines)
 
 
 def _cmd_loss(args):
     grid = _parse_grid(args.eta)
     if grid[-1] > 1.0:
         raise UsageError(f"eta grid {args.eta!r} leaves [0, 1]")
+    cells = 1 if args.diagonal else len(grid)
+    if len(grid) * cells > MAX_GRID_POINTS:
+        count = len(grid) * cells
+        raise UsageError(f"eta grid {args.eta!r} has {count} cells, more than {MAX_GRID_POINTS}")
     cutoff = LOSS_CUTOFFS[args.protocol] if args.cutoff is None else args.cutoff
     amplitude = args.amplitude
     resource_beta = math.sqrt(2.0) * amplitude if args.protocol == "teleport" else amplitude
@@ -298,7 +290,7 @@ def _cmd_loss(args):
         cutoff,
         None if args.diagonal else grid,
     )
-    lines = _chunked_lines(rows_of, grid, args)
+    lines = _chunked_lines(rows_of, grid, args, cells)
     extra = [
         ("protocol", args.protocol),
         ("input", args.input),
@@ -308,7 +300,7 @@ def _cmd_loss(args):
         ("diagonal", args.diagonal),
         ("cutoff", cutoff),
     ]
-    _emit(args.output, _header(args, extra), ["eta1", "eta2", "fidelity"], lines)
+    _emit(args, extra, ["eta1", "eta2", "fidelity"], lines)
 
 
 def _cmd_wigner(args):
@@ -339,7 +331,7 @@ def _cmd_wigner(args):
         ("steps", args.steps),
         ("cutoff", args.cutoff),
     ]
-    _emit(args.output, _header(args, extra), ["x", "p", "W"], lines)
+    _emit(args, extra, ["x", "p", "W"], lines)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -28,21 +28,18 @@ circuit-and-herald engine: a lossless run is the eta1 = eta2 = 1 case, where
 no environment mode is added and the tables are used as they are, and the
 lossy runners at LossConfig() return summaries equal to the lossless ones.
 
-Everything goes by rows. A row is one eta1 and a list of eta2: its circuit
-runs once, and detector loss maps its tables through a stack of eta2
-responses. One row function, ``_row``, matches the amplitudes and runs the
-protocol's circuit for both runners and both sweeps. A runner's row holds
-its one eta2, as does each row of a diagonal; a contour's rows share one
-stack, built once per call. The CLI's ``loss`` runs the two sweeps
-themselves on contiguous chunks of its eta1 grid, or of its eta grid for a
-diagonal, and ``--jobs`` maps those chunks.
+Every eta1 of a sweep is one circuit of the engine's batch. One function,
+``_rows``, matches each input's amplitude to its eta1 and runs the batch
+for both runners and both sweeps. A contour's circuits share one stack of
+eta2 responses, built once per grid; a diagonal's circuit i sees eta_i
+alone. The CLI's ``loss`` runs the two sweeps on contiguous chunks of at
+most ``cli.CHUNK_POINTS`` cells, and ``--jobs`` maps those chunks.
 Every entry point that takes a cutoff defaults it from LOSS_CUTOFFS.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 from .fock import (
     apply_beamsplitter,
@@ -58,8 +55,9 @@ from .protocols import (
     ProtocolSummary,
     ResourceSpec,
     _detectors,
-    _swap,
-    _teleport,
+    _diagonal,
+    _swaps,
+    _teleports,
 )
 
 __all__ = [
@@ -88,20 +86,26 @@ def _loss_cutoff(protocol, cutoff):
     return LOSS_CUTOFFS[protocol] if cutoff is None else cutoff
 
 
-def _row(protocol, input_spec, resource_spec, amplitude, cutoff, eta1, detectors, include_z=False):
-    """One summary per eta2 of ``detectors``, from one run of the circuit at eta1.
+def _rows(
+    protocol, input_spec, resource_spec, amplitude, cutoff, eta1s, detectors, include_z=False
+):
+    """One list of summaries per eta1 of ``eta1s``, one per eta2 of its counters, from one batch.
 
     ``amplitude`` is the nominal qubit amplitude alpha for 'teleport' or the
-    Bell amplitude beta for 'entswap'. The input, or phi, is rebuilt at
-    sqrt(eta1) * amplitude to match the attenuated resource, and fidelities
+    Bell amplitude beta for 'entswap'. Each input, or phi, is rebuilt at
+    sqrt(eta1) * amplitude to match its attenuated resource, and fidelities
     are taken against that matched state; the entswap resource is prepared
     at ``amplitude``. ``include_z`` folds the Z-type outcomes of a teleport
     into its average.
     """
-    matched = input_spec.at_alpha(math.sqrt(eta1) * amplitude)
+    if not eta1s:
+        return []
+    matched = [input_spec.at_alpha(math.sqrt(eta1) * amplitude) for eta1 in eta1s]
     if protocol == "teleport":
-        return _teleport(matched, resource_spec, eta1, detectors, cutoff, include_z)
-    return _swap(matched, replace(resource_spec, beta=amplitude), eta1, detectors, cutoff)
+        betas = [resource_spec.beta] * len(eta1s)
+        return _teleports(matched, resource_spec.kind, betas, eta1s, detectors, cutoff, include_z)
+    betas = [amplitude] * len(eta1s)
+    return _swaps(matched, resource_spec.kind, betas, eta1s, detectors, cutoff)
 
 
 def run_lossy_teleportation(
@@ -119,9 +123,9 @@ def run_lossy_teleportation(
     LOSS_CUTOFFS['teleport']. At eta1 = eta2 = 1 this is the lossless run.
     """
     cutoff = _loss_cutoff("teleport", cutoff)
-    [summary] = _row(
+    [[summary]] = _rows(
         "teleport", input_spec, resource_spec, input_spec.alpha, cutoff,
-        loss.eta1, _detectors([loss.eta2], cutoff), include_z_outcomes,
+        [loss.eta1], _detectors([loss.eta2], cutoff), include_z_outcomes,
     )
     return summary
 
@@ -174,10 +178,8 @@ def run_lossy_entswap(
     The cutoff defaults to LOSS_CUTOFFS['entswap'].
     """
     cutoff = _loss_cutoff("entswap", cutoff)
-    [summary] = _row(
-        "entswap", phi_spec, resource_spec, beta, cutoff,
-        loss.eta1, _detectors([loss.eta2], cutoff),
-    )
+    detectors = _detectors([loss.eta2], cutoff)
+    [[summary]] = _rows("entswap", phi_spec, resource_spec, beta, cutoff, [loss.eta1], detectors)
     return summary
 
 
@@ -196,22 +198,21 @@ def loss_contour_sweep(
     the Bell amplitude beta for entanglement swapping. Grids default to
     0.05 steps over [0, 1]; cutoff defaults to LOSS_CUTOFFS[protocol].
     Returns rows of (eta1, eta2, fidelity); fidelity is None for degenerate
-    cells. The circuit runs once per eta1, and detector loss maps one stack
-    of eta2 responses, built once for the sweep. Every eta is checked before
-    any circuit runs.
+    cells. Every eta1 is one circuit of one batch, and detector loss maps
+    one stack of eta2 responses, built once for the sweep, onto every
+    circuit. Every eta is checked before any circuit runs.
     """
     cutoff = _loss_cutoff(protocol, cutoff)
     eta1_grid = _ETA_GRID if eta1_grid is None else eta1_grid
     eta1s = [LossConfig(eta1=float(eta1)).eta1 for eta1 in eta1_grid]
     detectors = _detectors(_ETA_GRID if eta2_grid is None else eta2_grid, cutoff)
-    cells = []
-    for eta1 in eta1s:
-        summaries = _row(protocol, input_spec, resource_spec, amplitude, cutoff, eta1, detectors)
-        cells.extend(
-            (eta1, eta2, summary.average_fidelity)
-            for eta2, summary in zip(detectors.etas, summaries)
-        )
-    return cells
+    rows = _rows(protocol, input_spec, resource_spec, amplitude, cutoff, eta1s, detectors)
+    [eta2s] = detectors.etas
+    return [
+        (eta1, eta2, summary.average_fidelity)
+        for eta1, summaries in zip(eta1s, rows)
+        for eta2, summary in zip(eta2s, summaries)
+    ]
 
 
 def loss_diagonal_sweep(
@@ -224,14 +225,11 @@ def loss_diagonal_sweep(
 ):
     """The eta1 = eta2 slice of the loss contour: rows of (eta, fidelity).
 
-    Each eta is a row of one eta2, so the circuit runs once per eta.
+    Every eta is one circuit of one batch, behind counters at that eta alone.
     """
     cutoff = _loss_cutoff(protocol, cutoff)
     eta_grid = _ETA_GRID if eta_grid is None else eta_grid
     etas = [LossConfig(float(eta), float(eta)).eta1 for eta in eta_grid]
-    rows = [(eta, _detectors([eta], cutoff)) for eta in etas]
-    fidelities = []
-    for eta, detectors in rows:
-        [summary] = _row(protocol, input_spec, resource_spec, amplitude, cutoff, eta, detectors)
-        fidelities.append((eta, summary.average_fidelity))
-    return fidelities
+    detectors = _diagonal(_detectors(etas, cutoff))
+    rows = _rows(protocol, input_spec, resource_spec, amplitude, cutoff, etas, detectors)
+    return [(eta, summary.average_fidelity) for eta, [summary] in zip(etas, rows)]

@@ -29,30 +29,32 @@ beamsplitter. Source loss (see ``cskit.loss``) couples the resource mode to
 a vacuum environment mode before its split, which the resource's Gram matrix
 sums over, so the tables depend on eta1 alone.
 
-The engine runs a batch of circuits at once, one per beta of a grid, along
-a leading axis, and fills only the counts it is given. An accepted outcome
-has exactly one nonzero count, so lossless counters need only the edge
-counts (0, s) and (s, 0), rows 0 and s of each block: O(d^3) time per
-circuit. Detector loss acts on the tables through the detectors' response
-matrices, which mix every count into the accepted ones, so lossy counters
-fill the rejected counts too, in O(d^4); memory is O(d^3) either way, where
-the joint state had d^4 amplitudes for the swapper. A stack of eta2
-responses maps the tables in one batched matmul, so one circuit run heralds
-every eta2 of a row and gives one summary per eta2. Heralding is a set of
-masked reductions over that stack, with the correction labels cached per
-(cutoff, parity). A summary builds its outcome records only when they are
-read, and behind lossless counters it builds the probabilities at the
-rejected counts, from its circuit's factors, only when it reads one.
+The engine runs a batch of circuits at once along a leading axis, one per
+beta of a grid or per eta1 of a loss sweep, and fills only the counts it is
+given. An accepted outcome has exactly one nonzero count, so lossless
+counters need only the edge counts (0, s) and (s, 0), rows 0 and s of each
+block: O(d^3) time per circuit. Detector loss acts on the tables through
+the detectors' response matrices, which mix every count into the accepted
+ones, so lossy counters fill the rejected counts too, in O(d^4); memory is
+O(d^3) either way, where the joint state had d^4 amplitudes for the
+swapper. A stack of eta2 responses maps the tables in one batched matmul,
+one row of them shared by every circuit or one row per circuit, and each
+circuit gets one summary per eta2 of its row. Heralding is a set of masked
+reductions over that stack, with the correction labels cached per (cutoff,
+parity). A summary builds its outcome records only when they are read, and
+behind lossless counters it builds the probabilities at the rejected
+counts, from its circuit's factors, only when it reads one.
 
 ``teleportation_sweep``, ``entanglement_swap_sweep`` and
 ``success_probability_sweep`` herald a whole beta grid in one batch, and
-``run_teleportation`` and ``run_entanglement_swap`` are its one-circuit case.
-Every contraction is per circuit, so a beta's result is the same bits in any
-batch. Both losses apply only for eta < 1, so a lossless run is the
-eta1 = eta2 = 1 case of the same engine, with no environment mode and no
-matmul. A summary holds the run's results and nothing of its arguments, so
-the lossy runners of ``cskit.loss`` at eta1 = eta2 = 1 return a summary
-equal to the lossless one.
+``run_teleportation`` and ``run_entanglement_swap`` are its one-circuit
+case; ``cskit.loss`` batches its eta1 grids the same way. Every contraction
+is per circuit, so a circuit's result is the same bits in any batch. Both
+losses apply only for eta < 1, so a lossless run is the eta1 = eta2 = 1
+case of the same engine, with no environment mode and no matmul. A summary
+holds the run's results and nothing of its arguments, so the lossy runners
+of ``cskit.loss`` at eta1 = eta2 = 1 return a summary equal to the lossless
+one.
 """
 
 from __future__ import annotations
@@ -70,6 +72,7 @@ from .fock import (
     FockVector,
     MultiModeState,
     _beamsplitter_blocks,
+    _loss_amplitudes,
     apply_beamsplitter,
     attenuate,
     coherent_state,
@@ -371,52 +374,74 @@ def _record(n, m, probability, label, fidelity):
     )
 
 
-def _bells(amps: np.ndarray, eta1: float = 1.0) -> np.ndarray:
+def _bells(amps: np.ndarray, eta1=1.0) -> np.ndarray:
     """Each state of the stack ``amps`` (..., d) split 50:50 with vacuum into a Bell pair.
 
-    The pairs have axes (..., near, [env,] far). Source loss at eta1 < 1
-    first couples the mode to a vacuum environment mode; at eta1 = 1 none is
-    added, as attenuation would leave the state times the environment
-    vacuum. The split's second port is vacuum, so it is ``attenuate``'s
-    gather at eta = 0.5, whose new axis is the far half. The stack's leading
-    axes ride along as modes that ``attenuate`` leaves alone.
+    The pairs have axes (..., near, [env,] far). ``eta1`` is one source
+    transmitivity per state, or one for all. Where any is below 1, each
+    state first meets a vacuum environment mode through ``attenuate``'s
+    gather at its own eta1; at eta1 = 1 that leaves exact zeros at env > 0.
+    Where every eta1 is 1 no environment is added. The split's second port
+    is vacuum, so it is ``attenuate``'s gather at eta = 0.5, whose new axis
+    is the far half, with the stack's leading axes riding along as modes.
     """
+    etas = np.broadcast_to(eta1, np.shape(amps)[:-1])
+    if (etas < 1.0).any():
+        d = np.shape(amps)[-1]
+        ks, cs = zip(*(_loss_amplitudes(d, float(eta)) for eta in etas.ravel()))
+        amps = amps[..., ks[0]] * np.reshape(cs, etas.shape + (d, d))
     state = MultiModeState(tuple(n - 1 for n in np.shape(amps)), amps)
-    mode = state.num_modes - 1
-    if eta1 < 1.0:
-        state = attenuate(state, mode, eta1)
-    return attenuate(state, mode, 0.5).amps
+    return attenuate(state, etas.ndim, 0.5).amps
 
 
 @dataclass(frozen=True)
 class _Detectors:
-    """The two counters at each detector transmitivity eta2 in ``etas``, as one stack.
+    """The two counters at the detector transmitivities ``etas``, as one stack of responses.
 
-    ``responses`` stacks one d x d response per eta2 (``detector_response``),
-    the identity at eta2 = 1, or is None when every eta2 is 1: lossless
-    counters leave the tables as they are. A sweep builds its stack once and
-    every eta1 row reuses it.
+    ``etas`` holds a row of eta2 values per circuit, or one row that every
+    circuit shares, and a circuit gets one summary per eta2 of its row.
+    ``responses`` stacks a d x d response per eta2 in that layout
+    (``detector_response``), the identity at eta2 = 1, or is None when every
+    eta2 is 1: lossless counters leave the tables as they are.
     """
 
     etas: tuple
     responses: np.ndarray = None
 
+    def __getitem__(self, batch):
+        """The counters of the circuits ``batch``: the shared row, or each one's own row."""
+        if len(self.etas) == 1:
+            return self
+        responses = None if self.responses is None else self.responses[batch]
+        return _Detectors(tuple(self.etas[i] for i in batch), responses)
+
 
 def _detectors(etas, cutoff: int) -> _Detectors:
-    """Counters over counts 0..cutoff at each eta2 of ``etas``.
+    """Counters over counts 0..cutoff at each eta2 of ``etas``, one row that every circuit shares.
 
-    Every eta2 is checked as LossConfig checks it before any response is built.
+    Every eta2 is checked as LossConfig checks it before any response is
+    built. The last stack is kept, so the chunks of one grid build it once.
     """
-    etas = tuple(LossConfig(eta2=float(eta)).eta2 for eta in etas)
+    return _detector_row(tuple(LossConfig(eta2=float(eta)).eta2 for eta in etas), cutoff)
+
+
+@lru_cache(maxsize=1)
+def _detector_row(etas: tuple, cutoff: int) -> _Detectors:
     if all(eta == 1.0 for eta in etas):
-        return _Detectors(etas)
+        return _Detectors((etas,))
     eye = np.eye(cutoff + 1)
-    return _Detectors(
-        etas, np.stack([eye if eta == 1.0 else detector_response(cutoff, eta) for eta in etas])
-    )
+    responses = np.stack([eye if eta == 1.0 else detector_response(cutoff, eta) for eta in etas])
+    responses.setflags(write=False)
+    return _Detectors((etas,), responses[None])
 
 
-_LOSSLESS = _Detectors((1.0,))
+def _diagonal(detectors: _Detectors) -> _Detectors:
+    """Circuit i behind the i-th eta2 of the row alone: the stack's first two axes swapped."""
+    responses = None if detectors.responses is None else detectors.responses.swapaxes(0, 1)
+    return _Detectors(tuple(zip(*detectors.etas)), responses)
+
+
+_LOSSLESS = _Detectors(((1.0,),))
 
 
 @lru_cache(maxsize=64)
@@ -622,10 +647,11 @@ def _targets(target, z_target, d):
 
 
 def _herald(tables, labels, detectors, parity, include_z=False, rejected=None):
-    """One list of summaries per circuit of ``tables``, one summary per eta2 of ``detectors``.
+    """One list of summaries per circuit of ``tables``, one summary per eta2 of its counters.
 
     Detector loss maps every table T to M T M^T, for the whole stack of
-    responses M in one batched matmul; with no stack the tables are used as
+    responses M in one batched matmul that broadcasts a shared row of
+    ``detectors`` over the circuits; with no stack the tables are used as
     they are. The fidelity of an outcome is its overlap weight divided by its
     probability.
 
@@ -639,11 +665,11 @@ def _herald(tables, labels, detectors, parity, include_z=False, rejected=None):
     counts alone, ``rejected[i]`` builds circuit i's probabilities at the
     rejected counts, which its summaries call only when they read one.
     """
-    n_eta = len(detectors.etas)
+    n_eta = len(detectors.etas[0])
     if detectors.responses is None:
         tables = tables.repeat(n_eta, axis=0)
     else:
-        responses = detectors.responses[:, None]
+        responses = detectors.responses[:, :, None]
         tables = responses @ tables[:, None] @ responses.swapaxes(-1, -2)
         tables = tables.reshape(-1, *tables.shape[2:])
     probs = np.minimum(tables[:, 0], 1.0)
@@ -754,44 +780,31 @@ def enumerate_outcomes(state3: MultiModeState, parity: str = "odd"):
     return list(summary.outcomes)
 
 
-def _teleports(input_specs, resource_kind, betas, eta1, detectors, cutoff, include_z):
+def _teleports(input_specs, resource_kind, betas, eta1s, detectors, cutoff, include_z):
     """Teleportation of each input, as given, with a resource of amplitude beta: summaries per input.
 
-    The resources are of the one kind ``resource_kind``, at the amplitudes
-    ``betas``, one per input. Each list holds one summary per eta2 of
-    ``detectors``. The caller matches the inputs' amplitudes to eta1. The
-    states are built input by input, then every circuit is heralded at
-    once, whatever the number of eta2 values. An input with no Z target (the
-    even cat at alpha = 0) has no Z labels, so such inputs herald in a batch
-    of their own.
+    The resources are of the one kind ``resource_kind``, one amplitude of
+    ``betas`` and one source transmitivity of ``eta1s`` (or one for all) per
+    input; the caller matches the inputs' amplitudes to eta1. Each list
+    holds one summary per eta2 of the input's counters in ``detectors``.
+    The states are built input by input, then every circuit is heralded at
+    once. An input with no Z target (the even cat at alpha = 0) has no Z
+    labels, so such inputs herald in a batch of their own.
     """
-    inputs, z_targets = [], []
-    for input_spec in input_specs:
-        inputs.append(input_spec.to_fock(cutoff).amps)
-        z_targets.append(_z_target(input_spec, cutoff))
+    inputs = np.stack([input_spec.to_fock(cutoff).amps for input_spec in input_specs])
+    z_targets = [_z_target(input_spec, cutoff) for input_spec in input_specs]
     resources = [ResourceSpec(resource_kind, beta).to_fock(cutoff).amps for beta in betas]
-    inputs, pairs = np.stack(inputs), _bells(np.stack(resources), eta1)
-    parity = resource_parity(resource_kind)
-    results = [None] * len(inputs)
+    pairs, parity = _bells(np.stack(resources), eta1s), resource_parity(resource_kind)
+    results = {}
     for has_z in (False, True):
         batch = [i for i, z in enumerate(z_targets) if (z is not None) == has_z]
         if not batch:
             continue
         z_target = np.stack([z_targets[i] for i in batch]) if has_z else None
-        runs = _heralded(
-            inputs[batch], pairs[batch], inputs[batch], z_target, detectors, parity, include_z
-        )
-        for i, summaries in zip(batch, runs):
-            results[i] = summaries
-    return results
-
-
-def _teleport(input_spec, resource_spec, eta1, detectors, cutoff, include_z):
-    """Teleportation of ``input_spec`` as given, one summary per eta2 of ``detectors``."""
-    [summaries] = _teleports(
-        [input_spec], resource_spec.kind, [resource_spec.beta], eta1, detectors, cutoff, include_z
-    )
-    return summaries
+        left = inputs[batch]
+        runs = _heralded(left, pairs[batch], left, z_target, detectors[batch], parity, include_z)
+        results.update(zip(batch, runs))
+    return [results[i] for i in range(len(inputs))]
 
 
 def _z_target(input_spec, cutoff):
@@ -809,27 +822,17 @@ def _z_target(input_spec, cutoff):
     return flipped.to_fock(cutoff).amps
 
 
-def _swaps(phi_specs, resource_kind, betas, eta1, detectors, cutoff):
+def _swaps(phi_specs, resource_kind, betas, eta1s, detectors, cutoff):
     """Entanglement swapping of each phi, as given, with a resource of amplitude beta: summaries per phi.
 
-    The resources are of the one kind ``resource_kind``, at the amplitudes
-    ``betas``, one per phi. Each list holds one summary per eta2 of
-    ``detectors``. The caller matches the amplitudes to eta1. Every circuit
-    is heralded at once. Each phi's Bell pair is built once: it enters the
-    circuit and is the target.
+    The resources and counters are as ``_teleports`` takes them, and every
+    circuit is heralded at once. Each phi's Bell pair is built once: it
+    enters the circuit and is the target.
     """
     phis = _bells(np.stack([phi_spec.to_fock(cutoff).amps for phi_spec in phi_specs]))
     resources = [ResourceSpec(resource_kind, beta).to_fock(cutoff).amps for beta in betas]
-    pairs = _bells(np.stack(resources), eta1)
+    pairs = _bells(np.stack(resources), eta1s)
     return _heralded(phis, pairs, phis, None, detectors, resource_parity(resource_kind))
-
-
-def _swap(phi_spec, resource_spec, eta1, detectors, cutoff):
-    """Entanglement swapping of ``phi_spec`` as given, one summary per eta2 of ``detectors``."""
-    [summaries] = _swaps(
-        [phi_spec], resource_spec.kind, [resource_spec.beta], eta1, detectors, cutoff
-    )
-    return summaries
 
 
 def _betas(beta_grid) -> list:
@@ -854,7 +857,10 @@ def run_teleportation(
     average as a diagnostic. This is the one-circuit case of
     ``teleportation_sweep``'s batch.
     """
-    [summary] = _teleport(input_spec, resource_spec, 1.0, _LOSSLESS, cutoff, include_z_outcomes)
+    [[summary]] = _teleports(
+        [input_spec], resource_spec.kind, [resource_spec.beta], 1.0, _LOSSLESS, cutoff,
+        include_z_outcomes,
+    )
     return summary
 
 
@@ -953,7 +959,9 @@ def run_entanglement_swap(
     modes matched by position. Z-type outcomes carry no fidelity. This is
     the one-circuit case of ``entanglement_swap_sweep``'s batch.
     """
-    [summary] = _swap(phi_spec, resource_spec, 1.0, _LOSSLESS, cutoff)
+    [[summary]] = _swaps(
+        [phi_spec], resource_spec.kind, [resource_spec.beta], 1.0, _LOSSLESS, cutoff
+    )
     return summary
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import cskit
-from cskit import cli
+from cskit import cli, fock
 from cskit.cli import main
 from cskit.protocols import RESOURCE_KINDS, STATE_KINDS
 from cskit.wigner import PhaseGrid, wigner_grid
@@ -124,6 +124,23 @@ class TestBadInput:
         assert captured.out == ""
         assert len([ln for ln in captured.err.splitlines() if "error:" in ln]) == 1
         assert "Traceback" not in captured.err
+
+    def test_contour_cells_are_capped(self, capsys, monkeypatch):
+        """A contour of more cells than MAX_GRID_POINTS is refused before any row runs."""
+        def no_run(*args):
+            raise AssertionError("a row ran before the grid was checked")
+
+        monkeypatch.setattr(cli, "MAX_GRID_POINTS", 100)
+        monkeypatch.setattr(cli, "loss_contour_sweep", no_run)
+        code = main(["loss", "--eta", "0:1:0.1", "--cutoff", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert [ln for ln in captured.err.splitlines() if "error:" in ln] == [
+            "error: eta grid '0:1:0.1' has 121 cells, more than 100"
+        ]
+        # the 11 points of its diagonal are under the cap
+        assert main(["loss", "--eta", "0:1:0.1", "--cutoff", "2", "--diagonal"]) == 0
 
     @pytest.mark.parametrize(
         "argv",
@@ -443,3 +460,80 @@ def test_entswap_peak_does_not_grow_with_the_grid(capsys):
     assert code == 0
     assert len(capsys.readouterr().out.splitlines()) == 1000 + 7
     assert peak < 6e6
+
+
+@pytest.mark.parametrize(
+    "argv, diagonal",
+    [
+        (["--eta", "0:1:0.125"], False),
+        (["--eta", "0:1:0.05"], False),
+        (["--eta", "0:1:0.015"], False),
+        (["--eta", "0:1:0.0075", "--diagonal"], True),
+    ],
+    ids=["one-chunk", "rows-of-three", "row-by-row", "diagonal"],
+)
+def test_loss_chunks_hold_at_most_chunk_points_cells(capsys, monkeypatch, argv, diagonal):
+    """A contour chunk holds at most CHUNK_POINTS cells, a diagonal chunk CHUNK_POINTS points."""
+    chunks = []
+
+    def contour(protocol, input_spec, resource_spec, amplitude, eta1s, eta2s, cutoff):
+        chunks.append((list(eta1s), list(eta2s)))
+        return [(eta1, eta2, 1.0) for eta1 in eta1s for eta2 in eta2s]
+
+    def diagonal_sweep(protocol, input_spec, resource_spec, amplitude, etas, cutoff):
+        chunks.append((list(etas), None))
+        return [(eta, 1.0) for eta in etas]
+
+    monkeypatch.setattr(cli, "loss_contour_sweep", contour)
+    monkeypatch.setattr(cli, "loss_diagonal_sweep", diagonal_sweep)
+    assert main(["loss", *argv]) == 0
+    grid = cli._parse_grid(argv[1])
+    cells = 1 if diagonal else len(grid)
+    assert len(capsys.readouterr().out.splitlines()) == 10 + len(grid) * cells
+    assert [eta for eta1s, _ in chunks for eta in eta1s] == grid
+    for eta1s, eta2s in chunks:
+        assert eta2s == (None if diagonal else grid)
+        assert len(eta1s) * cells <= cli.CHUNK_POINTS or len(eta1s) == 1
+    # as many points per chunk as the cells allow
+    assert len(chunks[0][0]) == min(len(grid), max(1, cli.CHUNK_POINTS // cells))
+
+
+def test_loss_contour_builds_each_response_once_per_command(capsys):
+    """The chunks of one contour share one stack of eta2 responses.
+
+    67 etas, one row per chunk, cycle through the 64-entry response cache,
+    so a stack built per chunk would miss on every cell.
+    """
+    fock.detector_response.cache_clear()
+    assert main(["loss", "--eta", "0:1:0.015", "--cutoff", "2"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 10 + 67 * 67
+    assert fock.detector_response.cache_info().misses <= 67
+
+
+@pytest.mark.parametrize(
+    "protocol, one_chunk, four_chunks",
+    [
+        ("teleport", ["--eta", "0:0.7:0.1"], ["--eta", "0:0.75:0.05"]),
+        ("entswap", ["--diagonal", "--eta", "0:0.063:0.001"], ["--diagonal", "--eta", "0:0.255:0.001"]),
+    ],
+    ids=["contour", "diagonal"],
+)
+def test_loss_peak_does_not_grow_with_the_grid(capsys, protocol, one_chunk, four_chunks):
+    """A lossy grid of four chunks peaks within 10% of a grid of one chunk.
+
+    The contours have 8 and 16 etas, 64 cells in one chunk and 256 in four;
+    the diagonals 64 and 256 etas. Each chunk's circuits run as one batch,
+    so a batch of the whole grid would peak near four times higher.
+    """
+    argv = ["loss", "--protocol", protocol, "--cutoff", "8"]
+    assert main(argv + ["--eta", "0.5:0.5:1"]) == 0
+    peaks = []
+    for grid in (one_chunk, four_chunks):
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            assert main(argv + grid) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]

@@ -1,8 +1,11 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 from dense_circuit import mixed, tables
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cskit import fock, loss
 from cskit.fock import coherent_state, fidelity, partial_trace, tensor
@@ -16,6 +19,7 @@ from cskit.loss import (
     run_lossy_teleportation,
 )
 from cskit.protocols import (
+    RESOURCE_KINDS,
     InputSpec,
     ResourceSpec,
     _bells,
@@ -24,6 +28,7 @@ from cskit.protocols import (
     _tables,
     run_entanglement_swap,
     run_teleportation,
+    state_kinds,
 )
 
 
@@ -329,7 +334,7 @@ class TestSweeps:
         def no_run(*args):
             raise AssertionError("a circuit ran before the grid was checked")
 
-        monkeypatch.setattr(loss, "_teleport", no_run)
+        monkeypatch.setattr(loss, "_teleports", no_run)
         with pytest.raises(ValueError):
             loss_contour_sweep(
                 "teleport", InputSpec("coherent", 0.3),
@@ -349,3 +354,44 @@ class TestSweeps:
         )
         assert len(rows) == 101 * 101
         assert fock.detector_response.cache_info().misses <= 101
+
+
+mixed_eta_grids = st.lists(
+    st.sampled_from([0.0, 0.3, 0.65, 1.0]) | st.floats(0.0, 1.0), min_size=1, max_size=3
+).map(lambda etas: [0.0, *etas, 1.0])
+
+
+@pytest.mark.parametrize("resource_kind", RESOURCE_KINDS)
+@pytest.mark.parametrize("input_kind", state_kinds("input"))
+@pytest.mark.parametrize("protocol", ["teleport", "entswap"])
+@settings(derandomize=True, database=None, deadline=None, max_examples=3)
+@given(amplitude=st.sampled_from([0.0, 0.3, 0.5]), etas=mixed_eta_grids)
+@example(amplitude=0.5, etas=[0.0, 0.3, 1.0])
+def test_sweep_cells_are_their_single_runs_bit_for_bit(
+    protocol, input_kind, resource_kind, amplitude, etas
+):
+    """Every cell of a batched sweep is the same bits as its own lossy run.
+
+    The grids mix eta = 0, interior values and 1, so circuits with and
+    without source loss share one batch, and so does the even cat's input at
+    eta1 = 0, which has no Z target, with the same input at other eta1.
+    """
+    cutoff = 4 if protocol == "teleport" else 3
+    spec = InputSpec(input_kind, amplitude)
+    if protocol == "teleport":
+        resource = ResourceSpec(resource_kind, math.sqrt(2.0) * amplitude)
+        run = partial(run_lossy_teleportation, spec, resource, cutoff=cutoff)
+    else:
+        resource = ResourceSpec(resource_kind, amplitude)
+        run = partial(run_lossy_entswap, spec, resource, beta=amplitude, cutoff=cutoff)
+
+    def single(eta1, eta2):
+        return run(LossConfig(eta1, eta2)).average_fidelity
+
+    sweep_args = (protocol, spec, resource, amplitude)
+    contour = loss_contour_sweep(*sweep_args, etas, etas, cutoff)
+    assert [cell[:2] for cell in contour] == [(e1, e2) for e1 in etas for e2 in etas]
+    for eta1, eta2, fid in contour:
+        assert fid == single(eta1, eta2)
+    diagonal = loss_diagonal_sweep(*sweep_args, etas, cutoff)
+    assert diagonal == [(eta, single(eta, eta)) for eta in etas]
