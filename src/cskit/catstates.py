@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import (
-    FockVector, TruncationError, _check_weight, _renormalized, fidelity, fock_basis_state,
+    FockVector, TruncationError, _check_weight, _one_row, _refuse, _renormalized,
 )
 
 __all__ = [
@@ -28,29 +28,51 @@ __all__ = [
 ]
 
 
-def _check_beta(beta: float, cutoff: int):
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
-    # beta > cutoff implies beta^2 > cutoff / 3, and keeps beta**2 from overflowing
-    if beta > cutoff or beta**2 > cutoff / 3:
-        raise TruncationError(
-            f"cutoff {cutoff} too small for beta={beta:.4g} (need beta^2 <= cutoff/3)"
-        )
-    _check_weight(beta, "beta")
+def _every_other(cutoff, offset, firsts, ratios):
+    """(amps, leakage): complex rows over 0..cutoff, zero but at offset, offset + 2, ...
 
-
-def _every_other(cutoff, offset, first, ratio):
-    """Amplitudes over 0..cutoff that are zero but at offset, offset + 2, ...
-
-    The one at ``offset`` is ``first``, and the one at n is the one at n - 2
-    times ``ratio(n)``. A term ratio has no power or factorial to overflow,
-    at any cutoff.
+    Row i runs from ``firsts[i]`` by its term ratios ``ratios[i]``: one cumprod, no factorial.
     """
-    amps = np.zeros(cutoff + 1, dtype=complex)
-    for n in range(offset, cutoff + 1, 2):
-        amps[n] = first
-        first *= ratio(n + 2)
-    return amps
+    amps = np.zeros((len(ratios), cutoff + 1), dtype=complex)
+    slots = amps[:, offset::2]
+    slots[:] = np.cumprod(np.column_stack([firsts, ratios]), axis=1)[:, : slots.shape[1]]
+    return _renormalized(amps)
+
+
+def _cat_first(beta, square, odd):
+    """The first term 2 exp(-beta^2 / 2) beta^odd / N, N^2 = 2 (1 ± exp(-2 beta^2)) (expm1 if odd).
+
+    Below beta^2 = the smallest normal float the limit |0> or |1> is exact: 1, with ratios 0.
+    """
+    if square < np.finfo(float).tiny:
+        return 1.0
+    norm_sq = -2.0 * math.expm1(-2.0 * square) if odd else 2.0 * (1.0 + math.exp(-2.0 * square))
+    return 2.0 * math.exp(-square / 2.0) / math.sqrt(norm_sq) * beta**odd
+
+
+def _cat_rows(betas, parity: str, cutoff: int):
+    """(amps, leakage) of ``cat_state`` at each beta of ``betas``, its checks run as vector checks.
+
+    The beta -> 0 limit forms no 0/0 (``_cat_first``). Each row's scalars
+    are taken with ``math``.
+    """
+    if parity not in ("even", "odd"):
+        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+    betas = np.asarray(betas, dtype=float)
+    _refuse(betas < 0, lambda i: ValueError("beta must be >= 0"))
+    values = betas.tolist()
+    # beta > cutoff implies beta^2 > cutoff / 3, and keeps beta**2 from overflowing
+    squares = np.array([min(beta, cutoff) ** 2 for beta in values], dtype=float)
+    _refuse((betas > cutoff) | (squares > cutoff / 3), lambda i: TruncationError(
+        f"cutoff {cutoff} too small for beta={values[i]:.4g} (need beta^2 <= cutoff/3)"
+    ))
+    _check_weight(values, squares, "beta")
+    odd = int(parity == "odd")
+    firsts = [_cat_first(beta, square, odd) for beta, square in zip(values, squares.tolist())]
+    n = np.arange(odd + 2, cutoff + 1, 2)
+    limit = squares < np.finfo(float).tiny
+    ratios = np.where(limit, 0.0, squares)[:, None] / np.sqrt(n * (n - 1))
+    return _every_other(cutoff, odd, firsts, ratios)
 
 
 def cat_state(beta: float, parity: str, cutoff: int) -> FockVector:
@@ -59,65 +81,48 @@ def cat_state(beta: float, parity: str, cutoff: int) -> FockVector:
     Built from the parity-pure Fock expansion, so the odd state is exactly
     |1> in the beta -> 0 limit (where the coherent form degenerates to 0/0).
     Renormalized over the truncated support; discarded weight in ``leakage``.
+    The one-row case of ``_cat_rows``.
     """
-    if parity not in ("even", "odd"):
-        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    _check_beta(beta, cutoff)
-    # Where beta^2 is below the smallest normal float, the next term of the
-    # expansion is too, and the limit is exact to double precision.
-    if beta**2 < np.finfo(float).tiny:
-        return fock_basis_state(0 if parity == "even" else 1, cutoff)
-    offset = 0 if parity == "even" else 1
-    if parity == "even":
-        norm_sq = 2.0 * (1.0 + math.exp(-2.0 * beta**2))
-    else:
-        # 2 (1 - exp(-2 beta^2)) by expm1; the difference rounds to 0 below beta ~ 1e-8
-        norm_sq = -2.0 * math.expm1(-2.0 * beta**2)
-    first = 2.0 * math.exp(-(beta**2) / 2.0) / math.sqrt(norm_sq) * beta**offset
-    amps = _every_other(cutoff, offset, first, lambda n: beta**2 / math.sqrt(n * (n - 1)))
-    return _renormalized(cutoff, amps)
+    return _one_row(_cat_rows([beta], parity, cutoff))
 
 
-def _check_r(r: float, photons: int):
-    """Refuse r < 0, and an r at which S_r|photons> has no weight a float can hold.
+def _squeezed_rows(rs, photons: int, cutoff: int):
+    """(amps, leakage) of S_r|photons>, photons 0 or 1, at each r of ``rs``, checked as vectors.
 
-    The |photons> amplitude squares to 1 / cosh(r)^(2 photons + 1), which is
-    at least exp(-(2 photons + 1) r). Where that bound is below the smallest
-    normal float the state is refused, before cosh(r) can overflow or the
-    kept weight underflow to 0.
+    The term ratio at n is tanh r sqrt((n - 1) / n) for the vacuum and tanh r
+    sqrt(n / (n - 1)) for the photon (tanh, cosh per row from ``math``). The
+    |photons> amplitude squares to 1 / cosh(r)^(2 photons + 1) >= exp(-(2
+    photons + 1) r): r is refused where that bound is not a normal float.
     """
-    if r < 0:
-        raise ValueError("squeezing parameter r must be >= 0")
-    if math.exp(-(2 * photons + 1) * r) < np.finfo(float).tiny:
-        raise TruncationError(f"squeezing r={r:g} leaves S_r|{photons}> no representable weight")
+    rs = np.asarray(rs, dtype=float)
+    _refuse(rs < 0, lambda i: ValueError("squeezing parameter r must be >= 0"))
+    _refuse(np.exp(-(2 * photons + 1) * rs) < np.finfo(float).tiny, lambda i: TruncationError(
+        f"squeezing r={rs[i]:g} leaves S_r|{photons}> no representable weight"
+    ))
+    if photons == 0 and cutoff < 2:
+        _refuse(rs > 0, lambda i: ValueError("cutoff must be >= 2 to hold a squeezed vacuum"))
+    values = rs.tolist()
+    n = np.arange(photons + 2, cutoff + 1, 2)
+    factors = np.sqrt((n - 1) / n if photons == 0 else n / (n - 1))
+    ratios = np.array([math.tanh(r) for r in values])[:, None] * factors
+    return _every_other(cutoff, photons, [math.cosh(r) ** -(photons + 0.5) for r in values], ratios)
 
 
 def squeezed_vacuum(r: float, cutoff: int) -> FockVector:
-    """Squeezed vacuum S_r|0>: even photon numbers only.
+    """Squeezed vacuum S_r|0>, the one-row case of ``_squeezed_rows``.
 
-    amps_{2n} = (tanh r)^n sqrt((2n)!) / (sqrt(cosh r) 2^n n!), built by
-    its term ratio tanh r sqrt((2n - 1) / 2n) and renormalized over the
-    truncation.
+    amps_{2n} = (tanh r)^n sqrt((2n)!) / (sqrt(cosh r) 2^n n!), renormalized.
     """
-    _check_r(r, 0)
-    if cutoff < 2 and r > 0:
-        raise ValueError("cutoff must be >= 2 to hold a squeezed vacuum")
-    t = math.tanh(r)
-    amps = _every_other(cutoff, 0, math.cosh(r) ** -0.5, lambda n: t * math.sqrt((n - 1) / n))
-    return _renormalized(cutoff, amps)
+    return _one_row(_squeezed_rows([r], 0, cutoff))
 
 
 def squeezed_single_photon(r: float, cutoff: int) -> FockVector:
-    """Squeezed single photon S_r|1>: odd photon numbers only.
+    """Squeezed single photon S_r|1>, the one-row case of ``_squeezed_rows``.
 
-    amps_{2n+1} = (tanh r)^n sqrt((2n+1)!) / ((cosh r)^{3/2} 2^n n!), built
-    by its term ratio tanh r sqrt((2n + 1) / 2n) and renormalized over the
-    truncation. Equals |1> at r = 0.
+    amps_{2n+1} = (tanh r)^n sqrt((2n+1)!) / ((cosh r)^{3/2} 2^n n!),
+    renormalized; |1> at r = 0.
     """
-    _check_r(r, 1)
-    t = math.tanh(r)
-    amps = _every_other(cutoff, 1, math.cosh(r) ** -1.5, lambda n: t * math.sqrt(n / (n - 1)))
-    return _renormalized(cutoff, amps)
+    return _one_row(_squeezed_rows([r], 1, cutoff))
 
 
 # Above this amplitude 4 beta^4 swamps the constant under each closed form's
@@ -179,21 +184,17 @@ def approximation_fidelity_sweep(kind: str, beta_grid, cutoff: int = 15):
 
     kind='odd' compares S_{r_opt(beta)}|1> against the odd cat; kind='even'
     compares S_{r_opt_v(beta)}|0> against the even cat. Returns one SweepRow
-    per grid point.
+    per grid point. The cats and the approximations are two batched builds,
+    and each fidelity is |<cat|approx>|^2 of its rows, as ``fidelity`` takes it.
     """
     if kind not in ("even", "odd"):
         raise ValueError(f"kind must be 'even' or 'odd', got {kind!r}")
     betas = list(beta_grid)
     if not betas:
         raise ValueError("beta grid must be nonempty")
-    rows = []
-    for beta in betas:
-        if kind == "odd":
-            r = r_opt(beta)
-            approx = squeezed_single_photon(r, cutoff)
-        else:
-            r = r_opt_v(beta)
-            approx = squeezed_vacuum(r, cutoff)
-        cat = cat_state(beta, kind, cutoff)
-        rows.append(SweepRow(float(beta), r, fidelity(cat, approx)))
-    return rows
+    photons, r_of = (1, r_opt) if kind == "odd" else (0, r_opt_v)
+    rs = [r_of(beta) for beta in betas]
+    approx, _ = _squeezed_rows(rs, photons, cutoff)
+    cats, _ = _cat_rows(betas, kind, cutoff)
+    overlaps = (cats.conj()[:, None, :] @ approx[:, :, None]).ravel().tolist()
+    return [SweepRow(float(beta), r, abs(o) ** 2) for beta, r, o in zip(betas, rs, overlaps)]

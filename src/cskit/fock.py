@@ -133,51 +133,75 @@ class DensityMatrix:
         return complex(np.trace(self.elems))
 
 
-def _check_finite(value: complex, name: str):
-    if not np.isfinite(value).all():
-        raise ValueError(f"{name} must be finite, got {value}")
+_KEPT_FLOOR = 1e-6  # a build that keeps less of its expansion's weight is refused
 
 
-def _check_weight(amplitude: float, name: str):
-    """Refuse an amplitude whose exp(-amplitude^2 / 2) is below the smallest normal float.
+def _refuse(refused, error):
+    """Raise ``error(i)`` for the first row i that ``refused`` marks: one check of a batched build.
 
-    The expansion starts from that weight, and its largest terms are about
-    its inverse: below it the weight loses precision, and from |alpha|^2 ~
-    1,420 on the terms overflow and the amplitudes are NaN.
-    ``catstates._check_r`` refuses a squeezing the same way.
+    A batch holding one refused row raises what that row's own build raises.
     """
-    if math.exp(-(amplitude**2) / 2) < np.finfo(float).tiny:
-        raise TruncationError(
-            f"{name}={amplitude:.4g} leaves the state no representable weight"
-            " (need exp(-amplitude^2 / 2) >= the smallest normal float)"
-        )
+    if np.any(refused):
+        raise error(int(np.argmax(refused)))
 
 
-def _renormalized(cutoff: int, amps: np.ndarray) -> FockVector:
-    """The truncated expansion ``amps``, renormalized; the weight it lacks is the leakage."""
-    captured = float(np.sum(np.abs(amps) ** 2))
-    return FockVector(cutoff, amps / math.sqrt(captured), max(0.0, 1.0 - captured))
+def _check_weight(amplitudes, squares, name: str):
+    """Refuse each amplitude, of square ``squares``, whose exp(-amplitude^2 / 2) is not normal.
+
+    The expansion starts from that weight, and its largest terms are about its
+    inverse: below it the weight loses precision, and from |alpha|^2 ~ 1,420
+    on they overflow. ``catstates._squeezed_rows`` refuses a squeezing so.
+    """
+    _refuse(np.exp(-squares / 2) < np.finfo(float).tiny, lambda i: TruncationError(
+        f"{name}={amplitudes[i]:.4g} leaves the state no representable weight"
+        " (need exp(-amplitude^2 / 2) >= the smallest normal float)"
+    ))
+
+
+def _renormalized(amps):
+    """(amps, leakage): each row renormalized in its dtype, and the weight it lacks."""
+    captured = np.sum(np.abs(amps) ** 2, axis=1)
+    _refuse(captured < _KEPT_FLOOR, lambda i: TruncationError(
+        f"cutoff {amps.shape[1] - 1} keeps {captured[i]:.3g} of the state's weight"
+        f" (need at least {_KEPT_FLOOR:g})"
+    ))
+    return amps / np.sqrt(captured)[:, None], np.maximum(0.0, 1.0 - captured)
+
+
+def _one_row(rows) -> FockVector:
+    """The FockVector of a batched build of one row."""
+    (amps,), (leakage,) = rows
+    return FockVector(len(amps) - 1, amps, float(leakage))
+
+
+def _coherent_rows(alphas, cutoff: int):
+    """(amps, leakage) of ``coherent_state`` at each alpha, its checks run as vector checks."""
+    alphas = np.asarray(alphas, dtype=complex if np.iscomplexobj(alphas) else float)
+    values = alphas.tolist()
+    _refuse(~np.isfinite(alphas), lambda i: ValueError(f"alpha must be finite, got {values[i]}"))
+    if cutoff < 1:
+        raise ValueError("cutoff must be >= 1")
+    mags = [abs(alpha) for alpha in values]
+    # |alpha| > cutoff implies |alpha|^2 > cutoff / 3, and keeps the square from overflowing
+    squares = np.array([min(mag, cutoff) ** 2 for mag in mags], dtype=float)
+    _refuse(np.greater(mags, cutoff) | (squares > cutoff / 3), lambda i: TruncationError(
+        f"cutoff {cutoff} too small for |alpha|={mags[i]:.4g} (need |alpha|^2 <= cutoff/3)"
+    ))
+    _check_weight(mags, squares, "|alpha|")
+    # a_n = a_{n-1} alpha / sqrt(n), in floats: no power or factorial to overflow or wrap
+    ratios = np.ones((len(alphas), cutoff + 1), alphas.dtype)
+    ratios[:, 1:] = alphas[:, None] / np.sqrt(np.arange(1, cutoff + 1))
+    return _renormalized(np.exp(-squares / 2)[:, None] * np.cumprod(ratios, axis=1))
 
 
 def coherent_state(alpha: complex, cutoff: int) -> FockVector:
     """Coherent state |alpha>, renormalized over the truncated support.
 
     Requires |alpha|^2 <= cutoff/3 so that truncation leakage stays below
-    ~1e-10; the discarded weight is reported in ``leakage``.
+    ~1e-10; the discarded weight is reported in ``leakage``. The one-row
+    case of ``_coherent_rows``.
     """
-    _check_finite(alpha, "alpha")
-    if cutoff < 1:
-        raise ValueError("cutoff must be >= 1")
-    # |alpha| > cutoff implies |alpha|^2 > cutoff / 3, and keeps the square from overflowing
-    if abs(alpha) > cutoff or abs(alpha) ** 2 > cutoff / 3:
-        raise TruncationError(
-            f"cutoff {cutoff} too small for |alpha|={abs(alpha):.4g}"
-            " (need |alpha|^2 <= cutoff/3)"
-        )
-    _check_weight(abs(alpha), "|alpha|")
-    # a_n = a_{n-1} alpha / sqrt(n), in floats: no power or factorial to overflow or wrap
-    ratios = np.concatenate([[1.0], alpha / np.sqrt(np.arange(1, cutoff + 1))])
-    return _renormalized(cutoff, np.exp(-abs(alpha) ** 2 / 2) * np.cumprod(ratios))
+    return _one_row(_coherent_rows([alpha], cutoff))
 
 
 def fock_basis_state(n: int, cutoff: int) -> FockVector:

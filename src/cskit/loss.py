@@ -3,43 +3,30 @@
 eta1 models imperfect resource creation, applied just after the source, and
 eta2 models detector inefficiency, applied just before each detector. Both
 are the pure-loss channel of a transmitivity-eta beamsplitter whose second
-port starts in vacuum.
+port starts in vacuum. Source loss is ``attenuate``: it appends an
+environment mode, kept as a purification whose count indexes the Kraus
+branches. Detector loss is no mode: the lossless outcome tables T become
+M T M^T through the binomial response M of an inefficient counter
+(``fock.detector_response``), which is exact. The joint lossy state is never
+built, so a lossy run costs O(d^4) time and O(d^3) memory, as in
+``cskit.protocols``, whose engine this is: a lossless run is its eta1 = eta2
+= 1 case, and the lossy runners at LossConfig() return the lossless summary.
 
-Source loss is ``attenuate``: it appends the environment mode and keeps the
-purification, and the environment count indexes the channel's Kraus
-branches, which the fidelities sum over. Detector loss is not a mode: the
-outcome tables of lossless counters are mapped through the binomial response
-M[n, k] of an inefficient counter (``fock.detector_response``) as M T M^T.
-That is exact, since each count n with environment count e comes from one
-input k = n + e. The heralding never builds the joint lossy state: the
-environment axis of the resource's Bell pair is summed into its Gram matrix
-and, for the overlap tables, kept as one slice per environment count, so a
-lossy run costs O(d^4) time and O(d^3) memory. Behind lossless counters
-(eta2 = 1) only the accepted counts are heralded, in O(d^3) time, as in
-``cskit.protocols``.
-
-Inputs are amplitude-matched to the lossy resource: a nominal amplitude
-alpha becomes sqrt(eta1) * alpha. ``conditional_output_density`` keeps every
-loss as an environment mode, matches its own input and reduces by an
-explicit partial trace, as an independent cross-check.
-
-The lossy runs here and the lossless runs in ``cskit.protocols`` are one
-circuit-and-herald engine: a lossless run is the eta1 = eta2 = 1 case, where
-no environment mode is added and the tables are used as they are, and the
-lossy runners at LossConfig() return summaries equal to the lossless ones.
-
-Every eta1 of a sweep is one circuit of the engine's batch. One function,
-``_rows``, matches each input's amplitude to its eta1 and runs the batch
-for both runners and both sweeps. A contour's circuits share one stack of
-eta2 responses, built once per grid; a diagonal's circuit i sees eta_i
-alone. The CLI's ``loss`` runs the two sweeps on contiguous chunks of at
-most ``cli.CHUNK_POINTS`` cells, and ``--jobs`` maps those chunks.
-Every entry point that takes a cutoff defaults it from LOSS_CUTOFFS.
+Inputs are matched to the lossy resource: a nominal amplitude alpha becomes
+sqrt(eta1) * alpha. Every eta1 of a sweep is one circuit of the engine's
+batch, and ``_rows`` runs it for both runners and both sweeps. A contour's
+circuits share one stack of eta2 responses, built once per grid; a
+diagonal's circuit i sees eta_i alone. ``conditional_output_density`` keeps
+every loss as a mode and reduces by a partial trace, as an independent
+cross-check. Every entry point that takes a cutoff defaults it from
+LOSS_CUTOFFS.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from .fock import (
     apply_beamsplitter,
@@ -56,8 +43,7 @@ from .protocols import (
     ResourceSpec,
     _detectors,
     _diagonal,
-    _swaps,
-    _teleports,
+    _runs,
 )
 
 __all__ = [
@@ -92,20 +78,18 @@ def _rows(
     """One list of summaries per eta1 of ``eta1s``, one per eta2 of its counters, from one batch.
 
     ``amplitude`` is the nominal qubit amplitude alpha for 'teleport' or the
-    Bell amplitude beta for 'entswap'. Each input, or phi, is rebuilt at
-    sqrt(eta1) * amplitude to match its attenuated resource, and fidelities
-    are taken against that matched state; the entswap resource is prepared
-    at ``amplitude``. ``include_z`` folds the Z-type outcomes of a teleport
-    into its average.
+    Bell amplitude beta for 'entswap'. The inputs, or phis, are one batched
+    build at sqrt(eta1) * amplitude, the fidelities' targets too; the one
+    resource, at ``amplitude`` for 'entswap', is built once for every eta1.
+    ``include_z`` folds the Z-type outcomes of a teleport into its average.
     """
     if not eta1s:
         return []
-    matched = [input_spec.at_alpha(math.sqrt(eta1) * amplitude) for eta1 in eta1s]
-    if protocol == "teleport":
-        betas = [resource_spec.beta] * len(eta1s)
-        return _teleports(matched, resource_spec.kind, betas, eta1s, detectors, cutoff, include_z)
-    betas = [amplitude] * len(eta1s)
-    return _swaps(matched, resource_spec.kind, betas, eta1s, detectors, cutoff)
+    beta = resource_spec.beta if protocol == "teleport" else amplitude
+    return _runs(
+        protocol, input_spec, np.sqrt(eta1s) * amplitude, resource_spec.kind, [beta], eta1s,
+        detectors, cutoff, include_z,
+    )
 
 
 def run_lossy_teleportation(

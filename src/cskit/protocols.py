@@ -16,45 +16,31 @@ included for diagnostics, in which case the comparison target absorbs an
 ideal Z (sign flip of the |-alpha> component).
 
 Both protocols, lossless and lossy, are one circuit: a Bell pair made from
-the resource (``_bells``) and one 50:50 beamsplitter that mixes its near half
-with the input, or with one half of phi's Bell pair, in front of the two
-counters. Each Bell pair is a 50:50 split into a vacuum port, which is
-``attenuate``'s gather, not a beamsplitter. Every outcome is heralded at once
-from one probability table and one overlap table per correction label, and
-``_tables`` builds them from the two factors that meet at the beamsplitter,
+the resource (``_bells``, ``attenuate``'s gather into a vacuum port) and one
+50:50 beamsplitter that mixes its near half with the input, or with one half
+of phi's Bell pair, in front of the two counters. ``_tables`` heralds every
+outcome at once, from one probability table and one overlap table per
+correction label, built from the two factors that meet at the beamsplitter,
 never from their joint state: the beamsplitter conserves the total photon
 number, so each count (n, m) sees one block of it, and the probability table
-needs only the Gram matrices of the two factors over their photons at the
-beamsplitter. Source loss (see ``cskit.loss``) couples the resource mode to
-a vacuum environment mode before its split, which the resource's Gram matrix
-sums over, so the tables depend on eta1 alone.
+needs only the two factors' Gram matrices. Source loss (see ``cskit.loss``)
+adds an environment mode that the resource's Gram matrix sums over.
 
-The engine runs a batch of circuits at once along a leading axis, one per
-beta of a grid or per eta1 of a loss sweep, and fills only the counts it is
-given. An accepted outcome has exactly one nonzero count, so lossless
-counters need only the edge counts (0, s) and (s, 0), rows 0 and s of each
-block: O(d^3) time per circuit. Detector loss acts on the tables through
-the detectors' response matrices, which mix every count into the accepted
-ones, so lossy counters fill the rejected counts too, in O(d^4); memory is
-O(d^3) either way, where the joint state had d^4 amplitudes for the
-swapper. A stack of eta2 responses maps the tables in one batched matmul,
-one row of them shared by every circuit or one row per circuit, and each
-circuit gets one summary per eta2 of its row. Heralding is a set of masked
-reductions over that stack, with the correction labels cached per (cutoff,
-parity). A summary builds its outcome records only when they are read, and
-behind lossless counters it builds the probabilities at the rejected
-counts, from its circuit's factors, only when it reads one.
-
-``teleportation_sweep``, ``entanglement_swap_sweep`` and
-``success_probability_sweep`` herald a whole beta grid in one batch, and
-``run_teleportation`` and ``run_entanglement_swap`` are its one-circuit
-case; ``cskit.loss`` batches its eta1 grids the same way. Every contraction
-is per circuit, so a circuit's result is the same bits in any batch. Both
-losses apply only for eta < 1, so a lossless run is the eta1 = eta2 = 1
-case of the same engine, with no environment mode and no matmul. A summary
-holds the run's results and nothing of its arguments, so the lossy runners
-of ``cskit.loss`` at eta1 = eta2 = 1 return a summary equal to the lossless
-one.
+The engine runs a batch of circuits along a leading axis, one per beta of a
+grid or per eta1 of a loss sweep, from the states to the summaries. Each kind
+of ``STATE_KINDS`` builds all the states of a batch as one (b, d) array
+(``StateKind.rows``); ``_runs`` builds a batch's inputs, Z targets and
+resources so, and ``_batch`` heralds it. Lossless counters need only the
+edge counts (0, s) and (s, 0), in O(d^3) per circuit; detector loss mixes
+every count into the accepted ones, so lossy counters fill every count, in
+O(d^4), and one batched matmul maps the tables through a stack of eta2
+responses. A summary builds its outcome records, and behind lossless
+counters its rejected counts' probabilities, only when read. Every build and
+contraction is per row, so a circuit's result is the same bits in any batch:
+``run_teleportation`` and ``run_entanglement_swap`` are the one-circuit case
+of the sweeps. A lossless run is the eta1 = eta2 = 1 case of the engine, and
+a summary holds nothing of its arguments, so there the lossy runners of
+``cskit.loss`` return a summary equal to the lossless one.
 """
 
 from __future__ import annotations
@@ -67,15 +53,17 @@ from typing import Callable
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .catstates import cat_state, r_opt, r_opt_v, squeezed_single_photon, squeezed_vacuum
+from .catstates import _cat_rows, _squeezed_rows, r_opt, r_opt_v
 from .fock import (
     FockVector,
     MultiModeState,
     _beamsplitter_blocks,
+    _coherent_rows,
     _loss_amplitudes,
+    _one_row,
+    _refuse,
     apply_beamsplitter,
     attenuate,
-    coherent_state,
     detector_response,
     fock_basis_state,
     tensor,
@@ -112,51 +100,56 @@ class StateKind:
     """A named single-mode state family, built at an amplitude and a cutoff.
 
     ``roles`` says where the kind is offered: 'input' (InputSpec), 'resource'
-    (ResourceSpec) and 'wigner' (the CLI's Wigner views). ``build(amplitude,
-    cutoff, r=None)`` returns the FockVector; squeezed kinds use the
-    closed-form optimal squeezing for the amplitude unless ``r`` is given, and
-    the other kinds ignore ``r``. ``parity`` is the photon-number parity, and
-    ``qubit`` the exact coherent-qubit coefficients (mu, nu), or None.
+    (ResourceSpec) and 'wigner' (the CLI's Wigner views). ``rows(amplitudes,
+    cutoff, rs=None)`` is its batched builder, (b, d) amplitudes and b
+    leakages, and ``build`` its one-row case. Squeezed kinds use the optimal
+    squeezing of each amplitude unless ``rs`` gives one r per row; the others
+    ignore ``rs``. ``parity`` is the photon-number parity, and ``qubit`` the
+    exact coherent-qubit coefficients (mu, nu), or None.
     """
 
     roles: tuple
-    build: Callable
+    rows: Callable
     parity: str = None
     qubit: tuple = None
 
+    def build(self, amplitude, cutoff: int, r=None) -> FockVector:
+        """The FockVector of the kind at ``amplitude``, or at squeezing ``r``."""
+        return _one_row(self.rows([amplitude], cutoff, None if r is None else [r]))
+
 
 def _number(n):
-    return lambda amplitude, cutoff, r=None: fock_basis_state(n, cutoff)
+    return lambda amplitudes, cutoff, rs=None: (
+        np.tile(fock_basis_state(n, cutoff).amps, (len(amplitudes), 1)), np.zeros(len(amplitudes))
+    )
 
 
 def _cat(parity):
-    return lambda amplitude, cutoff, r=None: cat_state(amplitude, parity, cutoff)
+    return lambda amplitudes, cutoff, rs=None: _cat_rows(amplitudes, parity, cutoff)
 
 
-# As in _number and _cat, the builder is looked up at each call, so a replaced attribute sees it
-def _SQ1(amplitude, cutoff, r=None):
-    return squeezed_single_photon(r_opt(amplitude) if r is None else r, cutoff)
-
-
-def _SQ0(amplitude, cutoff, r=None):
-    return squeezed_vacuum(r_opt_v(amplitude) if r is None else r, cutoff)
+def _squeezed(photons, r_of):
+    return lambda amplitudes, cutoff, rs=None: _squeezed_rows(
+        [r_of(a) for a in np.asarray(amplitudes, dtype=float).tolist()] if rs is None else rs,
+        photons, cutoff,
+    )
 
 
 STATE_KINDS = {
     "vacuum": StateKind(("wigner",), _number(0), "even"),
     "single-photon": StateKind(("wigner",), _number(1), "odd"),
     "coherent": StateKind(
-        ("input", "wigner"), lambda amplitude, cutoff, r=None: coherent_state(amplitude, cutoff),
+        ("input", "wigner"), lambda amplitudes, cutoff, rs=None: _coherent_rows(amplitudes, cutoff),
         None, (1.0, 0.0),
     ),
     "odd-cat": StateKind(("input", "wigner"), _cat("odd"), "odd", (1.0, -1.0)),
     "even-cat": StateKind(("input", "wigner"), _cat("even"), "even", (1.0, 1.0)),
     "ideal-odd-cat": StateKind(("resource",), _cat("odd"), "odd", (1.0, -1.0)),
     "ideal-even-cat": StateKind(("resource",), _cat("even"), "even", (1.0, 1.0)),
-    "squeezed-single-photon": StateKind(("input", "resource"), _SQ1, "odd"),
-    "squeezed-vacuum": StateKind(("input", "resource"), _SQ0, "even"),
-    "sq1": StateKind(("wigner",), _SQ1, "odd"),
-    "sq0": StateKind(("wigner",), _SQ0, "even"),
+    "squeezed-single-photon": StateKind(("input", "resource"), _squeezed(1, r_opt), "odd"),
+    "squeezed-vacuum": StateKind(("input", "resource"), _squeezed(0, r_opt_v), "even"),
+    "sq1": StateKind(("wigner",), _squeezed(1, r_opt), "odd"),
+    "sq0": StateKind(("wigner",), _squeezed(0, r_opt_v), "even"),
 }
 
 
@@ -195,27 +188,31 @@ class QubitSuperposition:
         norm underflows) it is |1>, the odd cat's limit as alpha -> 0, up to
         a global phase.
         """
-        return _qubit(self.mu, self.nu, coherent_state(self.alpha, cutoff))
+        [amps] = _qubit(self.mu, self.nu, _coherent_rows([self.alpha], cutoff)[0])
+        return FockVector(cutoff, amps)
 
     def z_flipped(self) -> "QubitSuperposition":
         """Qubit after an ideal Z: the |-alpha> component changes sign."""
         return QubitSuperposition(self.mu, -self.nu, self.alpha)
 
 
-def _qubit(mu, nu, plus: FockVector) -> FockVector:
-    """mu|alpha> + nu|-alpha>, normalized as ``QubitSuperposition.to_fock`` describes, from |alpha>.
+def _qubit(mu, nu, plus) -> np.ndarray:
+    """mu|alpha> + nu|-alpha> of each row |alpha> of ``plus``, normalized as in ``to_fock``.
 
-    |-alpha> is |alpha> with the sign of its odd photon numbers flipped,
-    which is exactly ``coherent_state(-alpha)``.
+    ``mu`` and ``nu`` hold one coefficient for every row, or one per row.
+    |-alpha> is |alpha> with the sign of its odd photon numbers flipped. Each
+    norm is ``np.linalg.norm``'s reduction of a lone vector, one dot per part.
     """
-    minus = np.where(np.arange(plus.dim) % 2 == 0, plus.amps, -plus.amps)
-    amps = mu * plus.amps + nu * minus
-    norm = float(np.linalg.norm(amps))
-    if norm == 0.0:
-        if mu + nu == 0.0 and mu != 0.0:
-            return fock_basis_state(1, plus.cutoff)
-        raise ValueError("cannot normalize a zero vector")
-    return FockVector(plus.cutoff, amps / norm)
+    plus = np.asarray(plus, dtype=complex)
+    minus = np.where(np.arange(plus.shape[1]) % 2 == 0, plus, -plus)
+    mu, nu = np.broadcast_arrays(mu, nu, np.empty(len(plus)))[:2]
+    amps = mu[:, None] * plus + nu[:, None] * minus
+    norms = np.sqrt(sum(p[:, None] @ p[:, :, None] for p in (amps.real, amps.imag))).ravel()
+    zero = norms == 0.0
+    limit = zero & (mu + nu == 0.0) & (mu != 0.0)
+    _refuse(zero & ~limit, lambda i: ValueError("cannot normalize a zero vector"))
+    amps[limit] = np.eye(plus.shape[1])[1]
+    return amps / np.where(limit, 1.0, norms)[:, None]
 
 
 @dataclass(frozen=True)
@@ -318,11 +315,10 @@ class ProtocolSummary:
     resource), or None for a degenerate run, one with zero accepted weight.
     The summary holds no copy of the run's arguments, so a lossy run at
     eta1 = eta2 = 1 compares equal to the lossless run. It keeps the outcome
-    tables over the (n, m) counts; ``outcomes`` and ``outcome(n, m)`` build
-    their records from them when read. Behind lossless counters only the
-    accepted counts are heralded: the probabilities of the rejected ones are
-    built, from the run's factors, the first time ``outcomes``,
-    ``both_nonzero_weight`` or ``outcome`` at a rejected count reads one.
+    tables over the (n, m) counts, and ``outcomes`` and ``outcome(n, m)``
+    build their records when read. Behind lossless counters the rejected
+    counts' probabilities are built, from the run's factors, the first time
+    ``outcomes``, ``both_nonzero_weight`` or ``outcome`` reads one.
     """
 
     success_probability: float
@@ -378,14 +374,15 @@ def _bells(amps: np.ndarray, eta1=1.0) -> np.ndarray:
     """Each state of the stack ``amps`` (..., d) split 50:50 with vacuum into a Bell pair.
 
     The pairs have axes (..., near, [env,] far). ``eta1`` is one source
-    transmitivity per state, or one for all. Where any is below 1, each
-    state first meets a vacuum environment mode through ``attenuate``'s
-    gather at its own eta1; at eta1 = 1 that leaves exact zeros at env > 0.
-    Where every eta1 is 1 no environment is added. The split's second port
-    is vacuum, so it is ``attenuate``'s gather at eta = 0.5, whose new axis
-    is the far half, with the stack's leading axes riding along as modes.
+    transmitivity per state, or one for all; one state is split at each eta1
+    of an array, built once and broadcast. Where any is below 1, each state
+    first meets a vacuum environment mode through ``attenuate``'s gather at
+    its own eta1 (exact zeros at env > 0 where eta1 = 1); where every eta1 is
+    1 no environment is added. The split is ``attenuate``'s gather at eta =
+    0.5, whose new axis is the far half.
     """
-    etas = np.broadcast_to(eta1, np.shape(amps)[:-1])
+    amps, etas = np.broadcast_arrays(amps, np.expand_dims(eta1, -1))
+    etas = etas[..., 0]
     if (etas < 1.0).any():
         d = np.shape(amps)[-1]
         ks, cs = zip(*(_loss_amplitudes(d, float(eta)) for eta in etas.ravel()))
@@ -652,18 +649,15 @@ def _herald(tables, labels, detectors, parity, include_z=False, rejected=None):
     Detector loss maps every table T to M T M^T, for the whole stack of
     responses M in one batched matmul that broadcasts a shared row of
     ``detectors`` over the circuits; with no stack the tables are used as
-    they are. The fidelity of an outcome is its overlap weight divided by its
-    probability.
+    they are. An outcome's fidelity is its overlap weight over its probability.
 
-    No loop visits the outcomes, the circuits or the eta2 values. The success
+    No loop visits the outcomes, the circuits or the eta2 values: the success
     probability, the fidelity table and the average, sum(weight) /
     sum(probability) over the averaged labels, are masked reductions over the
-    stack, with the label masks cached per (d, parity). Rounding can leave a
-    value a few ulps above 1, so every probability, the success probability
-    and every fidelity are clamped at 1. Each summary builds its outcome
-    records only when they are read. Where the tables hold the accepted
-    counts alone, ``rejected[i]`` builds circuit i's probabilities at the
-    rejected counts, which its summaries call only when they read one.
+    stack, with the label masks cached per (d, parity). Every probability and
+    fidelity is clamped at 1, as rounding can leave it a few ulps above. Where
+    the tables hold the accepted counts alone, ``rejected[i]`` builds circuit
+    i's probabilities at the rejected counts when its summaries read one.
     """
     n_eta = len(detectors.etas[0])
     if detectors.responses is None:
@@ -703,12 +697,10 @@ def _herald(tables, labels, detectors, parity, include_z=False, rejected=None):
 def _heralded(left, pair, target, z_target, detectors, parity, include_z=False):
     """One list of summaries per circuit of a batch, one summary per eta2 of ``detectors``.
 
-    The circuits share a resource parity and a set of targets (see
-    ``_tables``). Lossless counters need only the accepted counts, so only
-    those are filled, and each summary builds its circuit's probabilities at
-    the rejected counts, from the same factors, when it first reads one.
-    Detector loss maps every count into the accepted ones, so lossy counters
-    fill the rejected counts too.
+    The circuits share a resource parity and a set of targets (``_tables``).
+    Lossless counters fill only the accepted counts, and each summary builds
+    its rejected ones from the same factors when it first reads one; lossy
+    counters fill every count, since detector loss mixes them.
     """
     d = pair.shape[1]
     if detectors.responses is not None:
@@ -780,59 +772,63 @@ def enumerate_outcomes(state3: MultiModeState, parity: str = "odd"):
     return list(summary.outcomes)
 
 
-def _teleports(input_specs, resource_kind, betas, eta1s, detectors, cutoff, include_z):
-    """Teleportation of each input, as given, with a resource of amplitude beta: summaries per input.
+def _z_targets(spec, alphas, cutoff):
+    """(z_targets, has_z): the Z-flipped qubit of each input, as rows, and where it is a state.
 
-    The resources are of the one kind ``resource_kind``, one amplitude of
-    ``betas`` and one source transmitivity of ``eta1s`` (or one for all) per
-    input; the caller matches the inputs' amplitudes to eta1. Each list
-    holds one summary per eta2 of the input's counters in ``detectors``.
-    The states are built input by input, then every circuit is heralded at
-    once. An input with no Z target (the even cat at alpha = 0) has no Z
-    labels, so such inputs herald in a batch of their own.
+    None for a squeezed input. At alpha = 0 with mu = nu (the even cat) it is the zero vector.
     """
-    inputs = np.stack([input_spec.to_fock(cutoff).amps for input_spec in input_specs])
-    z_targets = [_z_target(input_spec, cutoff) for input_spec in input_specs]
-    resources = [ResourceSpec(resource_kind, beta).to_fock(cutoff).amps for beta in betas]
-    pairs, parity = _bells(np.stack(resources), eta1s), resource_parity(resource_kind)
-    results = {}
-    for has_z in (False, True):
-        batch = [i for i, z in enumerate(z_targets) if (z is not None) == has_z]
-        if not batch:
-            continue
-        z_target = np.stack([z_targets[i] for i in batch]) if has_z else None
-        left = inputs[batch]
-        runs = _heralded(left, pairs[batch], left, z_target, detectors[batch], parity, include_z)
-        results.update(zip(batch, runs))
-    return [results[i] for i in range(len(inputs))]
-
-
-def _z_target(input_spec, cutoff):
-    """Amplitudes of the Z-flipped input, or None where there is no such state.
-
-    A squeezed input has no qubit decomposition. At alpha = 0 an input with
-    mu = nu (the even cat) flips to mu |0> - mu |0>, the zero vector.
-    """
-    qubit = input_spec.qubit()
+    qubit = spec.qubit()
     if qubit is None:
-        return None
+        return None, None
     flipped = qubit.z_flipped()
-    if flipped.alpha == 0.0 and flipped.mu + flipped.nu == 0.0:
-        return None
-    return flipped.to_fock(cutoff).amps
+    has_z = (np.asarray(alphas) != 0.0) | (flipped.mu + flipped.nu != 0.0)
+    return _qubit(flipped.mu, flipped.nu, _coherent_rows(alphas, cutoff)[0]), has_z
 
 
-def _swaps(phi_specs, resource_kind, betas, eta1s, detectors, cutoff):
-    """Entanglement swapping of each phi, as given, with a resource of amplitude beta: summaries per phi.
+def _batch(left, resources, kind, eta1s, detectors, targets=(None, None, None), include_z=False):
+    """One list of summaries per circuit, one per eta2 of its counters, from one heralding batch.
 
-    The resources and counters are as ``_teleports`` takes them, and every
-    circuit is heralded at once. Each phi's Bell pair is built once: it
-    enters the circuit and is the target.
+    Circuit i mixes row i of ``left`` with the Bell pair of resource row i
+    mod len(``resources``), of kind ``kind``, at its eta1 of ``eta1s`` (or one
+    for all). ``targets`` is (target, z_target, has_z) (``_z_targets``);
+    circuits with no Z target have no Z labels and herald on their own.
     """
-    phis = _bells(np.stack([phi_spec.to_fock(cutoff).amps for phi_spec in phi_specs]))
-    resources = [ResourceSpec(resource_kind, beta).to_fock(cutoff).amps for beta in betas]
-    pairs = _bells(np.stack(resources), eta1s)
-    return _heralded(phis, pairs, phis, None, detectors, resource_parity(resource_kind))
+    pairs = _bells(resources, eta1s)
+    if len(pairs) < len(left):  # a row per beta, shared by several left factors
+        pairs = np.concatenate([pairs] * (len(left) // len(pairs)))
+    target, z_target, has_z = targets
+    has_z = np.zeros(len(left), bool) if has_z is None else has_z
+    parity, runs = resource_parity(kind), {}
+    for batch in (np.flatnonzero(~has_z), np.flatnonzero(has_z)):
+        if batch.size:
+            rows = slice(None) if batch.size == len(left) else batch  # a view, not a copy
+            t = None if target is None else target[rows]
+            z = z_target[rows] if has_z[batch[0]] else None
+            lists = _heralded(left[rows], pairs[rows], t, z, detectors[batch], parity, include_z)
+            runs.update(zip(batch.tolist(), lists))
+    return [runs[i] for i in range(len(left))]
+
+
+def _runs(protocol, spec, alphas, resource_kind, betas, eta1s, detectors, cutoff, include_z=False):
+    """Summaries per input of ``spec``'s family at each amplitude of ``alphas``, one per eta2.
+
+    'teleport' teleports each input; 'entswap' swaps each phi, whose Bell pair
+    enters the circuit and is the target. Only the kind, mu and nu of ``spec``
+    are read. The resources, of kind ``resource_kind``, are at one amplitude
+    of ``betas`` per input or one for all. Each is one batched build.
+    """
+    if spec.kind == "superposition":
+        qubit = spec.qubit()
+        inputs = _qubit(qubit.mu, qubit.nu, _coherent_rows(alphas, cutoff)[0])
+    else:
+        inputs = _state_kind(spec.kind, "input").rows(alphas, cutoff)[0]
+    if protocol == "teleport":
+        targets = (inputs, *_z_targets(spec, alphas, cutoff))
+    else:
+        inputs = _bells(inputs)
+        targets = (inputs, None, None)
+    resources = _state_kind(resource_kind, "resource").rows(betas, cutoff)[0]
+    return _batch(inputs, resources, resource_kind, eta1s, detectors, targets, include_z)
 
 
 def _betas(beta_grid) -> list:
@@ -857,9 +853,9 @@ def run_teleportation(
     average as a diagnostic. This is the one-circuit case of
     ``teleportation_sweep``'s batch.
     """
-    [[summary]] = _teleports(
-        [input_spec], resource_spec.kind, [resource_spec.beta], 1.0, _LOSSLESS, cutoff,
-        include_z_outcomes,
+    [[summary]] = _runs(
+        "teleport", input_spec, [input_spec.alpha], resource_spec.kind, [resource_spec.beta], 1.0,
+        _LOSSLESS, cutoff, include_z_outcomes,
     )
     return summary
 
@@ -872,15 +868,15 @@ def teleportation_sweep(
 ) -> list:
     """``run_teleportation`` over a beta grid, every beta heralded in one batch.
 
-    At each beta the input of kind ``input_kind`` has amplitude
-    alpha = beta / sqrt(2) and the resource of kind ``resource_kind`` has
-    amplitude beta. The average fidelity covers the no-Z outcomes, as
-    ``run_teleportation``'s does by default. Returns one ProtocolSummary per
-    beta, each equal, bit for bit, to the run of its beta alone.
+    At each beta the input of kind ``input_kind`` has amplitude alpha = beta /
+    sqrt(2), the resource of kind ``resource_kind`` amplitude beta, and the
+    average covers the no-Z outcomes. Returns one ProtocolSummary per beta,
+    each equal, bit for bit, to the run of its beta alone.
     """
     betas = _betas(beta_grid)
-    inputs = [InputSpec(input_kind, beta / math.sqrt(2.0)) for beta in betas]
-    runs = _teleports(inputs, resource_kind, betas, 1.0, _LOSSLESS, cutoff, False)
+    alphas = np.array(betas, dtype=float) / math.sqrt(2.0)
+    family = InputSpec(input_kind, None)
+    runs = _runs("teleport", family, alphas, resource_kind, betas, 1.0, _LOSSLESS, cutoff)
     return [summary for [summary] in runs]
 
 
@@ -912,34 +908,27 @@ def success_probability_sweep(
     Input families are (mu, nu) superpositions at alpha = beta / sqrt(2);
     defaults to the four standard families in INPUT_FAMILIES. Returns rows
     of (beta, family_name, resource_kind, p_success), each the
-    ``success_probability`` of ``run_teleportation``. At each beta one
-    coherent state |alpha> is built, and every family from it and its sign
-    flip |-alpha>; each resource's Bell pair is built once per beta for
-    every family. The outcomes are heralded with no target, as no fidelity
-    is read, in one batch per resource kind over every beta and family.
+    ``success_probability`` of ``run_teleportation``. One coherent batch
+    |alpha> gives every family, and each resource kind is one batched build
+    and one heralding batch over every beta and family, with no target.
     """
     betas = _betas(beta_grid)
     families = dict(INPUT_FAMILIES if input_families is None else input_families)
-    qubits, resources = [], []
-    for beta in betas:
-        specs = [ResourceSpec(kind, beta) for kind in resource_kinds]
-        resources.append([spec.to_fock(cutoff).amps for spec in specs])
-        if families:
-            plus = coherent_state(beta / math.sqrt(2.0), cutoff)
-            qubits.extend(_qubit(mu, nu, plus).amps for mu, nu in families.values())
+    resources = [_state_kind(kind, "resource").rows(betas, cutoff)[0] for kind in resource_kinds]
     if not families:
         return []
-    left = np.stack(qubits)
-    p_success = []
-    for kind, states in zip(resource_kinds, zip(*resources)):
-        pairs = np.repeat(_bells(np.stack(states)), len(families), axis=0)
-        runs = _heralded(left, pairs, None, None, _LOSSLESS, resource_parity(kind))
-        p_success.append([summary.success_probability for [summary] in runs])
-    names = list(families)
+    # family-major rows: row j * len(betas) + i is family j at beta i
+    mus, nus = np.array(list(families.values())).T
+    plus, _ = _coherent_rows(np.array(betas, dtype=float) / math.sqrt(2.0), cutoff)
+    left = _qubit(mus.repeat(len(betas)), nus.repeat(len(betas)), np.tile(plus, (len(mus), 1)))
+    p_success = [
+        [summary.success_probability for [summary] in _batch(left, rows, kind, 1.0, _LOSSLESS)]
+        for kind, rows in zip(resource_kinds, resources)
+    ]
     return [
-        (float(beta), name, kind, p[i * len(names) + j])
+        (float(beta), name, kind, p[j * len(betas) + i])
         for i, beta in enumerate(betas)
-        for j, name in enumerate(names)
+        for j, name in enumerate(families)
         for kind, p in zip(resource_kinds, p_success)
     ]
 
@@ -959,8 +948,9 @@ def run_entanglement_swap(
     modes matched by position. Z-type outcomes carry no fidelity. This is
     the one-circuit case of ``entanglement_swap_sweep``'s batch.
     """
-    [[summary]] = _swaps(
-        [phi_spec], resource_spec.kind, [resource_spec.beta], 1.0, _LOSSLESS, cutoff
+    [[summary]] = _runs(
+        "entswap", phi_spec, [phi_spec.alpha], resource_spec.kind, [resource_spec.beta], 1.0,
+        _LOSSLESS, cutoff,
     )
     return summary
 
@@ -978,5 +968,6 @@ def entanglement_swap_sweep(
     per beta, each equal, bit for bit, to the run of its beta alone.
     """
     betas = _betas(beta_grid)
-    phis = [InputSpec(phi_kind, beta) for beta in betas]
-    return [summary for [summary] in _swaps(phis, resource_kind, betas, 1.0, _LOSSLESS, cutoff)]
+    family = InputSpec(phi_kind, None)
+    runs = _runs("entswap", family, betas, resource_kind, betas, 1.0, _LOSSLESS, cutoff)
+    return [summary for [summary] in runs]

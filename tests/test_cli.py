@@ -157,6 +157,12 @@ class TestBadInput:
             ["wigner", "--state", "sq1", "--r", "800"],
             ["wigner", "--state", "sq0", "--r", "800"],
             ["wigner", "--state", "sq1", "--r", "400"],
+            # the squeezed vacuum at r_opt_v(1e200) keeps about 1e-199 of its weight
+            [
+                "teleport", "--input", "squeezed-vacuum", "--resource", "squeezed-vacuum",
+                "--beta", "1e200:1e200:1",
+            ],
+            ["wigner", "--state", "sq0", "--beta", "1e200"],
         ],
     )
     def test_unrepresentable_state(self, capsys, argv):

@@ -35,8 +35,7 @@ from cskit.protocols import (
     ResourceSpec,
     _bells,
     _detectors,
-    _swaps,
-    _teleports,
+    _runs,
     apply_correction,
     classify_outcome,
     run_entanglement_swap,
@@ -287,9 +286,9 @@ def _row(protocol, input_kind, resource_kind, amplitude, eta1, eta2s, cutoff, in
     spec = InputSpec(input_kind, amplitude).at_alpha(math.sqrt(eta1) * amplitude)
     if protocol == "teleport":
         resource = ResourceSpec(resource_kind, math.sqrt(2.0) * amplitude)
-        [row] = _teleports(
-            [spec], resource.kind, [resource.beta], [eta1], _detectors(eta2s, cutoff), cutoff,
-            include_z,
+        [row] = _runs(
+            "teleport", spec, [spec.alpha], resource.kind, [resource.beta], [eta1],
+            _detectors(eta2s, cutoff), cutoff, include_z,
         )
 
         def single(eta2):
@@ -301,8 +300,9 @@ def _row(protocol, input_kind, resource_kind, amplitude, eta1, eta2s, cutoff, in
         left = spec.to_fock(cutoff).amps
     else:
         resource = ResourceSpec(resource_kind, amplitude)
-        [row] = _swaps(
-            [spec], resource.kind, [resource.beta], [eta1], _detectors(eta2s, cutoff), cutoff
+        [row] = _runs(
+            "entswap", spec, [spec.alpha], resource.kind, [resource.beta], [eta1],
+            _detectors(eta2s, cutoff), cutoff,
         )
 
         def single(eta2):

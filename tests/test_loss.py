@@ -334,7 +334,7 @@ class TestSweeps:
         def no_run(*args):
             raise AssertionError("a circuit ran before the grid was checked")
 
-        monkeypatch.setattr(loss, "_teleports", no_run)
+        monkeypatch.setattr(loss, "_runs", no_run)
         with pytest.raises(ValueError):
             loss_contour_sweep(
                 "teleport", InputSpec("coherent", 0.3),

@@ -1,0 +1,187 @@
+"""Every row of a batched state build is the bits of its own one-row build.
+
+Each kind of STATE_KINDS builds a batch of states as one (b, d) array
+(``StateKind.rows``), and its public one-row build (``StateKind.build``, the
+builders of ``cskit.catstates`` and ``cskit.fock``) is that batch's one-row
+case. The qubit families of INPUT_FAMILIES are built the same way, from one
+batch of coherent rows. A batch that holds one refused amplitude raises what
+that amplitude's own build raises, and no build warns.
+"""
+
+import math
+import warnings
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cskit import fock, protocols
+from cskit.catstates import cat_state, r_opt, r_opt_v, squeezed_single_photon, squeezed_vacuum
+from cskit.fock import coherent_state, fock_basis_state
+from cskit.protocols import INPUT_FAMILIES, STATE_KINDS, QubitSuperposition
+
+CUTOFFS = (1, 2, 5, 15, 30, 200)
+SQUEEZED = ("squeezed-single-photon", "squeezed-vacuum", "sq1", "sq0")
+
+
+def _odd(amplitude, cutoff):
+    return cat_state(amplitude, "odd", cutoff)
+
+
+def _even(amplitude, cutoff):
+    return cat_state(amplitude, "even", cutoff)
+
+
+def _sq1(amplitude, cutoff):
+    return squeezed_single_photon(r_opt(amplitude), cutoff)
+
+
+def _sq0(amplitude, cutoff):
+    return squeezed_vacuum(r_opt_v(amplitude), cutoff)
+
+
+# The public one-row build of each kind, at an amplitude and a cutoff.
+PUBLIC = {
+    "vacuum": lambda amplitude, cutoff: fock_basis_state(0, cutoff),
+    "single-photon": lambda amplitude, cutoff: fock_basis_state(1, cutoff),
+    "coherent": coherent_state,
+    "odd-cat": _odd,
+    "even-cat": _even,
+    "ideal-odd-cat": _odd,
+    "ideal-even-cat": _even,
+    "squeezed-single-photon": _sq1,
+    "squeezed-vacuum": _sq0,
+    "sq1": _sq1,
+    "sq0": _sq0,
+}
+
+
+def _amplitudes(cutoff):
+    """0, subnormals, the beta^2 = cutoff/3 edge and its neighbours, inside values, refused ones.
+
+    The boundary values are refused by the coherent and cat kinds on one side only.
+    """
+    edge = math.sqrt(cutoff / 3)
+    special = st.sampled_from(
+        [0.0, 5e-324, 1e-160, edge, math.nextafter(edge, 0.0), math.nextafter(edge, math.inf)]
+    )
+    refused = st.sampled_from([-0.5, 1e200, 2 * edge + 1, 40.0])
+    inside = st.floats(0.0, edge)
+    return st.one_of(special, inside, inside, refused)
+
+
+def _squeezings():
+    return st.one_of(
+        st.sampled_from([0.0, 5e-324, 240.0, 710.0, math.inf, -0.1, 30.0]), st.floats(0.0, 3.0)
+    )
+
+
+def _quietly(build, *args):
+    """What ``build(*args)`` returns, or the ValueError it raises; a RuntimeWarning fails."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = build(*args)
+        except ValueError as exc:
+            result = exc
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], caught
+    return result
+
+
+def _same(a, b):
+    """The same FockVector bits, or the same error."""
+    if isinstance(a, ValueError) or isinstance(b, ValueError):
+        return (type(a), str(a)) == (type(b), str(b))
+    return a.amps.tobytes() == b.amps.tobytes() and a.leakage == b.leakage
+
+
+def _check_batch(batched, one_rows, values):
+    """Every accepted value's row of ``batched`` is its one-row FockVector, bit for bit.
+
+    Each builder of ``one_rows`` is a one-row build, and they agree. A batch
+    of the accepted values with one refused value put in at each position
+    raises what the refused value's one-row build raises.
+    """
+    singles = [_quietly(one_rows[0], value) for value in values]
+    for one_row in one_rows[1:]:
+        assert all(_same(_quietly(one_row, v), single) for v, single in zip(values, singles))
+    accepted = [v for v, single in zip(values, singles) if not isinstance(single, ValueError)]
+    if accepted:
+        amps, leakage = _quietly(batched, accepted)
+        rows = [single for single in singles if not isinstance(single, ValueError)]
+        assert amps.shape == (len(rows), rows[0].dim)
+        for row, single, leak in zip(amps, rows, leakage):
+            assert np.asarray(row, dtype=complex).tobytes() == single.amps.tobytes()
+            assert float(leak) == single.leakage
+    for value, single in zip(values, singles):
+        if not isinstance(single, ValueError):
+            continue
+        for at in range(len(accepted) + 1):
+            raised = _quietly(batched, accepted[:at] + [value] + accepted[at:])
+            assert isinstance(raised, ValueError)
+            assert (type(raised), str(raised)) == (type(single), str(single))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(list(STATE_KINDS)),
+    values=st.sampled_from(CUTOFFS).flatmap(
+        lambda cutoff: st.tuples(st.just(cutoff), st.lists(_amplitudes(cutoff), max_size=4))
+    ),
+)
+def test_kind_rows_are_their_one_row_builds(kind, values):
+    cutoff, amplitudes = values
+    rows = STATE_KINDS[kind].rows
+    _check_batch(
+        lambda batch: rows(batch, cutoff),
+        [
+            lambda amplitude: PUBLIC[kind](amplitude, cutoff),
+            lambda amplitude: STATE_KINDS[kind].build(amplitude, cutoff),
+        ],
+        amplitudes,
+    )
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(SQUEEZED),
+    cutoff=st.sampled_from(CUTOFFS),
+    rs=st.lists(_squeezings(), max_size=4),
+)
+def test_squeezed_rows_at_given_squeezings(kind, cutoff, rs):
+    rows = STATE_KINDS[kind].rows
+    odd = kind in ("squeezed-single-photon", "sq1")
+    public = squeezed_single_photon if odd else squeezed_vacuum
+    _check_batch(
+        lambda batch: rows([1.0] * len(batch), cutoff, batch),
+        [lambda r: public(r, cutoff), lambda r: STATE_KINDS[kind].build(1.0, cutoff, r)],
+        rs,
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    family=st.sampled_from(list(INPUT_FAMILIES)),
+    values=st.sampled_from(CUTOFFS).flatmap(
+        lambda cutoff: st.tuples(st.just(cutoff), st.lists(_amplitudes(cutoff), max_size=4))
+    ),
+)
+def test_qubit_family_rows_are_their_one_row_builds(family, values):
+    cutoff, alphas = values
+    mu, nu = INPUT_FAMILIES[family]
+
+    def batched(batch):
+        amps = protocols._qubit(mu, nu, fock._coherent_rows(batch, cutoff)[0])
+        return amps, np.zeros(len(amps))  # a qubit's FockVector reports no leakage
+
+    def lone(alpha):
+        """mu|alpha> + nu|-alpha> over the 1-D ``np.linalg.norm``, as a lone vector is normalized."""
+        plus = coherent_state(alpha, cutoff).amps
+        amps = mu * plus + nu * np.where(np.arange(cutoff + 1) % 2 == 0, plus, -plus)
+        norm = float(np.linalg.norm(amps))
+        return QubitSuperposition(mu, nu, alpha).to_fock(cutoff) if norm == 0.0 else (
+            fock.FockVector(cutoff, amps / norm)
+        )
+
+    one_row = [lambda alpha: QubitSuperposition(mu, nu, alpha).to_fock(cutoff), lone]
+    _check_batch(batched, one_row, alphas)

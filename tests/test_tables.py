@@ -29,7 +29,7 @@ from cskit.protocols import (
     _heralded,
     _rejected_counts,
     _tables,
-    _z_target,
+    _z_targets,
     entanglement_swap_sweep,
     resource_parity,
     run_entanglement_swap,
@@ -53,7 +53,8 @@ def _factors(protocol, input_kind, resource_kind, amplitude, cutoff, eta1):
     try:
         resource = ResourceSpec(resource_kind, beta).to_fock(cutoff)
         state = spec.to_fock(cutoff)
-        z_target = _z_target(spec, cutoff)
+        z_targets, has_z = _z_targets(spec, [amplitude], cutoff)
+        z_target = None if z_targets is None or not has_z[0] else z_targets[0]
     except ValueError:  # too large for the cutoff, or a squeezed vacuum at cutoff 1
         return None
     pair = _bells(resource.amps, eta1)
