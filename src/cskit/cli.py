@@ -4,13 +4,14 @@ One subcommand per figure-class result: approximation fidelities, success
 probabilities, teleportation and entanglement-swapping fidelity sweeps, loss
 contours, and Wigner grids. Every output starts with a '#'-prefixed header
 echoing the resolved configuration; identical headers produce byte-identical
-data rows. Rows are computed fully before anything is written, so a failing
-sweep writes nothing.
+data rows. Rows are computed fully, one batch of the engine at a time,
+before anything is written, so a failing sweep writes nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
@@ -22,10 +23,13 @@ from . import __version__
 from .catstates import approximation_fidelity_sweep
 from .loss import LOSS_CUTOFFS, loss_contour_sweep, loss_diagonal_sweep
 from .protocols import (
+    INPUT_FAMILIES,
     RESOURCE_KINDS,
     STATE_KINDS,
     InputSpec,
     ResourceSpec,
+    _batches,
+    _circuit_bytes,
     entanglement_swap_sweep,
     state_kinds,
     success_probability_sweep,
@@ -35,12 +39,6 @@ from .wigner import PhaseGrid, wigner_grid
 
 # Larger grids are refused rather than left to exhaust memory.
 MAX_GRID_POINTS = 10**6
-
-# At most this many cells, one per beta or per (eta1, eta2), go into one
-# sweep call of a gridded subcommand, so a long grid needs the memory of one
-# chunk. The default beta grids, of at most 30 points, fit in one chunk; a
-# loss contour's chunk holds CHUNK_POINTS // len(eta grid) rows, at least one.
-CHUNK_POINTS = 64
 
 
 class UsageError(Exception):
@@ -148,32 +146,29 @@ def _jobs(args) -> int:
 
 
 def _pmap(fn, items, jobs):
-    items = list(items)
     if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
     with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
         return list(pool.map(fn, items))
 
 
-def _lines(rows_of, chunk) -> list:
-    """The CSV lines of ``rows_of(chunk)``; module-level, so that a process pool can pickle it."""
-    return _csv_lines(rows_of(chunk))
+def _lines(rows_of, batch) -> list:
+    """The CSV lines of ``rows_of(batch)``; module-level, so that a process pool can pickle it."""
+    return _csv_lines(rows_of(batch))
 
 
-def _chunked_lines(rows_of, grid, args, cells=1) -> list:
-    """CSV lines of ``rows_of`` over the grid in contiguous chunks, joined in grid order.
+def _batched_lines(lines_of, grid, args, cutoff, swap, lossy, n_eta2=1, circuits=1) -> list:
+    """The CSV lines ``lines_of`` gives over the grid in contiguous batches, joined in grid order.
 
-    Each point of the grid is ``cells`` cells of the sweep. A chunk holds at
-    most CHUNK_POINTS cells, or one point where a point has more, and there
-    is at least one chunk per job where the grid allows. Each chunk is swept
-    and turned into lines where it runs, so no sweep result outlives its
-    chunk or crosses the pool. A point's rows do not depend on its chunk, so
-    they are the same bytes for any --jobs.
+    A point of the grid is ``circuits`` circuits of ``protocols._circuit_bytes``
+    each, and the engine's rule (``protocols._batches``) cuts at least one
+    batch per job. Each batch is swept and turned into lines where it runs, so
+    no sweep result outlives it; a point's rows do not depend on its batch.
     """
     jobs = _jobs(args)
-    size = min(max(1, CHUNK_POINTS // cells), -(-len(grid) // jobs))
-    chunks = [grid[i : i + size] for i in range(0, len(grid), size)]
-    return [line for lines in _pmap(partial(_lines, rows_of), chunks, jobs) for line in lines]
+    point_bytes = circuits * _circuit_bytes(cutoff, swap, lossy, n_eta2)
+    batches = [grid[piece] for piece in _batches(len(grid), point_bytes, jobs)]
+    return [line for lines in _pmap(lines_of, batches, jobs) for line in lines]
 
 
 def _fidelity_rows(betas, summaries) -> list:
@@ -200,13 +195,16 @@ def _entswap_rows(phi_kind, resource_kind, cutoff, betas) -> list:
     return _fidelity_rows(betas, entanglement_swap_sweep(betas, phi_kind, resource_kind, cutoff))
 
 
-def _loss_rows(protocol, input_spec, resource_spec, amplitude, cutoff, eta2s, eta1s) -> list:
-    """(eta1, eta2, fidelity) over eta1s x eta2s, or the eta1 = eta2 slice when eta2s is None."""
+def _loss_lines(protocol, input_spec, resource_spec, amplitude, cutoff, eta2s, eta1s) -> list:
+    """CSV lines of (eta1, eta2, fidelity) over eta1s x eta2s, or the eta1 = eta2 slice when
+    eta2s is None; each eta formatted once, the same bytes as ``_csv_lines`` of the rows."""
     sweep_args = (protocol, input_spec, resource_spec, amplitude)
     if eta2s is None:
         cells = loss_diagonal_sweep(*sweep_args, eta1s, cutoff)
-        return [(eta, eta, fidelity) for eta, fidelity in cells]
-    return loss_contour_sweep(*sweep_args, eta1s, eta2s, cutoff)
+        return [2 * (repr(eta) + ",") + _fmt(fidelity) for eta, fidelity in cells]
+    rows = loss_contour_sweep(*sweep_args, eta1s, eta2s, cutoff)
+    cells = itertools.product(*([repr(eta) + "," for eta in etas] for etas in (eta1s, eta2s)))
+    return [eta1 + eta2 + _fmt(fidelity) for (eta1, eta2), (_, _, fidelity) in zip(cells, rows)]
 
 
 def _cmd_approx(args):
@@ -223,7 +221,8 @@ def _cmd_success_prob(args):
     grid = _parse_grid(args.beta)
     kinds = tuple(args.resource)
     rows_of = partial(success_probability_sweep, resource_kinds=kinds, cutoff=args.cutoff)
-    lines = _chunked_lines(rows_of, grid, args)
+    lines_of, circuits = partial(_lines, rows_of), len(INPUT_FAMILIES)
+    lines = _batched_lines(lines_of, grid, args, args.cutoff, False, False, circuits=circuits)
     extra = [
         ("resource", " ".join(kinds)),
         ("beta-grid", args.beta),
@@ -249,7 +248,7 @@ def _cmd_teleport(args):
         ("cutoff", args.cutoff),
     ]
     rows_of = partial(_teleport_rows, args.input, args.resource, args.cutoff, m_max)
-    lines = _chunked_lines(rows_of, grid, args)
+    lines = _batched_lines(partial(_lines, rows_of), grid, args, args.cutoff, False, False)
     if args.per_outcome:
         extra.append(("m-max", m_max))
         columns = ["beta", "m", "fidelity"]
@@ -260,7 +259,8 @@ def _cmd_teleport(args):
 
 def _cmd_entswap(args):
     grid = _parse_grid(args.beta)
-    lines = _chunked_lines(partial(_entswap_rows, args.phi, args.resource, args.cutoff), grid, args)
+    rows_of = partial(_entswap_rows, args.phi, args.resource, args.cutoff)
+    lines = _batched_lines(partial(_lines, rows_of), grid, args, args.cutoff, True, False)
     extra = [
         ("phi", args.phi),
         ("resource", args.resource),
@@ -281,16 +281,10 @@ def _cmd_loss(args):
     cutoff = LOSS_CUTOFFS[args.protocol] if args.cutoff is None else args.cutoff
     amplitude = args.amplitude
     resource_beta = math.sqrt(2.0) * amplitude if args.protocol == "teleport" else amplitude
-    rows_of = partial(
-        _loss_rows,
-        args.protocol,
-        InputSpec(args.input, amplitude),
-        ResourceSpec(args.resource, resource_beta),
-        amplitude,
-        cutoff,
-        None if args.diagonal else grid,
-    )
-    lines = _chunked_lines(rows_of, grid, args, cells)
+    specs = (InputSpec(args.input, amplitude), ResourceSpec(args.resource, resource_beta))
+    eta2s = None if args.diagonal else grid
+    lines_of = partial(_loss_lines, args.protocol, *specs, amplitude, cutoff, eta2s)
+    lines = _batched_lines(lines_of, grid, args, cutoff, args.protocol == "entswap", True, cells)
     extra = [
         ("protocol", args.protocol),
         ("input", args.input),

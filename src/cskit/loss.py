@@ -14,12 +14,12 @@ built, so a lossy run costs O(d^4) time and O(d^3) memory, as in
 
 Inputs are matched to the lossy resource: a nominal amplitude alpha becomes
 sqrt(eta1) * alpha. Every eta1 of a sweep is one circuit of the engine's
-batch, and ``_rows`` runs it for both runners and both sweeps. A contour's
-circuits share one stack of eta2 responses, built once per grid; a
-diagonal's circuit i sees eta_i alone. ``conditional_output_density`` keeps
-every loss as a mode and reduces by a partial trace, as an independent
-cross-check. Every entry point that takes a cutoff defaults it from
-LOSS_CUTOFFS.
+batches (``protocols._batches``), and ``_rows`` runs them for both runners
+and both sweeps. A contour's circuits share one stack of eta2 responses,
+built once per grid; a diagonal's circuit i sees eta_i alone.
+``conditional_output_density`` keeps every loss as a mode and reduces by a
+partial trace, as an independent cross-check. Every entry point that takes a
+cutoff defaults it from LOSS_CUTOFFS.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ def _loss_cutoff(protocol, cutoff):
 def _rows(
     protocol, input_spec, resource_spec, amplitude, cutoff, eta1s, detectors, include_z=False
 ):
-    """One list of summaries per eta1 of ``eta1s``, one per eta2 of its counters, from one batch.
+    """One list of summaries per eta1 of ``eta1s``, one per eta2 of its counters.
 
     ``amplitude`` is the nominal qubit amplitude alpha for 'teleport' or the
     Bell amplitude beta for 'entswap'. The inputs, or phis, are one batched
@@ -182,9 +182,9 @@ def loss_contour_sweep(
     the Bell amplitude beta for entanglement swapping. Grids default to
     0.05 steps over [0, 1]; cutoff defaults to LOSS_CUTOFFS[protocol].
     Returns rows of (eta1, eta2, fidelity); fidelity is None for degenerate
-    cells. Every eta1 is one circuit of one batch, and detector loss maps
-    one stack of eta2 responses, built once for the sweep, onto every
-    circuit. Every eta is checked before any circuit runs.
+    cells. Every eta1 is one circuit of the engine's batches, and detector
+    loss maps one stack of eta2 responses, built once for the sweep, onto
+    every circuit. Every eta is checked before any circuit runs.
     """
     cutoff = _loss_cutoff(protocol, cutoff)
     eta1_grid = _ETA_GRID if eta1_grid is None else eta1_grid
@@ -209,7 +209,7 @@ def loss_diagonal_sweep(
 ):
     """The eta1 = eta2 slice of the loss contour: rows of (eta, fidelity).
 
-    Every eta is one circuit of one batch, behind counters at that eta alone.
+    Every eta is one circuit of the engine's batches, behind counters at that eta alone.
     """
     cutoff = _loss_cutoff(protocol, cutoff)
     eta_grid = _ETA_GRID if eta_grid is None else eta_grid

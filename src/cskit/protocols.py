@@ -27,20 +27,21 @@ needs only the two factors' Gram matrices. Source loss (see ``cskit.loss``)
 adds an environment mode that the resource's Gram matrix sums over.
 
 The engine runs a batch of circuits along a leading axis, one per beta of a
-grid or per eta1 of a loss sweep, from the states to the summaries. Each kind
-of ``STATE_KINDS`` builds all the states of a batch as one (b, d) array
-(``StateKind.rows``); ``_runs`` builds a batch's inputs, Z targets and
-resources so, and ``_batch`` heralds it. Lossless counters need only the
-edge counts (0, s) and (s, 0), in O(d^3) per circuit; detector loss mixes
-every count into the accepted ones, so lossy counters fill every count, in
-O(d^4), and one batched matmul maps the tables through a stack of eta2
-responses. A summary builds its outcome records, and behind lossless
-counters its rejected counts' probabilities, only when read. Every build and
-contraction is per row, so a circuit's result is the same bits in any batch:
-``run_teleportation`` and ``run_entanglement_swap`` are the one-circuit case
-of the sweeps. A lossless run is the eta1 = eta2 = 1 case of the engine, and
-a summary holds nothing of its arguments, so there the lossy runners of
-``cskit.loss`` return a summary equal to the lossless one.
+grid or per eta1 of a loss sweep, from the states to the summaries, in
+batches of at most BATCH_BYTES (``_batches``). Each kind of ``STATE_KINDS``
+builds all the states of a batch as one (b, d) array (``StateKind.rows``);
+``_runs`` builds a sweep's inputs, Z targets and resources so, and ``_batch``
+heralds them. Lossless counters need only the edge counts (0, s) and (s, 0),
+in O(d^3) per circuit; detector loss mixes every count into the accepted
+ones, so lossy counters fill every count, in O(d^4), and one batched matmul
+maps the tables through a stack of eta2 responses. A summary builds its
+outcome records, and behind lossless counters its rejected counts'
+probabilities, only when read. Every build and contraction is per row, so a
+circuit's result is the same bits in any batch: ``run_teleportation`` and
+``run_entanglement_swap`` are the one-circuit case of the sweeps. A lossless
+run is the eta1 = eta2 = 1 case of the engine, and a summary holds nothing of
+its arguments, so there the lossy runners of ``cskit.loss`` return a summary
+equal to the lossless one.
 """
 
 from __future__ import annotations
@@ -188,21 +189,23 @@ class QubitSuperposition:
         norm underflows) it is |1>, the odd cat's limit as alpha -> 0, up to
         a global phase.
         """
-        [amps] = _qubit(self.mu, self.nu, _coherent_rows([self.alpha], cutoff)[0])
-        return FockVector(cutoff, amps)
+        return _one_row(_qubit(self.mu, self.nu, [self.alpha], cutoff))
 
     def z_flipped(self) -> "QubitSuperposition":
         """Qubit after an ideal Z: the |-alpha> component changes sign."""
         return QubitSuperposition(self.mu, -self.nu, self.alpha)
 
 
-def _qubit(mu, nu, plus) -> np.ndarray:
-    """mu|alpha> + nu|-alpha> of each row |alpha> of ``plus``, normalized as in ``to_fock``.
+def _qubit(mu, nu, alphas, cutoff):
+    """(amps, leakage) of mu|alpha> + nu|-alpha> at each alpha of ``alphas``, as in ``to_fock``.
 
     ``mu`` and ``nu`` hold one coefficient for every row, or one per row.
     |-alpha> is |alpha> with the sign of its odd photon numbers flipped. Each
     norm is ``np.linalg.norm``'s reduction of a lone vector, one dot per part.
+    The leakage is the weight the cutoff loses from the exact norm |mu + nu|^2
+    + 2 Re(mu* nu) (exp(-2 |alpha|^2) - 1), 0 in the |1> limit.
     """
+    plus, plus_leakage = _coherent_rows(alphas, cutoff)
     plus = np.asarray(plus, dtype=complex)
     minus = np.where(np.arange(plus.shape[1]) % 2 == 0, plus, -plus)
     mu, nu = np.broadcast_arrays(mu, nu, np.empty(len(plus)))[:2]
@@ -211,8 +214,10 @@ def _qubit(mu, nu, plus) -> np.ndarray:
     zero = norms == 0.0
     limit = zero & (mu + nu == 0.0) & (mu != 0.0)
     _refuse(zero & ~limit, lambda i: ValueError("cannot normalize a zero vector"))
+    exact = np.abs(mu + nu) ** 2 + 2 * (mu.conj() * nu).real * np.expm1(-2 * np.abs(alphas) ** 2)
+    leakage = np.maximum(0.0, 1.0 - norms**2 * (1.0 - plus_leakage) / np.where(limit, 1.0, exact))
     amps[limit] = np.eye(plus.shape[1])[1]
-    return amps / np.where(limit, 1.0, norms)[:, None]
+    return amps / np.where(limit, 1.0, norms)[:, None], np.where(limit, 0.0, leakage)
 
 
 @dataclass(frozen=True)
@@ -417,7 +422,7 @@ def _detectors(etas, cutoff: int) -> _Detectors:
     """Counters over counts 0..cutoff at each eta2 of ``etas``, one row that every circuit shares.
 
     Every eta2 is checked as LossConfig checks it before any response is
-    built. The last stack is kept, so the chunks of one grid build it once.
+    built. The last stack is kept, so the batches of one grid build it once.
     """
     return _detector_row(tuple(LossConfig(eta2=float(eta)).eta2 for eta in etas), cutoff)
 
@@ -782,30 +787,63 @@ def _z_targets(spec, alphas, cutoff):
         return None, None
     flipped = qubit.z_flipped()
     has_z = (np.asarray(alphas) != 0.0) | (flipped.mu + flipped.nu != 0.0)
-    return _qubit(flipped.mu, flipped.nu, _coherent_rows(alphas, cutoff)[0]), has_z
+    return _qubit(flipped.mu, flipped.nu, alphas, cutoff)[0], has_z
+
+
+# A batch of circuits holds at most this many bytes, as ``_circuit_bytes``
+# estimates them, or one circuit; every default grid of the CLI is one batch.
+BATCH_BYTES = 4_500_000
+
+
+def _circuit_bytes(cutoff: int, swap: bool, lossy: bool, n_eta2: int = 1) -> int:
+    """The bytes one circuit adds to its batch's allocation peak, summaries included.
+
+    A fit to tracemalloc peaks over cutoffs 3 to 30: a summary and its tables
+    per eta2, plus the swapper's Gram kernel, or every count behind lossy counters.
+    """
+    d = cutoff + 1
+    summaries = n_eta2 * (64 * d * d + 320)
+    if lossy:
+        return max((225 if swap else 100) * d**3, summaries)
+    return (4 * (2 * d - 1) + 165 if swap else 56) * d * d + summaries
+
+
+def _batches(count: int, circuit_bytes: int, pieces: int = 1) -> list:
+    """Contiguous slices of ``count`` circuits within BATCH_BYTES, or of one; ``pieces`` or more."""
+    size = max(1, min(BATCH_BYTES // circuit_bytes, -(-count // pieces)))
+    return [slice(start, min(start + size, count)) for start in range(0, count, size)]
 
 
 def _batch(left, resources, kind, eta1s, detectors, targets=(None, None, None), include_z=False):
-    """One list of summaries per circuit, one per eta2 of its counters, from one heralding batch.
+    """One list of summaries per circuit, one per eta2 of its counters, batch by batch.
 
     Circuit i mixes row i of ``left`` with the Bell pair of resource row i
     mod len(``resources``), of kind ``kind``, at its eta1 of ``eta1s`` (or one
-    for all). ``targets`` is (target, z_target, has_z) (``_z_targets``);
-    circuits with no Z target have no Z labels and herald on their own.
+    for all). ``targets`` is (target, z_target, has_z) (``_z_targets``). Each
+    batch builds its Bell pairs; its circuits with no Z target herald apart.
     """
-    pairs = _bells(resources, eta1s)
-    if len(pairs) < len(left):  # a row per beta, shared by several left factors
-        pairs = np.concatenate([pairs] * (len(left) // len(pairs)))
+    eta1s = np.asarray(eta1s, dtype=float)
+    lossy = detectors.responses is not None or bool((eta1s < 1.0).any())
+    circuit = _circuit_bytes(len(resources[0]) - 1, left.ndim == 3, lossy, len(detectors.etas[0]))
     target, z_target, has_z = targets
     has_z = np.zeros(len(left), bool) if has_z is None else has_z
     parity, runs = resource_parity(kind), {}
-    for batch in (np.flatnonzero(~has_z), np.flatnonzero(has_z)):
-        if batch.size:
-            rows = slice(None) if batch.size == len(left) else batch  # a view, not a copy
-            t = None if target is None else target[rows]
-            z = z_target[rows] if has_z[batch[0]] else None
-            lists = _heralded(left[rows], pairs[rows], t, z, detectors[batch], parity, include_z)
-            runs.update(zip(batch.tolist(), lists))
+    for piece in _batches(len(left), circuit):
+        index = np.arange(len(left))[piece]
+        if eta1s.ndim == 0 and len(resources) < len(left):  # rows shared by several circuits
+            kept, shared = np.unique(index % len(resources), return_inverse=True)
+            pairs = _bells(resources[kept], eta1s)[shared]
+        else:
+            pairs = _bells(resources[index % len(resources)], eta1s[piece] if eta1s.ndim else eta1s)
+        for batch in (index[~has_z[piece]], index[has_z[piece]]):
+            if batch.size:
+                whole = batch.size == len(index)
+                rows, local = (piece, slice(None)) if whole else (batch, batch - piece.start)
+                t = None if target is None else target[rows]  # a view where whole, not a copy
+                z = z_target[rows] if has_z[batch[0]] else None
+                counters = detectors[batch]
+                lists = _heralded(left[rows], pairs[local], t, z, counters, parity, include_z)
+                runs.update(zip(batch.tolist(), lists))
     return [runs[i] for i in range(len(left))]
 
 
@@ -819,7 +857,7 @@ def _runs(protocol, spec, alphas, resource_kind, betas, eta1s, detectors, cutoff
     """
     if spec.kind == "superposition":
         qubit = spec.qubit()
-        inputs = _qubit(qubit.mu, qubit.nu, _coherent_rows(alphas, cutoff)[0])
+        inputs = _qubit(qubit.mu, qubit.nu, alphas, cutoff)[0]
     else:
         inputs = _state_kind(spec.kind, "input").rows(alphas, cutoff)[0]
     if protocol == "teleport":
@@ -908,9 +946,9 @@ def success_probability_sweep(
     Input families are (mu, nu) superpositions at alpha = beta / sqrt(2);
     defaults to the four standard families in INPUT_FAMILIES. Returns rows
     of (beta, family_name, resource_kind, p_success), each the
-    ``success_probability`` of ``run_teleportation``. One coherent batch
-    |alpha> gives every family, and each resource kind is one batched build
-    and one heralding batch over every beta and family, with no target.
+    ``success_probability`` of ``run_teleportation``. One batched build
+    gives every family at every beta, and each resource kind is one batched
+    build, heralded over every beta and family with no target.
     """
     betas = _betas(beta_grid)
     families = dict(INPUT_FAMILIES if input_families is None else input_families)
@@ -919,8 +957,8 @@ def success_probability_sweep(
         return []
     # family-major rows: row j * len(betas) + i is family j at beta i
     mus, nus = np.array(list(families.values())).T
-    plus, _ = _coherent_rows(np.array(betas, dtype=float) / math.sqrt(2.0), cutoff)
-    left = _qubit(mus.repeat(len(betas)), nus.repeat(len(betas)), np.tile(plus, (len(mus), 1)))
+    alphas = np.tile(np.array(betas, dtype=float) / math.sqrt(2.0), len(mus))
+    left = _qubit(mus.repeat(len(betas)), nus.repeat(len(betas)), alphas, cutoff)[0]
     p_success = [
         [summary.success_probability for [summary] in _batch(left, rows, kind, 1.0, _LOSSLESS)]
         for kind, rows in zip(resource_kinds, resources)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import cskit
-from cskit import cli, fock
+from cskit import cli, fock, protocols
 from cskit.cli import main
 from cskit.protocols import RESOURCE_KINDS, STATE_KINDS
 from cskit.wigner import PhaseGrid, wigner_grid
@@ -27,6 +27,20 @@ def _parse(text):
     header = [ln for ln in text.splitlines() if ln.startswith("#")]
     body = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
     return header, body[0].split(","), body[1:]
+
+
+def _record_batches(monkeypatch):
+    """Every list of slices the byte rule returns, to the CLI and to the engine alike."""
+    calls = []
+    rule = protocols._batches
+
+    def recorded(*args):
+        calls.append(rule(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(protocols, "_batches", recorded)
+    monkeypatch.setattr(cli, "_batches", recorded)
+    return calls
 
 
 class TestHeaders:
@@ -364,15 +378,18 @@ class TestJobs:
         ids=["teleport", "teleport-per-outcome", "entswap", "success-prob"],
     )
     def test_rows_do_not_depend_on_the_batch(self, capsys, monkeypatch, argv):
-        """Each row is the same bytes from the chunked grid, from one chunk, from its beta alone
-        and with --jobs 2."""
+        """Each row is the same bytes from the grid in one batch, in batches of one circuit,
+        from its beta alone and with --jobs 2."""
         grid = ["--beta", "0:1.2:0.008"]
-        code, whole = _run(capsys, argv + grid)
+        with monkeypatch.context() as patch:
+            batches = _record_batches(patch)
+            code, whole = _run(capsys, argv + grid)
         assert code == 0
+        assert all(len(slices) == 1 for slices in batches)
         _, parallel = _run(capsys, argv + grid + ["--jobs", "2"])
         assert parallel == whole
         with monkeypatch.context() as patch:
-            patch.setattr(cli, "CHUNK_POINTS", 10**6)
+            patch.setattr(protocols, "BATCH_BYTES", 1)
             assert _run(capsys, argv + grid) == (0, whole)
         rows = _parse(whole)[2]
         betas = dict.fromkeys(row.split(",")[0] for row in rows)
@@ -382,7 +399,7 @@ class TestJobs:
             assert code == 0
             alone.extend(_parse(out)[2])
         assert alone == rows
-        assert len(betas) == 151 > 2 * cli.CHUNK_POINTS
+        assert len(betas) == 151
 
     def test_env_fallback(self, capsys, monkeypatch):
         jobs = []
@@ -429,7 +446,7 @@ class TestJobs:
             ["loss", "--eta", "0:1:0.25", "--cutoff", "4"],
             ["loss", "--protocol", "entswap", "--eta", "0:1:0.25", "--cutoff", "3"],
             ["loss", "--eta", "0:1:0.1", "--cutoff", "4", "--diagonal"],
-            # grids of more than one chunk
+            # long grids
             ["loss", "--eta", "0:1:0.015", "--cutoff", "2"],
             ["loss", "--protocol", "entswap", "--eta", "0:1:0.0075", "--cutoff", "2", "--diagonal"],
         ],
@@ -439,20 +456,69 @@ class TestJobs:
         ],
     )
     def test_loss_rows_parallel_match_serial(self, capsys, monkeypatch, argv):
-        """The rows are the same bytes with --jobs 2 and with the whole grid in one chunk."""
+        """The rows are the same bytes with --jobs 2 and in batches of one circuit."""
         code, serial = _run(capsys, argv)
         assert code == 0
         _, parallel = _run(capsys, argv + ["--jobs", "2"])
         assert serial == parallel
-        monkeypatch.setattr(cli, "CHUNK_POINTS", 10**6)
+        monkeypatch.setattr(protocols, "BATCH_BYTES", 1)
         assert _run(capsys, argv) == (0, serial)
 
 
-def test_entswap_peak_does_not_grow_with_the_grid(capsys):
-    """A long beta grid is swept chunk by chunk, so its allocation peak stays that of a chunk.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["success-prob"],
+        ["success-prob", "--resource", *RESOURCE_KINDS],
+        ["teleport"],
+        ["teleport", "--per-outcome"],
+        ["entswap"],
+        ["loss"],
+        ["loss", "--diagonal"],
+        ["loss", "--protocol", "entswap"],
+        ["loss", "--protocol", "entswap", "--diagonal"],
+    ],
+    ids=[
+        "success-prob", "success-prob-every-resource", "teleport", "teleport-per-outcome",
+        "entswap", "loss", "loss-diagonal", "loss-entswap", "loss-entswap-diagonal",
+    ],
+)
+def test_default_grids_are_one_batch(capsys, monkeypatch, argv):
+    """Every gridded subcommand runs its default grid as one batch: one sweep call, one batch."""
+    batches = _record_batches(monkeypatch)
+    assert main(argv) == 0
+    assert batches and all(len(slices) == 1 for slices in batches)
 
-    Holding every beta's summary to the end of this grid peaks near 38 MB;
-    one chunk at a time stays under 3 MB.
+
+def test_benchmark_grids_are_one_batch(capsys, monkeypatch):
+    """The figure and contour grids of the benchmark are one batch each, and with --jobs 2
+    the pool's contours are two pieces of three eta1, one batch each."""
+    from test_golden_rows import workloads
+
+    monkeypatch.delenv("CSKIT_JOBS", raising=False)
+    for name in ("lossless-figures", "loss-contour", "loss-contour-jobs2"):
+        for sweep in workloads.build(name, workloads.DEFAULT_SEED).sweeps:
+            with monkeypatch.context() as patch:
+                batches = _record_batches(patch)
+                assert main(list(sweep.argv)) == 0
+            assert batches and all(len(slices) == 1 for slices in batches), sweep.name
+    pieces = []
+    pmap = cli._pmap
+    # the pool's pieces, mapped in this process
+    monkeypatch.setattr(cli, "_pmap", lambda fn, items, _: pieces.append(items) or pmap(fn, items, 1))
+    batches = _record_batches(monkeypatch)
+    sweep = workloads.build("loss-contour-jobs2", workloads.DEFAULT_SEED).sweeps[0]
+    assert main([*sweep.argv, "--jobs", "2"]) == 0
+    assert [len(piece) for piece in pieces[0]] == [3, 3]
+    assert [len(slices) for slices in batches] == [2, 1, 1]
+
+
+def test_entswap_peak_does_not_grow_with_the_grid(capsys):
+    """A long beta grid is swept batch by batch, so its allocation peak stays that of a batch.
+
+    At cutoff 10 the byte rule puts 118 betas in a batch. Holding every
+    beta's summary to the end of this grid peaks near 38 MB; one batch at a
+    time stays under 5 MB.
     """
     argv = ["entswap", "--cutoff", "10"]
     assert main(argv + ["--beta", "0.5:0.5:1"]) == 0
@@ -468,48 +534,74 @@ def test_entswap_peak_does_not_grow_with_the_grid(capsys):
     assert peak < 6e6
 
 
+def test_lossy_diagonal_peak_stays_within_the_budget(capsys):
+    """The cutoff-15 swapper diagonal runs 4 circuits a batch, not the whole grid at once.
+
+    67 circuits of about 0.73 MB each; 64 of them in one batch peaked at 51 MB.
+    """
+    argv = ["loss", "--protocol", "entswap", "--cutoff", "15", "--diagonal"]
+    assert main(argv + ["--eta", "0.5:0.5:1"]) == 0
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = main(argv + ["--eta", "0:1:0.015"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert len(capsys.readouterr().out.splitlines()) == 67 + 10
+    assert peak < 10e6
+
+
 @pytest.mark.parametrize(
-    "argv, diagonal",
+    "argv, swap, diagonal",
     [
-        (["--eta", "0:1:0.125"], False),
-        (["--eta", "0:1:0.05"], False),
-        (["--eta", "0:1:0.015"], False),
-        (["--eta", "0:1:0.0075", "--diagonal"], True),
+        (["--eta", "0:1:0.05"], False, False),
+        (["--eta", "0:1:0.015"], False, False),
+        (["--eta", "0:1:0.015", "--cutoff", "60"], False, False),
+        (["--protocol", "entswap", "--eta", "0:1:0.0075", "--cutoff", "15", "--diagonal"], True, True),
     ],
-    ids=["one-chunk", "rows-of-three", "row-by-row", "diagonal"],
+    ids=["one-batch", "several-batches", "circuit-by-circuit", "diagonal"],
 )
-def test_loss_chunks_hold_at_most_chunk_points_cells(capsys, monkeypatch, argv, diagonal):
-    """A contour chunk holds at most CHUNK_POINTS cells, a diagonal chunk CHUNK_POINTS points."""
-    chunks = []
+def test_loss_batches_fit_the_budget(capsys, monkeypatch, argv, swap, diagonal):
+    """Each batch of a loss grid fits the byte budget, or holds one circuit, and is one sweep call.
+
+    The sweeps are stubbed, so the rule alone is checked, at any cutoff.
+    """
+    batches = []
 
     def contour(protocol, input_spec, resource_spec, amplitude, eta1s, eta2s, cutoff):
-        chunks.append((list(eta1s), list(eta2s)))
+        batches.append((list(eta1s), list(eta2s)))
         return [(eta1, eta2, 1.0) for eta1 in eta1s for eta2 in eta2s]
 
     def diagonal_sweep(protocol, input_spec, resource_spec, amplitude, etas, cutoff):
-        chunks.append((list(etas), None))
+        batches.append((list(etas), None))
         return [(eta, 1.0) for eta in etas]
 
     monkeypatch.setattr(cli, "loss_contour_sweep", contour)
     monkeypatch.setattr(cli, "loss_diagonal_sweep", diagonal_sweep)
     assert main(["loss", *argv]) == 0
-    grid = cli._parse_grid(argv[1])
+    grid = cli._parse_grid(argv[argv.index("--eta") + 1])
     cells = 1 if diagonal else len(grid)
+    cutoff = int(argv[argv.index("--cutoff") + 1]) if "--cutoff" in argv else 6
+    circuit = protocols._circuit_bytes(cutoff, swap, True, cells)
     assert len(capsys.readouterr().out.splitlines()) == 10 + len(grid) * cells
-    assert [eta for eta1s, _ in chunks for eta in eta1s] == grid
-    for eta1s, eta2s in chunks:
+    assert [eta for eta1s, _ in batches for eta in eta1s] == grid
+    for eta1s, eta2s in batches:
         assert eta2s == (None if diagonal else grid)
-        assert len(eta1s) * cells <= cli.CHUNK_POINTS or len(eta1s) == 1
-    # as many points per chunk as the cells allow
-    assert len(chunks[0][0]) == min(len(grid), max(1, cli.CHUNK_POINTS // cells))
+        assert len(eta1s) * circuit <= protocols.BATCH_BYTES or len(eta1s) == 1
+    # as many circuits per batch as the budget allows
+    assert len(batches[0][0]) == min(len(grid), max(1, protocols.BATCH_BYTES // circuit))
 
 
-def test_loss_contour_builds_each_response_once_per_command(capsys):
-    """The chunks of one contour share one stack of eta2 responses.
+def test_loss_contour_builds_each_response_once_per_command(capsys, monkeypatch):
+    """The batches of one contour share one stack of eta2 responses.
 
-    67 etas, one row per chunk, cycle through the 64-entry response cache,
-    so a stack built per chunk would miss on every cell.
+    67 etas, one row per batch under a budget of one byte, cycle through the
+    64-entry response cache, so a stack built per batch would miss on every
+    cell.
     """
+    monkeypatch.setattr(protocols, "BATCH_BYTES", 1)
     fock.detector_response.cache_clear()
     assert main(["loss", "--eta", "0:1:0.015", "--cutoff", "2"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 10 + 67 * 67
@@ -517,24 +609,29 @@ def test_loss_contour_builds_each_response_once_per_command(capsys):
 
 
 @pytest.mark.parametrize(
-    "protocol, one_chunk, four_chunks",
+    "protocol, one_batch, four_batches",
     [
-        ("teleport", ["--eta", "0:0.7:0.1"], ["--eta", "0:0.75:0.05"]),
-        ("entswap", ["--diagonal", "--eta", "0:0.063:0.001"], ["--diagonal", "--eta", "0:0.255:0.001"]),
+        ("teleport", ["--eta", "0:0.95:0.05"], ["--eta", "0:0.78:0.02"]),
+        ("entswap", ["--diagonal", "--eta", "0:0.008:0.001"], ["--diagonal", "--eta", "0:0.035:0.001"]),
     ],
     ids=["contour", "diagonal"],
 )
-def test_loss_peak_does_not_grow_with_the_grid(capsys, protocol, one_chunk, four_chunks):
-    """A lossy grid of four chunks peaks within 10% of a grid of one chunk.
+def test_loss_peak_does_not_grow_with_the_grid(capsys, monkeypatch, protocol, one_batch, four_batches):
+    """A lossy grid of four batches peaks within 10% of a grid of one full batch.
 
-    The contours have 8 and 16 etas, 64 cells in one chunk and 256 in four;
-    the diagonals 64 and 256 etas. Each chunk's circuits run as one batch,
-    so a batch of the whole grid would peak near four times higher.
+    At cutoff 12 the contours have 20 etas, one batch of 20 rows, and 40
+    etas, four batches of 10 rows: 400 cells in every batch. The diagonals
+    have 9 etas in one batch and 36 in four. A batch of the whole grid would
+    peak near four times higher. Both grids run once first, so that every
+    eta's cached blocks and responses are built before the peaks are taken:
+    the two grids hold fewer etas than those caches.
     """
-    argv = ["loss", "--protocol", protocol, "--cutoff", "8"]
-    assert main(argv + ["--eta", "0.5:0.5:1"]) == 0
+    argv = ["loss", "--protocol", protocol, "--cutoff", "12"]
+    for grid in (one_batch, four_batches):
+        assert main(argv + grid) == 0
+    batches = _record_batches(monkeypatch)
     peaks = []
-    for grid in (one_chunk, four_chunks):
+    for grid in (one_batch, four_batches):
         capsys.readouterr()
         tracemalloc.start()
         try:
@@ -542,4 +639,6 @@ def test_loss_peak_does_not_grow_with_the_grid(capsys, protocol, one_chunk, four
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
+    # the CLI's cut and then the engine's, one per batch
+    assert [len(slices) for slices in batches] == [1, 1] + [4] + [1] * 4
     assert peaks[1] <= 1.1 * peaks[0]

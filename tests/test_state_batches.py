@@ -12,6 +12,7 @@ import math
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -171,17 +172,32 @@ def test_qubit_family_rows_are_their_one_row_builds(family, values):
     mu, nu = INPUT_FAMILIES[family]
 
     def batched(batch):
-        amps = protocols._qubit(mu, nu, fock._coherent_rows(batch, cutoff)[0])
-        return amps, np.zeros(len(amps))  # a qubit's FockVector reports no leakage
+        return protocols._qubit(mu, nu, batch, cutoff)
 
     def lone(alpha):
-        """mu|alpha> + nu|-alpha> over the 1-D ``np.linalg.norm``, as a lone vector is normalized."""
+        """mu|alpha> + nu|-alpha> over the 1-D ``np.linalg.norm``, as a lone vector is normalized.
+
+        The leakage is the one-row build's: ``test_qubit_leakage_is_the_cats``
+        checks it against the cat builds.
+        """
+        qubit = QubitSuperposition(mu, nu, alpha).to_fock(cutoff)
         plus = coherent_state(alpha, cutoff).amps
         amps = mu * plus + nu * np.where(np.arange(cutoff + 1) % 2 == 0, plus, -plus)
         norm = float(np.linalg.norm(amps))
-        return QubitSuperposition(mu, nu, alpha).to_fock(cutoff) if norm == 0.0 else (
-            fock.FockVector(cutoff, amps / norm)
-        )
+        return qubit if norm == 0.0 else fock.FockVector(cutoff, amps / norm, qubit.leakage)
 
     one_row = [lambda alpha: QubitSuperposition(mu, nu, alpha).to_fock(cutoff), lone]
     _check_batch(batched, one_row, alphas)
+
+
+@pytest.mark.parametrize("cutoff", [3, 6, 15])
+@pytest.mark.parametrize("alpha", [0.0, 1e-9, 0.3, 0.7, 1.0])
+def test_qubit_leakage_is_the_cats(cutoff, alpha):
+    """mu|alpha> + nu|-alpha> loses the weight of the cat it is: odd for mu = -nu, even for mu = nu.
+
+    The kept weight is taken over the exact norm of the superposition, so a
+    scaled pair of coefficients reports the same leakage.
+    """
+    for (mu, nu), parity in (((1.0, -1.0), "odd"), ((1.0, 1.0), "even"), ((-2.5, -2.5), "even")):
+        qubit = QubitSuperposition(mu, nu, alpha).to_fock(cutoff)
+        assert abs(qubit.leakage - cat_state(alpha, parity, cutoff).leakage) <= 1e-15
