@@ -195,10 +195,10 @@ def _entswap_rows(phi_kind, resource_kind, cutoff, betas) -> list:
     return _fidelity_rows(betas, entanglement_swap_sweep(betas, phi_kind, resource_kind, cutoff))
 
 
-def _loss_lines(protocol, input_spec, resource_spec, amplitude, cutoff, eta2s, eta1s) -> list:
+def _loss_lines(protocol, input_spec, resource_spec, cutoff, eta2s, eta1s) -> list:
     """CSV lines of (eta1, eta2, fidelity) over eta1s x eta2s, or the eta1 = eta2 slice when
     eta2s is None; each eta formatted once, the same bytes as ``_csv_lines`` of the rows."""
-    sweep_args = (protocol, input_spec, resource_spec, amplitude)
+    sweep_args = (protocol, input_spec, resource_spec)
     if eta2s is None:
         cells = loss_diagonal_sweep(*sweep_args, eta1s, cutoff)
         return [2 * (repr(eta) + ",") + _fmt(fidelity) for eta, fidelity in cells]
@@ -283,7 +283,7 @@ def _cmd_loss(args):
     resource_beta = math.sqrt(2.0) * amplitude if args.protocol == "teleport" else amplitude
     specs = (InputSpec(args.input, amplitude), ResourceSpec(args.resource, resource_beta))
     eta2s = None if args.diagonal else grid
-    lines_of = partial(_loss_lines, args.protocol, *specs, amplitude, cutoff, eta2s)
+    lines_of = partial(_loss_lines, args.protocol, *specs, cutoff, eta2s)
     lines = _batched_lines(lines_of, grid, args, cutoff, args.protocol == "entswap", True, cells)
     extra = [
         ("protocol", args.protocol),

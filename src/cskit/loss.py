@@ -12,21 +12,21 @@ built, so a lossy run costs O(d^4) time and O(d^3) memory, as in
 ``cskit.protocols``, whose engine this is: a lossless run is its eta1 = eta2
 = 1 case, and the lossy runners at LossConfig() return the lossless summary.
 
-Inputs are matched to the lossy resource: a nominal amplitude alpha becomes
-sqrt(eta1) * alpha. Every eta1 of a sweep is one circuit of the engine's
-batches (``protocols._batches``), and ``_rows`` runs them for both runners
-and both sweeps. A contour's circuits share one stack of eta2 responses,
-built once per grid; a diagonal's circuit i sees eta_i alone.
-``conditional_output_density`` keeps every loss as a mode and reduces by a
-partial trace, as an independent cross-check. Every entry point that takes a
-cutoff defaults it from LOSS_CUTOFFS.
+Every amplitude comes from the specs: the input's, or phi's, alpha and the
+resource's beta. The engine matches each input to the lossy resource: a
+nominal alpha becomes sqrt(eta1) * alpha. Both runners and both sweeps are
+one ``protocols._runs`` call, as the lossless runners are, and every eta1 of
+a sweep is one circuit of the engine's batches (``protocols._batches``).
+Detector loss is a plain row of eta2 values: a contour's circuits share one
+row, whose stack of responses is built once per grid, and a diagonal's
+circuit i sees eta_i alone. ``conditional_output_density`` keeps every loss
+as a mode and reduces by a partial trace, as an independent cross-check.
+Every entry point that takes a cutoff defaults it from LOSS_CUTOFFS.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from .fock import (
     apply_beamsplitter,
@@ -41,8 +41,6 @@ from .protocols import (
     LossConfig,
     ProtocolSummary,
     ResourceSpec,
-    _detectors,
-    _diagonal,
     _runs,
 )
 
@@ -72,26 +70,6 @@ def _loss_cutoff(protocol, cutoff):
     return LOSS_CUTOFFS[protocol] if cutoff is None else cutoff
 
 
-def _rows(
-    protocol, input_spec, resource_spec, amplitude, cutoff, eta1s, detectors, include_z=False
-):
-    """One list of summaries per eta1 of ``eta1s``, one per eta2 of its counters.
-
-    ``amplitude`` is the nominal qubit amplitude alpha for 'teleport' or the
-    Bell amplitude beta for 'entswap'. The inputs, or phis, are one batched
-    build at sqrt(eta1) * amplitude, the fidelities' targets too; the one
-    resource, at ``amplitude`` for 'entswap', is built once for every eta1.
-    ``include_z`` folds the Z-type outcomes of a teleport into its average.
-    """
-    if not eta1s:
-        return []
-    beta = resource_spec.beta if protocol == "teleport" else amplitude
-    return _runs(
-        protocol, input_spec, np.sqrt(eta1s) * amplitude, resource_spec.kind, [beta], eta1s,
-        detectors, cutoff, include_z,
-    )
-
-
 def run_lossy_teleportation(
     input_spec: InputSpec,
     resource_spec: ResourceSpec,
@@ -107,9 +85,9 @@ def run_lossy_teleportation(
     LOSS_CUTOFFS['teleport']. At eta1 = eta2 = 1 this is the lossless run.
     """
     cutoff = _loss_cutoff("teleport", cutoff)
-    [[summary]] = _rows(
-        "teleport", input_spec, resource_spec, input_spec.alpha, cutoff,
-        [loss.eta1], _detectors([loss.eta2], cutoff), include_z_outcomes,
+    [[summary]] = _runs(
+        "teleport", input_spec, [input_spec.alpha], resource_spec.kind, [resource_spec.beta],
+        cutoff, [loss.eta1], ((loss.eta2,),), include_z_outcomes,
     )
     return summary
 
@@ -151,19 +129,21 @@ def run_lossy_entswap(
     phi_spec: InputSpec,
     resource_spec: ResourceSpec,
     loss: LossConfig,
-    beta: float = 0.5,
     cutoff: int = None,
 ) -> ProtocolSummary:
     """Entanglement swapping with loss on the resource arm and the detectors.
 
-    Modes a and d stay lossless. ``phi_spec`` is rebuilt at amplitude
-    sqrt(eta1) * beta to match the attenuated resource; the reference Bell
-    pair on (a, b) uses that matched phi. The resource is prepared at beta.
-    The cutoff defaults to LOSS_CUTOFFS['entswap'].
+    Modes a and d stay lossless. phi is built at sqrt(eta1) * ``phi_spec.alpha``
+    to match the attenuated resource; the reference Bell pair on (a, b) uses
+    that matched phi. The resource is prepared at ``resource_spec.beta``. The
+    cutoff defaults to LOSS_CUTOFFS['entswap']. At eta1 = eta2 = 1 this is
+    the lossless run.
     """
     cutoff = _loss_cutoff("entswap", cutoff)
-    detectors = _detectors([loss.eta2], cutoff)
-    [[summary]] = _rows("entswap", phi_spec, resource_spec, beta, cutoff, [loss.eta1], detectors)
+    [[summary]] = _runs(
+        "entswap", phi_spec, [phi_spec.alpha], resource_spec.kind, [resource_spec.beta], cutoff,
+        [loss.eta1], ((loss.eta2,),),
+    )
     return summary
 
 
@@ -171,27 +151,29 @@ def loss_contour_sweep(
     protocol: str,
     input_spec: InputSpec,
     resource_spec: ResourceSpec,
-    amplitude: float,
     eta1_grid=None,
     eta2_grid=None,
     cutoff: int = None,
 ):
     """Average fidelity over an (eta1, eta2) grid.
 
-    ``amplitude`` is the nominal qubit amplitude alpha for teleportation or
-    the Bell amplitude beta for entanglement swapping. Grids default to
-    0.05 steps over [0, 1]; cutoff defaults to LOSS_CUTOFFS[protocol].
-    Returns rows of (eta1, eta2, fidelity); fidelity is None for degenerate
-    cells. Every eta1 is one circuit of the engine's batches, and detector
-    loss maps one stack of eta2 responses, built once for the sweep, onto
-    every circuit. Every eta is checked before any circuit runs.
+    The amplitudes are the specs': the qubit amplitude alpha, or phi's, of
+    ``input_spec`` and the resource's beta. Grids default to 0.05 steps over
+    [0, 1]; cutoff defaults to LOSS_CUTOFFS[protocol]. Returns rows of (eta1,
+    eta2, fidelity); fidelity is None for degenerate cells. Every eta1 is one
+    circuit of the engine's batches, and detector loss maps one stack of eta2
+    responses, built once for the sweep, onto every circuit. Every eta is
+    checked before any circuit runs.
     """
     cutoff = _loss_cutoff(protocol, cutoff)
     eta1_grid = _ETA_GRID if eta1_grid is None else eta1_grid
-    eta1s = [LossConfig(eta1=float(eta1)).eta1 for eta1 in eta1_grid]
-    detectors = _detectors(_ETA_GRID if eta2_grid is None else eta2_grid, cutoff)
-    rows = _rows(protocol, input_spec, resource_spec, amplitude, cutoff, eta1s, detectors)
-    [eta2s] = detectors.etas
+    eta2_grid = _ETA_GRID if eta2_grid is None else eta2_grid
+    eta1s = [LossConfig(eta1=float(eta)).eta1 for eta in eta1_grid]
+    eta2s = tuple(LossConfig(eta2=float(eta)).eta2 for eta in eta2_grid)
+    rows = _runs(
+        protocol, input_spec, [input_spec.alpha], resource_spec.kind, [resource_spec.beta],
+        cutoff, eta1s, (eta2s,),
+    )
     return [
         (eta1, eta2, summary.average_fidelity)
         for eta1, summaries in zip(eta1s, rows)
@@ -203,7 +185,6 @@ def loss_diagonal_sweep(
     protocol: str,
     input_spec: InputSpec,
     resource_spec: ResourceSpec,
-    amplitude: float,
     eta_grid=None,
     cutoff: int = None,
 ):
@@ -214,6 +195,8 @@ def loss_diagonal_sweep(
     cutoff = _loss_cutoff(protocol, cutoff)
     eta_grid = _ETA_GRID if eta_grid is None else eta_grid
     etas = [LossConfig(float(eta), float(eta)).eta1 for eta in eta_grid]
-    detectors = _diagonal(_detectors(etas, cutoff))
-    rows = _rows(protocol, input_spec, resource_spec, amplitude, cutoff, etas, detectors)
+    rows = _runs(
+        protocol, input_spec, [input_spec.alpha], resource_spec.kind, [resource_spec.beta],
+        cutoff, etas, tuple((eta,) for eta in etas),
+    )
     return [(eta, summary.average_fidelity) for eta, [summary] in zip(etas, rows)]

@@ -396,54 +396,25 @@ def _bells(amps: np.ndarray, eta1=1.0) -> np.ndarray:
     return attenuate(state, etas.ndim, 0.5).amps
 
 
-@dataclass(frozen=True)
-class _Detectors:
-    """The two counters at the detector transmitivities ``etas``, as one stack of responses.
-
-    ``etas`` holds a row of eta2 values per circuit, or one row that every
-    circuit shares, and a circuit gets one summary per eta2 of its row.
-    ``responses`` stacks a d x d response per eta2 in that layout
-    (``detector_response``), the identity at eta2 = 1, or is None when every
-    eta2 is 1: lossless counters leave the tables as they are.
-    """
-
-    etas: tuple
-    responses: np.ndarray = None
-
-    def __getitem__(self, batch):
-        """The counters of the circuits ``batch``: the shared row, or each one's own row."""
-        if len(self.etas) == 1:
-            return self
-        responses = None if self.responses is None else self.responses[batch]
-        return _Detectors(tuple(self.etas[i] for i in batch), responses)
-
-
-def _detectors(etas, cutoff: int) -> _Detectors:
-    """Counters over counts 0..cutoff at each eta2 of ``etas``, one row that every circuit shares.
-
-    Every eta2 is checked as LossConfig checks it before any response is
-    built. The last stack is kept, so the batches of one grid build it once.
-    """
-    return _detector_row(tuple(LossConfig(eta2=float(eta)).eta2 for eta in etas), cutoff)
-
-
 @lru_cache(maxsize=1)
-def _detector_row(etas: tuple, cutoff: int) -> _Detectors:
-    if all(eta == 1.0 for eta in etas):
-        return _Detectors((etas,))
+def _responses(eta2s: tuple, cutoff: int):
+    """The counters over counts 0..cutoff at the detector transmitivities ``eta2s``.
+
+    ``eta2s`` holds a row of eta2 values per circuit, or one row that every
+    circuit shares, and a circuit gets one summary per eta2 of its row. The
+    stack holds a d x d response per eta2 in that layout
+    (``detector_response``), the identity at eta2 = 1, or is None when every
+    row is (1.0,): lossless counters leave the tables as they are. The last
+    stack is kept, so the batches of one grid build it once.
+    """
+    if all(row == (1.0,) for row in eta2s):
+        return None
     eye = np.eye(cutoff + 1)
-    responses = np.stack([eye if eta == 1.0 else detector_response(cutoff, eta) for eta in etas])
+    responses = np.array(
+        [[eye if eta == 1.0 else detector_response(cutoff, eta) for eta in row] for row in eta2s]
+    )
     responses.setflags(write=False)
-    return _Detectors((etas,), responses[None])
-
-
-def _diagonal(detectors: _Detectors) -> _Detectors:
-    """Circuit i behind the i-th eta2 of the row alone: the stack's first two axes swapped."""
-    responses = None if detectors.responses is None else detectors.responses.swapaxes(0, 1)
-    return _Detectors(tuple(zip(*detectors.etas)), responses)
-
-
-_LOSSLESS = _Detectors(((1.0,),))
+    return responses
 
 
 @lru_cache(maxsize=64)
@@ -648,30 +619,30 @@ def _targets(target, z_target, d):
     return stacked.reshape(len(target), len(targets), -1, d), tuple(targets)
 
 
-def _herald(tables, labels, detectors, parity, include_z=False, rejected=None):
+def _herald(tables, labels, responses, parity, include_z=False, rejected=None):
     """One list of summaries per circuit of ``tables``, one summary per eta2 of its counters.
 
     Detector loss maps every table T to M T M^T, for the whole stack of
-    responses M in one batched matmul that broadcasts a shared row of
-    ``detectors`` over the circuits; with no stack the tables are used as
-    they are. An outcome's fidelity is its overlap weight over its probability.
+    ``responses`` M (``_responses``) in one batched matmul that broadcasts a
+    shared row over the circuits; with no stack (None) the tables are used as
+    they are, one summary per circuit. An outcome's fidelity is its overlap
+    weight over its probability.
 
     No loop visits the outcomes, the circuits or the eta2 values: the success
     probability, the fidelity table and the average, sum(weight) /
     sum(probability) over the averaged labels, are masked reductions over the
-    stack, with the label masks cached per (d, parity). Every probability and
-    fidelity is clamped at 1, as rounding can leave it a few ulps above. Where
-    the tables hold the accepted counts alone, ``rejected[i]`` builds circuit
-    i's probabilities at the rejected counts when its summaries read one.
+    stack, with the label masks cached per (d, parity). Every probability is
+    clipped to [0, 1] and every fidelity clamped at 1, as rounding can leave
+    them a few ulps outside. Where the tables hold the accepted counts alone,
+    ``rejected[i]`` builds circuit i's probabilities at the rejected counts
+    when its summaries read one.
     """
-    n_eta = len(detectors.etas[0])
-    if detectors.responses is None:
-        tables = tables.repeat(n_eta, axis=0)
-    else:
-        responses = detectors.responses[:, :, None]
+    n_eta = 1 if responses is None else responses.shape[1]
+    if responses is not None:
+        responses = responses[:, :, None]
         tables = responses @ tables[:, None] @ responses.swapaxes(-1, -2)
         tables = tables.reshape(-1, *tables.shape[2:])
-    probs = np.minimum(tables[:, 0], 1.0)
+    probs = np.clip(tables[:, 0], 0.0, 1.0)
     d = probs.shape[-1]
     label_table, masks, cells = _label_table(d, parity)
     success = np.minimum(_summed(probs, cells["accepted"]), 1.0)
@@ -699,8 +670,8 @@ def _herald(tables, labels, detectors, parity, include_z=False, rejected=None):
     return [summaries[i : i + n_eta] for i in range(0, len(summaries), n_eta)]
 
 
-def _heralded(left, pair, target, z_target, detectors, parity, include_z=False):
-    """One list of summaries per circuit of a batch, one summary per eta2 of ``detectors``.
+def _heralded(left, pair, target, z_target, responses, parity, include_z=False):
+    """One list of summaries per circuit of a batch, one summary per eta2 of ``responses``.
 
     The circuits share a resource parity and a set of targets (``_tables``).
     Lossless counters fill only the accepted counts, and each summary builds
@@ -708,18 +679,18 @@ def _heralded(left, pair, target, z_target, detectors, parity, include_z=False):
     counters fill every count, since detector loss mixes them.
     """
     d = pair.shape[1]
-    if detectors.responses is not None:
+    if responses is not None:
         tables = _tables((_edge_counts(d), _rejected_counts(d)), left, pair, target, z_target)
-        return _herald(*tables, detectors, parity, include_z)
+        return _herald(*tables, responses, parity, include_z)
     tables = _tables((_edge_counts(d),), left, pair, target, z_target)
     rejected = [partial(_rejected_probabilities, left[i], pair[i]) for i in range(len(pair))]
-    return _herald(*tables, detectors, parity, include_z, rejected)
+    return _herald(*tables, None, parity, include_z, rejected)
 
 
 def _rejected_probabilities(left, pair):
-    """One circuit's probabilities at its rejected counts, 0 elsewhere, clamped at 1."""
+    """One circuit's probabilities at its rejected counts, 0 elsewhere, clipped to [0, 1]."""
     [[probs]], _ = _tables((_rejected_counts(len(pair)),), left[None], pair[None])
-    return np.minimum(probs, 1.0)
+    return np.clip(probs, 0.0, 1.0)
 
 
 def build_teleporter_input(
@@ -773,7 +744,7 @@ def enumerate_outcomes(state3: MultiModeState, parity: str = "odd"):
     if state3.num_modes != 3:
         raise ValueError("expected a 3-mode teleporter state")
     probs = np.sum(np.abs(state3.amps) ** 2, axis=2)
-    [[summary]] = _herald(probs[None, None], (), _LOSSLESS, parity)
+    [[summary]] = _herald(probs[None, None], (), None, parity)
     return list(summary.outcomes)
 
 
@@ -814,17 +785,23 @@ def _batches(count: int, circuit_bytes: int, pieces: int = 1) -> list:
     return [slice(start, min(start + size, count)) for start in range(0, count, size)]
 
 
-def _batch(left, resources, kind, eta1s, detectors, targets=(None, None, None), include_z=False):
+def _batch(
+    left, resources, kind, eta1s=1.0, eta2s=((1.0,),), targets=(None, None, None), include_z=False
+):
     """One list of summaries per circuit, one per eta2 of its counters, batch by batch.
 
     Circuit i mixes row i of ``left`` with the Bell pair of resource row i
     mod len(``resources``), of kind ``kind``, at its eta1 of ``eta1s`` (or one
-    for all). ``targets`` is (target, z_target, has_z) (``_z_targets``). Each
-    batch builds its Bell pairs; its circuits with no Z target herald apart.
+    for all), in front of counters at its row of ``eta2s``: one row that every
+    circuit shares, or one row per circuit (``_responses``). ``targets`` is
+    (target, z_target, has_z) (``_z_targets``). Each batch builds its Bell
+    pairs; its circuits with no Z target herald apart.
     """
     eta1s = np.asarray(eta1s, dtype=float)
-    lossy = detectors.responses is not None or bool((eta1s < 1.0).any())
-    circuit = _circuit_bytes(len(resources[0]) - 1, left.ndim == 3, lossy, len(detectors.etas[0]))
+    responses = _responses(eta2s, len(resources[0]) - 1)
+    n_eta2 = 1 if responses is None else responses.shape[1]
+    lossy = responses is not None or bool((eta1s < 1.0).any())
+    circuit = _circuit_bytes(len(resources[0]) - 1, left.ndim == 3, lossy, n_eta2)
     target, z_target, has_z = targets
     has_z = np.zeros(len(left), bool) if has_z is None else has_z
     parity, runs = resource_parity(kind), {}
@@ -841,20 +818,27 @@ def _batch(left, resources, kind, eta1s, detectors, targets=(None, None, None), 
                 rows, local = (piece, slice(None)) if whole else (batch, batch - piece.start)
                 t = None if target is None else target[rows]  # a view where whole, not a copy
                 z = z_target[rows] if has_z[batch[0]] else None
-                counters = detectors[batch]
+                counters = responses if responses is None or len(eta2s) == 1 else responses[batch]
                 lists = _heralded(left[rows], pairs[local], t, z, counters, parity, include_z)
                 runs.update(zip(batch.tolist(), lists))
     return [runs[i] for i in range(len(left))]
 
 
-def _runs(protocol, spec, alphas, resource_kind, betas, eta1s, detectors, cutoff, include_z=False):
+def _runs(
+    protocol, spec, alphas, resource_kind, betas, cutoff, eta1s=1.0, eta2s=((1.0,),),
+    include_z=False,
+):
     """Summaries per input of ``spec``'s family at each amplitude of ``alphas``, one per eta2.
 
     'teleport' teleports each input; 'entswap' swaps each phi, whose Bell pair
     enters the circuit and is the target. Only the kind, mu and nu of ``spec``
-    are read. The resources, of kind ``resource_kind``, are at one amplitude
-    of ``betas`` per input or one for all. Each is one batched build.
+    are read. Each input, and its target, is matched to its lossy resource:
+    it is built at sqrt(eta1) * alpha, exactly alpha at eta1 = 1, for one
+    eta1 of ``eta1s`` per input or one for all. The resources, of kind
+    ``resource_kind``, are at one amplitude of ``betas`` per input or one for
+    all; ``eta2s`` is ``_batch``'s. Each is one batched build.
     """
+    alphas = np.sqrt(eta1s) * np.asarray(alphas, dtype=float)
     if spec.kind == "superposition":
         qubit = spec.qubit()
         inputs = _qubit(qubit.mu, qubit.nu, alphas, cutoff)[0]
@@ -866,7 +850,7 @@ def _runs(protocol, spec, alphas, resource_kind, betas, eta1s, detectors, cutoff
         inputs = _bells(inputs)
         targets = (inputs, None, None)
     resources = _state_kind(resource_kind, "resource").rows(betas, cutoff)[0]
-    return _batch(inputs, resources, resource_kind, eta1s, detectors, targets, include_z)
+    return _batch(inputs, resources, resource_kind, eta1s, eta2s, targets, include_z)
 
 
 def _betas(beta_grid) -> list:
@@ -892,8 +876,8 @@ def run_teleportation(
     ``teleportation_sweep``'s batch.
     """
     [[summary]] = _runs(
-        "teleport", input_spec, [input_spec.alpha], resource_spec.kind, [resource_spec.beta], 1.0,
-        _LOSSLESS, cutoff, include_z_outcomes,
+        "teleport", input_spec, [input_spec.alpha], resource_spec.kind, [resource_spec.beta],
+        cutoff, include_z=include_z_outcomes,
     )
     return summary
 
@@ -914,7 +898,7 @@ def teleportation_sweep(
     betas = _betas(beta_grid)
     alphas = np.array(betas, dtype=float) / math.sqrt(2.0)
     family = InputSpec(input_kind, None)
-    runs = _runs("teleport", family, alphas, resource_kind, betas, 1.0, _LOSSLESS, cutoff)
+    runs = _runs("teleport", family, alphas, resource_kind, betas, cutoff)
     return [summary for [summary] in runs]
 
 
@@ -960,7 +944,7 @@ def success_probability_sweep(
     alphas = np.tile(np.array(betas, dtype=float) / math.sqrt(2.0), len(mus))
     left = _qubit(mus.repeat(len(betas)), nus.repeat(len(betas)), alphas, cutoff)[0]
     p_success = [
-        [summary.success_probability for [summary] in _batch(left, rows, kind, 1.0, _LOSSLESS)]
+        [summary.success_probability for [summary] in _batch(left, rows, kind)]
         for kind, rows in zip(resource_kinds, resources)
     ]
     return [
@@ -987,8 +971,7 @@ def run_entanglement_swap(
     the one-circuit case of ``entanglement_swap_sweep``'s batch.
     """
     [[summary]] = _runs(
-        "entswap", phi_spec, [phi_spec.alpha], resource_spec.kind, [resource_spec.beta], 1.0,
-        _LOSSLESS, cutoff,
+        "entswap", phi_spec, [phi_spec.alpha], resource_spec.kind, [resource_spec.beta], cutoff
     )
     return summary
 
@@ -1007,5 +990,5 @@ def entanglement_swap_sweep(
     """
     betas = _betas(beta_grid)
     family = InputSpec(phi_kind, None)
-    runs = _runs("entswap", family, betas, resource_kind, betas, 1.0, _LOSSLESS, cutoff)
+    runs = _runs("entswap", family, betas, resource_kind, betas, cutoff)
     return [summary for [summary] in runs]

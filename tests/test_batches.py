@@ -56,14 +56,14 @@ def _bits(summary):
 def _contour(protocol, input_kind, eta2s):
     beta = 0.5 * math.sqrt(2.0) if protocol == "teleport" else 0.5
     return lambda: loss_contour_sweep(
-        protocol, InputSpec(input_kind, 0.5), ResourceSpec(KIND, beta), 0.5, ETAS, eta2s, 5
+        protocol, InputSpec(input_kind, 0.5), ResourceSpec(KIND, beta), ETAS, eta2s, 5
     )
 
 
 def _diagonal(protocol):
     beta = 0.5 * math.sqrt(2.0) if protocol == "teleport" else 0.5
     return lambda: loss_diagonal_sweep(
-        protocol, InputSpec(KIND, 0.5), ResourceSpec(KIND, beta), 0.5, ETAS, 5
+        protocol, InputSpec(KIND, 0.5), ResourceSpec(KIND, beta), ETAS, 5
     )
 
 

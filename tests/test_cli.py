@@ -570,11 +570,11 @@ def test_loss_batches_fit_the_budget(capsys, monkeypatch, argv, swap, diagonal):
     """
     batches = []
 
-    def contour(protocol, input_spec, resource_spec, amplitude, eta1s, eta2s, cutoff):
+    def contour(protocol, input_spec, resource_spec, eta1s, eta2s, cutoff):
         batches.append((list(eta1s), list(eta2s)))
         return [(eta1, eta2, 1.0) for eta1 in eta1s for eta2 in eta2s]
 
-    def diagonal_sweep(protocol, input_spec, resource_spec, amplitude, etas, cutoff):
+    def diagonal_sweep(protocol, input_spec, resource_spec, etas, cutoff):
         batches.append((list(etas), None))
         return [(eta, 1.0) for eta in etas]
 

@@ -34,7 +34,6 @@ from cskit.protocols import (
     InputSpec,
     ResourceSpec,
     _bells,
-    _detectors,
     _runs,
     apply_correction,
     classify_outcome,
@@ -201,7 +200,7 @@ def test_entswap_matches_outcome_loop(phi_kind, resource_kind, loss):
         summary = run_entanglement_swap(phi, resource, SWAP_CUTOFF)
         loss = LossConfig()
     else:
-        summary = run_lossy_entswap(phi, resource, loss, beta, SWAP_CUTOFF)
+        summary = run_lossy_entswap(phi, resource, loss, SWAP_CUTOFF)
     matched = phi.at_alpha(math.sqrt(loss.eta1) * beta)
     _assert_matches(summary, *_reference_swap(matched, resource, loss, SWAP_CUTOFF))
 
@@ -233,6 +232,11 @@ etas = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
     loss=st.builds(LossConfig, etas, etas),
     include_z=st.booleans(),
 )
+# rounding leaves the rejected count (1, 1) of this run at -1.2e-34
+@example(
+    protocol="teleport", input_kind="coherent", resource_kind="ideal-odd-cat",
+    amplitude=6.103515625e-05, cutoff=4, loss=LossConfig(), include_z=False,
+)
 def test_reported_values_lie_in_unit_interval(
     protocol, input_kind, resource_kind, amplitude, cutoff, loss, include_z
 ):
@@ -250,7 +254,7 @@ def test_reported_values_lie_in_unit_interval(
         if loss == LossConfig():
             summary = run_entanglement_swap(spec, resource, cutoff - 1)
         else:
-            summary = run_lossy_entswap(spec, resource, loss, amplitude, cutoff - 1)
+            summary = run_lossy_entswap(spec, resource, loss, cutoff - 1)
     assert 0.0 <= summary.success_probability <= 1.0
     assert summary.degenerate == (summary.average_fidelity is None)
     if summary.average_fidelity is not None:
@@ -287,8 +291,8 @@ def _row(protocol, input_kind, resource_kind, amplitude, eta1, eta2s, cutoff, in
     if protocol == "teleport":
         resource = ResourceSpec(resource_kind, math.sqrt(2.0) * amplitude)
         [row] = _runs(
-            "teleport", spec, [spec.alpha], resource.kind, [resource.beta], [eta1],
-            _detectors(eta2s, cutoff), cutoff, include_z,
+            "teleport", spec, [amplitude], resource.kind, [resource.beta], cutoff, [eta1],
+            (tuple(eta2s),), include_z,
         )
 
         def single(eta2):
@@ -301,14 +305,14 @@ def _row(protocol, input_kind, resource_kind, amplitude, eta1, eta2s, cutoff, in
     else:
         resource = ResourceSpec(resource_kind, amplitude)
         [row] = _runs(
-            "entswap", spec, [spec.alpha], resource.kind, [resource.beta], [eta1],
-            _detectors(eta2s, cutoff), cutoff,
+            "entswap", spec, [amplitude], resource.kind, [resource.beta], cutoff, [eta1],
+            (tuple(eta2s),),
         )
 
         def single(eta2):
             loss = LossConfig(eta1, eta2)
             return run_lossy_entswap(
-                spec.at_alpha(amplitude), resource, loss, amplitude, cutoff
+                spec.at_alpha(amplitude), resource, loss, cutoff
             ), _reference_swap(spec, resource, loss, cutoff)
 
         left = _bells(spec.to_fock(cutoff).amps)

@@ -7,7 +7,7 @@ from dense_circuit import mixed, tables
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cskit import fock, loss
+from cskit import fock, loss, protocols
 from cskit.fock import coherent_state, fidelity, partial_trace, tensor
 from cskit.loss import (
     LossConfig,
@@ -163,7 +163,7 @@ class TestLossyEntswap:
         phi = InputSpec("squeezed-single-photon", 0.5)
         res = ResourceSpec("squeezed-single-photon", 0.5)
         lossless = run_entanglement_swap(phi, res, 5)
-        lossy = run_lossy_entswap(phi, res, LossConfig(1.0, 1.0), beta=0.5, cutoff=5)
+        lossy = run_lossy_entswap(phi, res, LossConfig(1.0, 1.0), cutoff=5)
         assert abs(lossy.average_fidelity - lossless.average_fidelity) < 1e-10
         assert abs(lossy.success_probability - lossless.success_probability) < 1e-10
 
@@ -174,12 +174,12 @@ class TestLossyEntswap:
             loss = LossConfig(*eta)
             a = run_lossy_entswap(
                 InputSpec("odd-cat", 0.5), ResourceSpec("ideal-odd-cat", 0.5),
-                loss, beta=0.5, cutoff=5,
+                loss, cutoff=5,
             )
             b = run_lossy_entswap(
                 InputSpec("squeezed-single-photon", 0.5),
                 ResourceSpec("squeezed-single-photon", 0.5),
-                loss, beta=0.5, cutoff=5,
+                loss, cutoff=5,
             )
             assert abs(a.average_fidelity - b.average_fidelity) < 0.02
 
@@ -188,12 +188,12 @@ class TestLossyEntswap:
         odd = run_lossy_entswap(
             InputSpec("squeezed-single-photon", 0.5),
             ResourceSpec("squeezed-single-photon", 0.5),
-            loss, beta=0.5, cutoff=5,
+            loss, cutoff=5,
         )
         even = run_lossy_entswap(
             InputSpec("squeezed-vacuum", 0.5),
             ResourceSpec("squeezed-vacuum", 0.5),
-            loss, beta=0.5, cutoff=5,
+            loss, cutoff=5,
         )
         assert even.average_fidelity > odd.average_fidelity
 
@@ -219,7 +219,8 @@ class TestLosslessIsTheLossyRunAtEtaOne:
         assert lossy == lossless
         assert lossy.outcomes == lossless.outcomes
 
-    @pytest.mark.parametrize("amplitude", [0.0, 0.3, 0.9])
+    # away from 0.5, as the runners take alpha and beta from the specs alone
+    @pytest.mark.parametrize("amplitude", [0.0, 0.3, 0.8, 0.9])
     @pytest.mark.parametrize(
         "phi_kind, resource_kind",
         [
@@ -233,9 +234,41 @@ class TestLosslessIsTheLossyRunAtEtaOne:
         phi = InputSpec(phi_kind, amplitude)
         res = ResourceSpec(resource_kind, amplitude)
         lossless = run_entanglement_swap(phi, res, 5)
-        lossy = run_lossy_entswap(phi, res, LossConfig(), amplitude, 5)
+        lossy = run_lossy_entswap(phi, res, LossConfig(), 5)
         assert lossy == lossless
         assert lossy.outcomes == lossless.outcomes
+
+    def test_contour_cell_at_one_is_the_lossless_run(self):
+        """The (1, 1) cell of a contour among lossy cells reads alpha and beta from the specs."""
+        spec = InputSpec("squeezed-single-photon", 0.3)
+        res = ResourceSpec("squeezed-single-photon", 0.3 * math.sqrt(2.0))
+        rows = loss_contour_sweep("teleport", spec, res, [0.5, 1.0], [0.5, 1.0], 6)
+        assert rows[-1] == (1.0, 1.0, run_teleportation(spec, res, 6).average_fidelity)
+
+    @pytest.mark.parametrize("protocol", ["teleport", "entswap"])
+    def test_eta2_row_of_ones_is_the_lossless_run(self, protocol):
+        """A row of several eta2 values, every one 1, maps the tables through identity responses.
+
+        Each cell of the contour and each summary of the row, outcomes
+        included, is the lossless run's, bit for bit.
+        """
+        spec = InputSpec("odd-cat", 0.4)
+        if protocol == "teleport":
+            res = ResourceSpec("squeezed-single-photon", 0.4 * math.sqrt(2.0))
+            lossless = run_teleportation(spec, res, 5)
+        else:
+            res = ResourceSpec("squeezed-single-photon", 0.4)
+            lossless = run_entanglement_swap(spec, res, 5)
+        rows = loss_contour_sweep(protocol, spec, res, [1.0], [1.0, 1.0], 5)
+        assert rows == [(1.0, 1.0, lossless.average_fidelity)] * 2
+        assert protocols._responses(((1.0, 1.0),), 5) is not None
+        [summaries] = protocols._runs(
+            protocol, spec, [spec.alpha], res.kind, [res.beta], 5, [1.0], ((1.0, 1.0),)
+        )
+        assert len(summaries) == 2
+        for summary in summaries:
+            assert summary == lossless
+            assert summary.outcomes == lossless.outcomes
 
 
 def test_default_cutoffs_come_from_loss_cutoffs(monkeypatch):
@@ -244,7 +277,7 @@ def test_default_cutoffs_come_from_loss_cutoffs(monkeypatch):
     res = ResourceSpec("squeezed-single-photon", 0.4 * math.sqrt(2.0))
     config = LossConfig(0.9, 0.8)
     assert len(run_lossy_teleportation(spec, res, config).outcomes) == 5 * 5
-    swapped = run_lossy_entswap(spec, ResourceSpec("squeezed-single-photon", 0.4), config, 0.4)
+    swapped = run_lossy_entswap(spec, ResourceSpec("squeezed-single-photon", 0.4), config)
     assert len(swapped.outcomes) == 4 * 4
     prob, rho = conditional_output_density(spec, res, config, 0, 1)
     assert prob > 0.0
@@ -255,7 +288,7 @@ class TestSweeps:
     def test_diagonal_endpoint_matches_lossless(self):
         spec = InputSpec("squeezed-single-photon", 0.5)
         res = ResourceSpec("squeezed-single-photon", 0.5 * math.sqrt(2.0))
-        rows = loss_diagonal_sweep("teleport", spec, res, 0.5, eta_grid=[1.0], cutoff=6)
+        rows = loss_diagonal_sweep("teleport", spec, res, eta_grid=[1.0], cutoff=6)
         lossless = run_teleportation(spec, res, 6)
         assert abs(rows[0][1] - lossless.average_fidelity) < 1e-10
 
@@ -263,7 +296,7 @@ class TestSweeps:
         spec = InputSpec("odd-cat", 0.5)
         res = ResourceSpec("ideal-odd-cat", 0.5 * math.sqrt(2.0))
         rows = loss_diagonal_sweep(
-            "teleport", spec, res, 0.5, eta_grid=np.arange(0.1, 1.0 + 1e-9, 0.1), cutoff=5
+            "teleport", spec, res, eta_grid=np.arange(0.1, 1.0 + 1e-9, 0.1), cutoff=5
         )
         fids = [f for _, f in rows]
         assert all(b >= a - 1e-6 for a, b in zip(fids, fids[1:]))
@@ -282,7 +315,7 @@ class TestSweeps:
         ]
         etas = [0.3, 0.6, 0.9]
         curves = [
-            [f for _, f in loss_diagonal_sweep("teleport", spec, res, alpha, etas, 5)]
+            [f for _, f in loss_diagonal_sweep("teleport", spec, res, etas, 5)]
             for spec, res in families
         ]
         for i in range(len(curves)):
@@ -296,11 +329,11 @@ class TestSweeps:
         etas = [0.5, 0.7, 0.9, 1.0]
         coh = loss_diagonal_sweep(
             "teleport", InputSpec("coherent", alpha),
-            ResourceSpec("squeezed-single-photon", beta), alpha, etas, 5,
+            ResourceSpec("squeezed-single-photon", beta), etas, 5,
         )
         cat = loss_diagonal_sweep(
             "teleport", InputSpec("odd-cat", alpha),
-            ResourceSpec("squeezed-single-photon", beta), alpha, etas, 5,
+            ResourceSpec("squeezed-single-photon", beta), etas, 5,
         )
         for (_, fc), (_, fo) in zip(coh, cat):
             assert fc > 0.95
@@ -311,7 +344,6 @@ class TestSweeps:
             "entswap",
             InputSpec("squeezed-single-photon", 0.5),
             ResourceSpec("squeezed-single-photon", 0.5),
-            0.5,
             eta1_grid=[0.8, 1.0],
             eta2_grid=[0.9, 1.0],
             cutoff=4,
@@ -323,8 +355,14 @@ class TestSweeps:
         with pytest.raises(ValueError):
             loss_diagonal_sweep(
                 "beam-me-up", InputSpec("coherent", 0.3),
-                ResourceSpec("ideal-odd-cat", 0.3), 0.3, [1.0], 4,
+                ResourceSpec("ideal-odd-cat", 0.3), [1.0], 4,
             )
+
+    def test_empty_grids_give_no_rows(self):
+        spec = InputSpec("coherent", 0.3)
+        res = ResourceSpec("ideal-odd-cat", 0.3 * math.sqrt(2.0))
+        assert loss_contour_sweep("teleport", spec, res, [], [0.5], 3) == []
+        assert loss_diagonal_sweep("teleport", spec, res, [], 3) == []
 
     @pytest.mark.parametrize(
         "grids",
@@ -338,7 +376,7 @@ class TestSweeps:
         with pytest.raises(ValueError):
             loss_contour_sweep(
                 "teleport", InputSpec("coherent", 0.3),
-                ResourceSpec("ideal-odd-cat", 0.3 * math.sqrt(2.0)), 0.3, cutoff=3, **grids,
+                ResourceSpec("ideal-odd-cat", 0.3 * math.sqrt(2.0)), cutoff=3, **grids,
             )
 
     def test_fine_grid_builds_each_response_once(self):
@@ -349,7 +387,7 @@ class TestSweeps:
         grid = [i / 100 for i in range(101)]
         rows = loss_contour_sweep(
             "teleport", InputSpec("squeezed-single-photon", 0.5),
-            ResourceSpec("squeezed-single-photon", 0.5 * math.sqrt(2.0)), 0.5,
+            ResourceSpec("squeezed-single-photon", 0.5 * math.sqrt(2.0)),
             eta1_grid=grid, eta2_grid=grid, cutoff=2,
         )
         assert len(rows) == 101 * 101
@@ -383,12 +421,12 @@ def test_sweep_cells_are_their_single_runs_bit_for_bit(
         run = partial(run_lossy_teleportation, spec, resource, cutoff=cutoff)
     else:
         resource = ResourceSpec(resource_kind, amplitude)
-        run = partial(run_lossy_entswap, spec, resource, beta=amplitude, cutoff=cutoff)
+        run = partial(run_lossy_entswap, spec, resource, cutoff=cutoff)
 
     def single(eta1, eta2):
         return run(LossConfig(eta1, eta2)).average_fidelity
 
-    sweep_args = (protocol, spec, resource, amplitude)
+    sweep_args = (protocol, spec, resource)
     contour = loss_contour_sweep(*sweep_args, etas, etas, cutoff)
     assert [cell[:2] for cell in contour] == [(e1, e2) for e1 in etas for e2 in etas]
     for eta1, eta2, fid in contour:

@@ -18,7 +18,6 @@ import cskit
 import dense_circuit
 from cskit import cli, fock, loss, protocols
 from cskit.protocols import (
-    _LOSSLESS,
     INPUT_FAMILIES,
     RESOURCE_KINDS,
     InputSpec,
@@ -158,12 +157,12 @@ def test_accepted_counts_match_every_count(
     elif targets == "no-z":
         z_target = None
     parity = resource_parity(resource_kind)
-    [[edge]] = _heralded(*_one_circuit(left, pair, target, z_target), _LOSSLESS, parity, include_z)
+    [[edge]] = _heralded(*_one_circuit(left, pair, target, z_target), None, parity, include_z)
     assert np.all(edge._probabilities[edge._labels == "none"] == 0.0)
     tables, labels = _every_count(left, pair, target, z_target)
     dense, _ = dense_circuit.tables(dense_circuit.mixed(left, resource, eta1), target, z_target)
     for want_tables in (tables, dense):
-        [[want]] = _herald(want_tables[None], labels, _LOSSLESS, parity, include_z)
+        [[want]] = _herald(want_tables[None], labels, None, parity, include_z)
         assert abs(edge.success_probability - want.success_probability) <= TOL
         assert edge.degenerate == want.degenerate
         if not want.degenerate:
@@ -244,6 +243,6 @@ def test_engine_runs_without_apply_beamsplitter(no_beamsplitter):
     assert run_teleportation(spec, resource, 8).average_fidelity > 0.5
     assert run_entanglement_swap(spec, bell_resource, 6).average_fidelity > 0.5
     assert len(success_probability_sweep([0.5, 1.0], cutoff=8)) == 16
-    cells = loss.loss_contour_sweep("teleport", spec, resource, 0.5, [0.5, 1.0], [0.5, 1.0])
+    cells = loss.loss_contour_sweep("teleport", spec, resource, [0.5, 1.0], [0.5, 1.0])
     assert len(cells) == 4
-    assert len(loss.loss_contour_sweep("entswap", spec, bell_resource, 0.5, [0.5], [1.0])) == 1
+    assert len(loss.loss_contour_sweep("entswap", spec, bell_resource, [0.5], [1.0])) == 1
