@@ -170,6 +170,8 @@ def loss_contour_sweep(
     eta2_grid = _ETA_GRID if eta2_grid is None else eta2_grid
     eta1s = [LossConfig(eta1=float(eta)).eta1 for eta in eta1_grid]
     eta2s = tuple(LossConfig(eta2=float(eta)).eta2 for eta in eta2_grid)
+    if not eta2s:  # no cell, and no counters to build
+        return []
     rows = _runs(
         protocol, input_spec, [input_spec.alpha], resource_spec.kind, [resource_spec.beta],
         cutoff, eta1s, (eta2s,),

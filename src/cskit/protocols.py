@@ -12,8 +12,8 @@ for odd-parity resources (odd cat, squeezed single photon) odd counts need
 only I or X, even counts need a Z; for even-parity resources the roles swap.
 Only the X correction (a pi phase shift) is ever applied; outcomes needing a
 Z are reported but excluded from fidelity averaging unless explicitly
-included for diagnostics, in which case the comparison target absorbs an
-ideal Z (sign flip of the |-alpha> component).
+included for diagnostics. Their target absorbs an ideal Z (sign flip of the
+|-alpha> component); at alpha = 0 with mu = nu that is |1>, the limit.
 
 Both protocols, lossless and lossy, are one circuit: a Bell pair made from
 the resource (``_bells``, ``attenuate``'s gather into a vacuum port) and one
@@ -403,16 +403,13 @@ def _responses(eta2s: tuple, cutoff: int):
     ``eta2s`` holds a row of eta2 values per circuit, or one row that every
     circuit shares, and a circuit gets one summary per eta2 of its row. The
     stack holds a d x d response per eta2 in that layout
-    (``detector_response``), the identity at eta2 = 1, or is None when every
+    (``detector_response``, the identity at eta2 = 1), or is None when every
     row is (1.0,): lossless counters leave the tables as they are. The last
     stack is kept, so the batches of one grid build it once.
     """
     if all(row == (1.0,) for row in eta2s):
         return None
-    eye = np.eye(cutoff + 1)
-    responses = np.array(
-        [[eye if eta == 1.0 else detector_response(cutoff, eta) for eta in row] for row in eta2s]
-    )
+    responses = np.array([[detector_response(cutoff, eta) for eta in row] for row in eta2s])
     responses.setflags(write=False)
     return responses
 
@@ -749,16 +746,13 @@ def enumerate_outcomes(state3: MultiModeState, parity: str = "odd"):
 
 
 def _z_targets(spec, alphas, cutoff):
-    """(z_targets, has_z): the Z-flipped qubit of each input, as rows, and where it is a state.
+    """The Z-flipped qubit of each input, as rows, or None for a squeezed input.
 
-    None for a squeezed input. At alpha = 0 with mu = nu (the even cat) it is the zero vector.
+    The ideal Z flips the sign of nu (``QubitSuperposition.z_flipped``). At
+    alpha = 0 with mu = nu (the even cat) it is |1>, the limit ``_qubit`` takes.
     """
     qubit = spec.qubit()
-    if qubit is None:
-        return None, None
-    flipped = qubit.z_flipped()
-    has_z = (np.asarray(alphas) != 0.0) | (flipped.mu + flipped.nu != 0.0)
-    return _qubit(flipped.mu, flipped.nu, alphas, cutoff)[0], has_z
+    return None if qubit is None else _qubit(qubit.mu, -qubit.nu, alphas, cutoff)[0]
 
 
 # A batch of circuits holds at most this many bytes, as ``_circuit_bytes``
@@ -786,25 +780,24 @@ def _batches(count: int, circuit_bytes: int, pieces: int = 1) -> list:
 
 
 def _batch(
-    left, resources, kind, eta1s=1.0, eta2s=((1.0,),), targets=(None, None, None), include_z=False
+    left, resources, kind, eta1s=1.0, eta2s=((1.0,),), target=None, z_target=None,
+    include_z=False,
 ):
     """One list of summaries per circuit, one per eta2 of its counters, batch by batch.
 
     Circuit i mixes row i of ``left`` with the Bell pair of resource row i
     mod len(``resources``), of kind ``kind``, at its eta1 of ``eta1s`` (or one
     for all), in front of counters at its row of ``eta2s``: one row that every
-    circuit shares, or one row per circuit (``_responses``). ``targets`` is
-    (target, z_target, has_z) (``_z_targets``). Each batch builds its Bell
-    pairs; its circuits with no Z target herald apart.
+    circuit shares, or one row per circuit (``_responses``). It compares with
+    row i of ``target`` and of ``z_target`` (``_z_targets``), where given.
+    Each batch builds its Bell pairs and heralds in one ``_heralded`` call.
     """
     eta1s = np.asarray(eta1s, dtype=float)
     responses = _responses(eta2s, len(resources[0]) - 1)
     n_eta2 = 1 if responses is None else responses.shape[1]
     lossy = responses is not None or bool((eta1s < 1.0).any())
     circuit = _circuit_bytes(len(resources[0]) - 1, left.ndim == 3, lossy, n_eta2)
-    target, z_target, has_z = targets
-    has_z = np.zeros(len(left), bool) if has_z is None else has_z
-    parity, runs = resource_parity(kind), {}
+    parity, runs = resource_parity(kind), []
     for piece in _batches(len(left), circuit):
         index = np.arange(len(left))[piece]
         if eta1s.ndim == 0 and len(resources) < len(left):  # rows shared by several circuits
@@ -812,16 +805,10 @@ def _batch(
             pairs = _bells(resources[kept], eta1s)[shared]
         else:
             pairs = _bells(resources[index % len(resources)], eta1s[piece] if eta1s.ndim else eta1s)
-        for batch in (index[~has_z[piece]], index[has_z[piece]]):
-            if batch.size:
-                whole = batch.size == len(index)
-                rows, local = (piece, slice(None)) if whole else (batch, batch - piece.start)
-                t = None if target is None else target[rows]  # a view where whole, not a copy
-                z = z_target[rows] if has_z[batch[0]] else None
-                counters = responses if responses is None or len(eta2s) == 1 else responses[batch]
-                lists = _heralded(left[rows], pairs[local], t, z, counters, parity, include_z)
-                runs.update(zip(batch.tolist(), lists))
-    return [runs[i] for i in range(len(left))]
+        t, z = (None if a is None else a[piece] for a in (target, z_target))
+        counters = responses if responses is None or len(eta2s) == 1 else responses[piece]
+        runs.extend(_heralded(left[piece], pairs, t, z, counters, parity, include_z))
+    return runs
 
 
 def _runs(
@@ -830,10 +817,11 @@ def _runs(
 ):
     """Summaries per input of ``spec``'s family at each amplitude of ``alphas``, one per eta2.
 
-    'teleport' teleports each input; 'entswap' swaps each phi, whose Bell pair
-    enters the circuit and is the target. Only the kind, mu and nu of ``spec``
-    are read. Each input, and its target, is matched to its lossy resource:
-    it is built at sqrt(eta1) * alpha, exactly alpha at eta1 = 1, for one
+    'teleport' teleports each input, its own target, with the Z-flipped input
+    as Z target (``_z_targets``); 'entswap' swaps each phi, whose Bell pair
+    enters the circuit and is the target, with no Z target. Only the kind, mu
+    and nu of ``spec`` are read. Each input and target is matched to its lossy
+    resource: built at sqrt(eta1) * alpha, exactly alpha at eta1 = 1, for one
     eta1 of ``eta1s`` per input or one for all. The resources, of kind
     ``resource_kind``, are at one amplitude of ``betas`` per input or one for
     all; ``eta2s`` is ``_batch``'s. Each is one batched build.
@@ -845,12 +833,11 @@ def _runs(
     else:
         inputs = _state_kind(spec.kind, "input").rows(alphas, cutoff)[0]
     if protocol == "teleport":
-        targets = (inputs, *_z_targets(spec, alphas, cutoff))
+        z_target = _z_targets(spec, alphas, cutoff)
     else:
-        inputs = _bells(inputs)
-        targets = (inputs, None, None)
+        inputs, z_target = _bells(inputs), None
     resources = _state_kind(resource_kind, "resource").rows(betas, cutoff)[0]
-    return _batch(inputs, resources, resource_kind, eta1s, eta2s, targets, include_z)
+    return _batch(inputs, resources, resource_kind, eta1s, eta2s, inputs, z_target, include_z)
 
 
 def _betas(beta_grid) -> list:

@@ -80,10 +80,7 @@ def _outcome_loop(state, detectors, parity, fidelity_of):
 def _reference_teleport(input_spec, resource_spec, loss, cutoff, include_z):
     target = input_spec.to_fock(cutoff)
     qubit = input_spec.qubit()
-    try:
-        z_target = None if qubit is None else qubit.z_flipped().to_fock(cutoff)
-    except ValueError:  # the Z flip of the vacuum even cat is the zero vector
-        z_target = None
+    z_target = None if qubit is None else qubit.z_flipped().to_fock(cutoff)
     parity = resource_spec.parity
     st = tensor([target, resource_spec.to_fock(cutoff), fock_basis_state(0, cutoff)])
     st = attenuate(st, 1, loss.eta1)
@@ -165,21 +162,49 @@ TELEPORT_CASES = [
 ]
 
 
-@pytest.mark.parametrize("loss", LOSSES, ids=_loss_id)
-@pytest.mark.parametrize("input_kind, resource_kind, include_z", TELEPORT_CASES)
-def test_teleport_matches_outcome_loop(input_kind, resource_kind, include_z, loss):
-    alpha = 0.4
-    spec = InputSpec(input_kind, alpha)
-    resource = ResourceSpec(resource_kind, math.sqrt(2.0) * alpha)
+def _check_teleport(spec, resource, loss, include_z):
+    """The engine's run of one teleporter against the outcome loop, the input matched to eta1."""
     if loss is None:
         summary = run_teleportation(spec, resource, TELEPORT_CUTOFF, include_z)
         loss = LossConfig()
     else:
         summary = run_lossy_teleportation(spec, resource, loss, TELEPORT_CUTOFF, include_z)
-    matched = spec.at_alpha(math.sqrt(loss.eta1) * alpha)
+    matched = spec.at_alpha(math.sqrt(loss.eta1) * spec.alpha)
     _assert_matches(
         summary, *_reference_teleport(matched, resource, loss, TELEPORT_CUTOFF, include_z)
     )
+
+
+@pytest.mark.parametrize("loss", LOSSES, ids=_loss_id)
+@pytest.mark.parametrize("input_kind, resource_kind, include_z", TELEPORT_CASES)
+def test_teleport_matches_outcome_loop(input_kind, resource_kind, include_z, loss):
+    alpha = 0.4
+    resource = ResourceSpec(resource_kind, math.sqrt(2.0) * alpha)
+    _check_teleport(InputSpec(input_kind, alpha), resource, loss, include_z)
+
+
+# Inputs with mu = nu whose matched amplitude is 0: the Z flip of the vacuum
+# is |1>, the odd cat's alpha -> 0 limit, and Z-type outcomes are compared
+# with it. Lossless at alpha = 0 the resource is at beta = 1, so that Z-type
+# outcomes have weight; at eta1 = 0 the input is matched to its lost source.
+EVEN_AT_ZERO = [
+    (InputSpec("even-cat", 0.0), 1.0, None),
+    (InputSpec("superposition", 0.0, 0.6, 0.6), 1.0, None),
+    (InputSpec("even-cat", 0.5), 0.5 * math.sqrt(2.0), LossConfig(0.0, 0.7)),
+]
+
+
+@pytest.mark.parametrize("include_z", [False, True])
+@pytest.mark.parametrize(
+    "resource_kind", ["squeezed-single-photon", "squeezed-vacuum", "ideal-odd-cat"]
+)
+@pytest.mark.parametrize(
+    "spec, beta, loss", EVEN_AT_ZERO, ids=["even-cat", "mu=nu", "even-cat-eta1-0"]
+)
+def test_even_input_at_zero_amplitude_matches_outcome_loop(
+    spec, beta, loss, resource_kind, include_z
+):
+    _check_teleport(spec, ResourceSpec(resource_kind, beta), loss, include_z)
 
 
 SWAP_CASES = [

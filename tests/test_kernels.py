@@ -162,6 +162,12 @@ def test_detector_response_is_binomial(cutoff, eta):
     assert np.max(np.abs(detector_response(cutoff, eta) - want)) <= TOL
 
 
+def test_lossless_detector_response_is_the_identity():
+    """At eta = 1 the response is exactly the identity, so lossless counters change no bit."""
+    for cutoff in range(1, 40):
+        assert np.array_equal(detector_response(cutoff, 1.0), np.eye(cutoff + 1))
+
+
 def _split_into_vacuum(state, mode, port):
     """Reference: a vacuum mode inserted at axis ``port``, then a full 50:50 beamsplitter."""
     padded = np.zeros(state.amps.shape + (state.amps.shape[mode],), dtype=complex)

@@ -6,6 +6,7 @@ import pytest
 from dense_circuit import mixed, tables
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_engine import _assert_matches, _reference_teleport
 
 from cskit import fock, loss, protocols
 from cskit.fock import coherent_state, fidelity, partial_trace, tensor
@@ -107,16 +108,17 @@ class TestLossyTeleportation:
         )
         assert summary.degenerate
 
-    def test_even_cat_without_source(self):
-        # the matched even cat at eta1 = 0 is the vacuum, whose Z flip is the
-        # zero vector: Z-type outcomes get no fidelity instead of an error
-        summary = run_lossy_teleportation(
-            InputSpec("even-cat", 0.5),
-            ResourceSpec("squeezed-single-photon", 0.5 * math.sqrt(2.0)),
-            LossConfig(0.0, 0.7), 6,
-        )
+    @pytest.mark.parametrize("include_z", [False, True])
+    def test_even_cat_without_source(self, include_z):
+        # the matched even cat at eta1 = 0 is the vacuum, whose Z flip is |1>,
+        # the odd cat's alpha -> 0 limit: Z-type outcomes get its fidelity
+        spec, loss_config = InputSpec("even-cat", 0.5), LossConfig(0.0, 0.7)
+        res = ResourceSpec("squeezed-single-photon", 0.5 * math.sqrt(2.0))
+        summary = run_lossy_teleportation(spec, res, loss_config, 6, include_z)
         z_type = [o for o in summary.outcomes if o.accepted and "Z" in o.correction]
-        assert z_type and all(o.fidelity is None for o in z_type)
+        assert z_type and all(o.fidelity is not None for o in z_type if o.probability)
+        reference = _reference_teleport(spec.at_alpha(0.0), res, loss_config, 6, include_z)
+        _assert_matches(summary, *reference)
 
     def test_mode_count(self):
         # The dense circuit's axes are the counters, the outputs, then the
@@ -362,6 +364,7 @@ class TestSweeps:
         spec = InputSpec("coherent", 0.3)
         res = ResourceSpec("ideal-odd-cat", 0.3 * math.sqrt(2.0))
         assert loss_contour_sweep("teleport", spec, res, [], [0.5], 3) == []
+        assert loss_contour_sweep("teleport", spec, res, [0.5], [], 3) == []
         assert loss_diagonal_sweep("teleport", spec, res, [], 3) == []
 
     @pytest.mark.parametrize(

@@ -52,8 +52,8 @@ def _factors(protocol, input_kind, resource_kind, amplitude, cutoff, eta1):
     try:
         resource = ResourceSpec(resource_kind, beta).to_fock(cutoff)
         state = spec.to_fock(cutoff)
-        z_targets, has_z = _z_targets(spec, [amplitude], cutoff)
-        z_target = None if z_targets is None or not has_z[0] else z_targets[0]
+        z_targets = _z_targets(spec, [amplitude], cutoff)
+        z_target = None if z_targets is None else z_targets[0]
     except ValueError:  # too large for the cutoff, or a squeezed vacuum at cutoff 1
         return None
     pair = _bells(resource.amps, eta1)
