@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import math
+import operator
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -308,14 +309,13 @@ def _cmd_wigner(args):
     grid = PhaseGrid((lo, hi), (lo, hi), args.steps)
     state = STATE_KINDS[args.state].build(args.beta, args.cutoff, args.r)
     surface = wigner_grid(state, grid)
-    # Each axis value is formatted once; the rows are the same bytes as
-    # _csv_lines over (x, p, W) float tuples.
+    # Each axis value is formatted once, and the lines of one x are one join;
+    # the rows are the same bytes as _csv_lines over (x, p, W) float tuples.
     x_cells = [repr(x) + "," for x in grid.xs.tolist()]
     p_cells = [repr(p) + "," for p in grid.ps.tolist()]
     lines = [
-        x_cell + p_cell + repr(w)
+        x_cell + ("\n" + x_cell).join(map(operator.add, p_cells, map(repr, row)))
         for x_cell, row in zip(x_cells, surface.tolist())
-        for p_cell, w in zip(p_cells, row)
     ]
     extra = [
         ("state", args.state),

@@ -200,15 +200,20 @@ def _qubit(mu, nu, alphas, cutoff):
     """(amps, leakage) of mu|alpha> + nu|-alpha> at each alpha of ``alphas``, as in ``to_fock``.
 
     ``mu`` and ``nu`` hold one coefficient for every row, or one per row.
-    |-alpha> is |alpha> with the sign of its odd photon numbers flipped. Each
-    norm is ``np.linalg.norm``'s reduction of a lone vector, one dot per part.
-    The leakage is the weight the cutoff loses from the exact norm |mu + nu|^2
-    + 2 Re(mu* nu) (exp(-2 |alpha|^2) - 1), 0 in the |1> limit.
+    Row i is at ``alphas[i % len(alphas)]``, so families over one grid build
+    each coherent row once. |-alpha> is |alpha> with the sign of its odd
+    photon numbers flipped. Each norm is ``np.linalg.norm``'s reduction of a
+    lone vector, one dot per part. The leakage is the weight the cutoff loses
+    from the exact norm |mu + nu|^2 + 2 Re(mu* nu) (exp(-2 |alpha|^2) - 1), 0
+    in the |1> limit.
     """
     plus, plus_leakage = _coherent_rows(alphas, cutoff)
-    plus = np.asarray(plus, dtype=complex)
+    rows = max(np.size(mu), np.size(nu), len(plus)) if len(plus) else 0
+    at = np.arange(rows) % len(plus)
+    plus, plus_leakage = np.asarray(plus, dtype=complex)[at], plus_leakage[at]
+    alphas = np.asarray(alphas)[at]
     minus = np.where(np.arange(plus.shape[1]) % 2 == 0, plus, -plus)
-    mu, nu = np.broadcast_arrays(mu, nu, np.empty(len(plus)))[:2]
+    mu, nu = np.broadcast_arrays(mu, nu, at)[:2]
     amps = mu[:, None] * plus + nu[:, None] * minus
     norms = np.sqrt(sum(p[:, None] @ p[:, :, None] for p in (amps.real, amps.imag))).ravel()
     zero = norms == 0.0
@@ -928,7 +933,7 @@ def success_probability_sweep(
         return []
     # family-major rows: row j * len(betas) + i is family j at beta i
     mus, nus = np.array(list(families.values())).T
-    alphas = np.tile(np.array(betas, dtype=float) / math.sqrt(2.0), len(mus))
+    alphas = np.array(betas, dtype=float) / math.sqrt(2.0)
     left = _qubit(mus.repeat(len(betas)), nus.repeat(len(betas)), alphas, cutoff)[0]
     p_success = [
         [summary.success_probability for [summary] in _batch(left, rows, kind)]

@@ -22,8 +22,14 @@ How it is evaluated: each diagonal k = m - n of rho contributes
 where l_n^k = sqrt(n! k!/(n+k)!) L_n^k are normalized Laguerre functions
 with l_0^k = 1. That sum is taken by Clenshaw's backward recurrence (as in
 QuTiP's ``wigner(method="clenshaw")``; Johansson, Nation & Nori,
-Comput. Phys. Commun. 184, 1234 (2013)), which holds only a few grid-sized
-arrays at a time and costs O(d^2) array operations in all.
+Comput. Phys. Commun. 184, 1234 (2013)). The recurrence reads the grid
+only through x = 4|a|^2, so it runs once per distinct x; only the powers
+(2a)^k e^{-x/2} / sqrt(k!) and the final sum run on the full grid. With U
+distinct radii among N points a surface costs O(d^2 U + d N) and holds a few
+arrays of either size at a time. A square grid centred on the origin repeats
+most radii: the default grid holds U/N = 22% (2,269 of 10,201 points), the
+201-step one 21%. A grid whose radii never repeat pays for the sort and
+the gathers and saves nothing.
 """
 
 from __future__ import annotations
@@ -95,11 +101,17 @@ def _parity_sum(rho: DensityMatrix, alpha_c: np.ndarray) -> np.ndarray:
         x[far] = 0.0
     x *= x
     x *= 4.0
+    # The recurrence reads the grid only through x, and most x values of a
+    # square grid repeat (hypot is symmetric, and the axes mirror), so it runs
+    # once per distinct x and each sum is read back at every point by index.
+    x, where = np.unique(x, return_inverse=True)
+    where = where.reshape(alpha_c.shape)
+    two_a = 2.0 * alpha_c
     signs = (-1.0) ** np.arange(dim)
     total = np.zeros(alpha_c.shape)
     for k in range(dim):
         if k:
-            power *= 2.0 * alpha_c / math.sqrt(k)
+            power *= two_a / math.sqrt(k)
         # c_n = (-1)^n rho[n, n+k]; an all-zero diagonal adds nothing, and a
         # real one (as from real Fock amplitudes) runs in float
         coeffs = signs[: dim - k] * np.diagonal(rho.elems, k)
@@ -124,7 +136,7 @@ def _parity_sum(rho: DensityMatrix, alpha_c: np.ndarray) -> np.ndarray:
             b2 += coeffs[n]
             b1, b2 = b2, b1
         weight = 1.0 if k == 0 else 2.0
-        total += weight * np.real(b1 * power)
+        total += weight * np.real(b1.take(where) * power)
     return total / math.pi
 
 

@@ -311,14 +311,23 @@ class TestSubcommands:
         assert len(rows) == 4
         assert all(row.split(",")[2] == "0.0" for row in rows)
 
-    def test_wigner_rows_are_repr_of_the_library_surface(self, capsys):
+    @pytest.mark.parametrize(
+        "steps, lo, hi",
+        [
+            (31, -3.0, 4.0),
+            # one row of two lines per x: the first and the last line of each join
+            (2, -5.0, 5.0),
+            (3, -0.25, 7.5),
+        ],
+    )
+    def test_wigner_rows_are_repr_of_the_library_surface(self, capsys, steps, lo, hi):
         code, out = _run(
             capsys,
-            ["wigner", "--state", "odd-cat", "--steps", "31", "--range", "-3", "4"],
+            ["wigner", "--state", "odd-cat", "--steps", str(steps), "--range", repr(lo), repr(hi)],
         )
         assert code == 0
         _, _, rows = _parse(out)
-        grid = PhaseGrid((-3.0, 4.0), (-3.0, 4.0), 31)
+        grid = PhaseGrid((lo, hi), (lo, hi), steps)
         surface = wigner_grid(STATE_KINDS["odd-cat"].build(1.0, 15, None), grid)
         want = [
             f"{float(x)!r},{float(p)!r},{float(surface[i, j])!r}"
@@ -326,6 +335,8 @@ class TestSubcommands:
             for j, p in enumerate(grid.ps)
         ]
         assert rows == want
+        # no line is lost, doubled or left empty where one x's lines meet the next's
+        assert out.split("\nx,p,W\n", 1)[1] == "\n".join(want) + "\n"
 
 
 def test_cli_import_leaves_out_scipy_special():

@@ -201,3 +201,19 @@ def test_qubit_leakage_is_the_cats(cutoff, alpha):
     for (mu, nu), parity in (((1.0, -1.0), "odd"), ((1.0, 1.0), "even"), ((-2.5, -2.5), "even")):
         qubit = QubitSuperposition(mu, nu, alpha).to_fock(cutoff)
         assert abs(qubit.leakage - cat_state(alpha, parity, cutoff).leakage) <= 1e-15
+
+
+@pytest.mark.parametrize("cutoff", [2, 15])
+def test_qubit_families_over_one_grid_build_each_coherent_row_once(cutoff, monkeypatch):
+    """Row i of a family-major batch reads alpha i mod len(alphas): the bits of the tiled build."""
+    alphas = np.array([0.0, 1e-160, 0.3, 0.7, 0.9 * math.sqrt(cutoff / 3)])
+    mus, nus = np.array(list(INPUT_FAMILIES.values())).T
+    mus, nus = mus.repeat(len(alphas)), nus.repeat(len(alphas))
+    tiled = protocols._qubit(mus, nus, np.tile(alphas, len(INPUT_FAMILIES)), cutoff)
+    built = []
+    rows = protocols._coherent_rows
+    monkeypatch.setattr(protocols, "_coherent_rows", lambda a, c: built.append(len(a)) or rows(a, c))
+    gathered = protocols._qubit(mus, nus, alphas, cutoff)
+    assert built == [len(alphas)]
+    for got, want in zip(gathered, tiled):
+        assert np.array_equal(got, want)

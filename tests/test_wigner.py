@@ -9,6 +9,8 @@ from scipy.special import eval_genlaguerre, gammaln
 
 from cskit.catstates import cat_state, r_opt, squeezed_single_photon
 from cskit.fock import DensityMatrix, coherent_state, density_matrix, fock_basis_state
+from cskit.loss import LossConfig, conditional_output_density
+from cskit.protocols import InputSpec, ResourceSpec
 from cskit.wigner import PhaseGrid, wigner_grid, wigner_point
 
 TOL = 1e-12
@@ -42,8 +44,56 @@ def _closed_form_parity_sum(rho, alpha_c):
 
 
 def _closed_form_grid(rho, grid):
-    alpha_c = (grid.xs[:, None] + 1j * grid.ps[None, :]) / math.sqrt(2.0)
-    return _closed_form_parity_sum(rho, alpha_c)
+    return _closed_form_parity_sum(rho, _alphas(grid))
+
+
+def _full_grid_parity_sum(rho, alpha_c):
+    """(1/pi) Tr[rho P(alpha_c)] by the Clenshaw sum run on every point of the
+    grid, as cskit evaluated it before the recurrence ran once per distinct
+    radius. Every float operation per point is the kernel's, so the two agree
+    bit for bit."""
+    dim = rho.dim
+    x = np.abs(alpha_c)
+    power = np.minimum(x, 1e3)
+    power *= power
+    power *= -2.0
+    power = np.exp(power, out=power).astype(complex)
+    far = power == 0.0
+    if far.any():
+        alpha_c = np.where(far, 0.0, alpha_c)
+        x[far] = 0.0
+    x *= x
+    x *= 4.0
+    signs = (-1.0) ** np.arange(dim)
+    total = np.zeros(alpha_c.shape)
+    for k in range(dim):
+        if k:
+            power *= 2.0 * alpha_c / math.sqrt(k)
+        coeffs = signs[: dim - k] * np.diagonal(rho.elems, k)
+        if not coeffs.any():
+            continue
+        if not coeffs.imag.any():
+            coeffs = coeffs.real
+        b1 = np.zeros(x.shape, coeffs.dtype)
+        b2 = np.zeros_like(b1)
+        term = np.empty_like(b1)
+        for n in range(dim - 1 - k, -1, -1):
+            s1 = math.sqrt((n + 1) * (n + k + 1))
+            s2 = math.sqrt((n + 2) * (n + k + 2))
+            np.subtract(2 * n + 1 + k, x, out=term)
+            term *= b1
+            term /= s1
+            b2 *= -s1 / s2
+            b2 += term
+            b2 += coeffs[n]
+            b1, b2 = b2, b1
+        weight = 1.0 if k == 0 else 2.0
+        total += weight * np.real(b1 * power)
+    return total / math.pi
+
+
+def _alphas(grid):
+    return (grid.xs[:, None] + 1j * grid.ps[None, :]) / math.sqrt(2.0)
 
 
 def _oracle_wigner_point(rho_elems, x, p, margin=10):
@@ -222,3 +272,69 @@ class TestClosedFormOracle:
             alpha_c = np.array([(x + 1j * p) / math.sqrt(2.0)])
             oracle = _closed_form_parity_sum(density_matrix(vac), alpha_c)[0]
             assert abs(wigner_point(vac, x, p) - oracle) <= TOL
+
+
+def _distinct_radii(grid):
+    x = np.abs(_alphas(grid))
+    return np.unique(4.0 * x * x).size
+
+
+def _assert_full_grid_bits(rho, grid):
+    rho = density_matrix(rho) if not isinstance(rho, DensityMatrix) else rho
+    got = wigner_grid(rho, grid)
+    want = _full_grid_parity_sum(rho, _alphas(grid))
+    assert np.array_equal(got, want)
+
+
+class TestFullGridOracle:
+    """The recurrence run once per distinct radius against the one run on every point, bit for bit."""
+
+    def test_benchmark_surfaces(self):
+        # the odd-cat CLI grid and the two library grids of the wigner-views workload
+        _, lossy = conditional_output_density(
+            InputSpec("squeezed-single-photon", 0.5),
+            ResourceSpec("squeezed-single-photon", math.sqrt(2.0) * 0.5),
+            LossConfig(0.8, 0.7),
+            1,
+            0,
+            6,
+        )
+        assert _distinct_radii(GRID) == 8426
+        for rho in (
+            cat_state(2.0, "odd", 15),
+            squeezed_single_photon(r_opt(1.2), 30),
+            lossy,
+        ):
+            _assert_full_grid_bits(rho, GRID)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=12)
+    @given(rho=hermitian_densities())
+    def test_complex_hermitian_densities(self, rho):
+        _assert_full_grid_bits(rho, PhaseGrid((-4.0, 4.0), (-4.0, 4.0), 41))
+
+    def test_grid_whose_radii_hardly_repeat(self):
+        grid = PhaseGrid((-3.1, 4.7), (-2.3, 5.9), 121)
+        assert _distinct_radii(grid) > 0.99 * grid.steps**2
+        for rho in (cat_state(1.0, "odd", 15), coherent_state(1.3 + 0.4j, 20)):
+            _assert_full_grid_bits(rho, grid)
+
+    @pytest.mark.parametrize(
+        "x_range, p_range",
+        [
+            ((1e154, 2e154), (1e154, 2e154)),
+            # |a| = |x + ip| / sqrt(2) crosses ~19.3, where e^{-2|a|^2} underflows
+            ((20.0, 35.0), (-5.0, 5.0)),
+        ],
+    )
+    def test_far_field_clip(self, x_range, p_range):
+        grid = PhaseGrid(x_range, p_range, 41)
+        for rho in (fock_basis_state(0, 3), coherent_state(0.5j, 10), cat_state(1.0, "even", 15)):
+            _assert_full_grid_bits(rho, grid)
+        surface = wigner_grid(fock_basis_state(0, 3), grid)
+        assert np.all(surface[-1] == 0.0)
+
+    def test_points(self):
+        rho = density_matrix(cat_state(1.5, "odd", 12))
+        for x, p in ((0.0, 0.0), (1.5, -0.5), (-4.0, 3.0), (30.0, 0.0)):
+            want = _full_grid_parity_sum(rho, np.array([(x + 1j * p) / math.sqrt(2.0)]))[0]
+            assert wigner_point(rho, x, p) == want
