@@ -22,7 +22,7 @@ from functools import lru_cache, partial
 
 from . import __version__
 from .catstates import approximation_fidelity_sweep
-from .loss import LOSS_CUTOFFS, loss_contour_sweep, loss_diagonal_sweep
+from .loss import LOSS_CUTOFFS, _averages
 from .protocols import (
     INPUT_FAMILIES,
     RESOURCE_KINDS,
@@ -198,14 +198,16 @@ def _entswap_rows(phi_kind, resource_kind, cutoff, betas) -> list:
 
 def _loss_lines(protocol, input_spec, resource_spec, cutoff, eta2s, eta1s) -> list:
     """CSV lines of (eta1, eta2, fidelity) over eta1s x eta2s, or the eta1 = eta2 slice when
-    eta2s is None; each eta formatted once, the same bytes as ``_csv_lines`` of the rows."""
-    sweep_args = (protocol, input_spec, resource_spec)
+    eta2s is None, read from the loss sweeps' array (``loss._averages``). Each eta is
+    formatted once, and a degenerate cell's NaN prints as nan: the same bytes as
+    ``_csv_lines`` of the library's rows."""
+    rows = tuple((eta,) for eta in eta1s) if eta2s is None else (tuple(eta2s),)
+    average = _averages(protocol, input_spec, resource_spec, cutoff, eta1s, rows)
+    fidelities = map(repr, average.ravel().tolist())
     if eta2s is None:
-        cells = loss_diagonal_sweep(*sweep_args, eta1s, cutoff)
-        return [2 * (repr(eta) + ",") + _fmt(fidelity) for eta, fidelity in cells]
-    rows = loss_contour_sweep(*sweep_args, eta1s, eta2s, cutoff)
+        return [2 * (repr(eta) + ",") + fidelity for eta, fidelity in zip(eta1s, fidelities)]
     cells = itertools.product(*([repr(eta) + "," for eta in etas] for etas in (eta1s, eta2s)))
-    return [eta1 + eta2 + _fmt(fidelity) for (eta1, eta2), (_, _, fidelity) in zip(cells, rows)]
+    return [eta1 + eta2 + fidelity for (eta1, eta2), fidelity in zip(cells, fidelities)]
 
 
 def _cmd_approx(args):

@@ -5,10 +5,13 @@ eta2 models detector inefficiency, applied just before each detector. Both
 are the pure-loss channel of a transmitivity-eta beamsplitter whose second
 port starts in vacuum. Source loss is ``attenuate``: it appends an
 environment mode, kept as a purification whose count indexes the Kraus
-branches. Detector loss is no mode: the lossless outcome tables T become
+branches. Detector loss is no mode: a lossless outcome table T becomes
 M T M^T through the binomial response M of an inefficient counter
-(``fock.detector_response``), which is exact. The joint lossy state is never
-built, so a lossy run costs O(d^4) time and O(d^3) memory, as in
+(``fock.detector_response``), which is exact. A sum of M T M^T over a set S
+of counts is <T, W_S> with W_S = M^T 1_S M, so a run's success probability
+and average fidelity are sums of T against these count weights, and no
+M T M^T is built unless a summary's records are read. The joint lossy state
+is never built, so a lossy run costs O(d^4) time and O(d^3) memory, as in
 ``cskit.protocols``, whose engine this is: a lossless run is its eta1 = eta2
 = 1 case, and the lossy runners at LossConfig() return the lossless summary.
 
@@ -18,14 +21,17 @@ nominal alpha becomes sqrt(eta1) * alpha. Both runners and both sweeps are
 one ``protocols._runs`` call, as the lossless runners are, and every eta1 of
 a sweep is one circuit of the engine's batches (``protocols._batches``).
 Detector loss is a plain row of eta2 values: a contour's circuits share one
-row, whose stack of responses is built once per grid, and a diagonal's
-circuit i sees eta_i alone. ``conditional_output_density`` keeps every loss
+row, whose stack of responses and count weights is built once per grid, and
+a diagonal's circuit i sees eta_i alone. The two sweeps read the engine's
+arrays of average fidelities (``_averages``, which the CLI reads too) and
+build no summary. ``conditional_output_density`` keeps every loss
 as a mode and reduces by a partial trace, as an independent cross-check.
 Every entry point that takes a cutoff defaults it from LOSS_CUTOFFS.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from .fock import (
@@ -61,6 +67,24 @@ LOSS_CUTOFFS = {"teleport": 6, "entswap": 5}
 
 # The default eta grid: 0, 0.05, ..., 1.
 _ETA_GRID = [i / 20 for i in range(21)]
+
+
+def _averages(protocol, input_spec, resource_spec, cutoff, eta1s, eta2s):
+    """The average fidelity of each eta1 of ``eta1s`` at each eta2 of its row of ``eta2s``.
+
+    An array over (eta1, eta2), NaN for a degenerate cell, with no summary
+    built. ``eta2s`` is one row that every eta1 shares or one row per eta1,
+    as ``protocols._runs`` reads it, and every eta is one already checked.
+    """
+    return _runs(
+        protocol, input_spec, [input_spec.alpha], resource_spec.kind, [resource_spec.beta],
+        cutoff, eta1s, eta2s, summaries=False,
+    )[1]
+
+
+def _fidelity(average: float):
+    """An average fidelity of ``protocols._herald``'s arrays, None where it is NaN (degenerate)."""
+    return None if math.isnan(average) else average
 
 
 def _loss_cutoff(protocol, cutoff):
@@ -172,15 +196,9 @@ def loss_contour_sweep(
     eta2s = tuple(LossConfig(eta2=float(eta)).eta2 for eta in eta2_grid)
     if not eta2s:  # no cell, and no counters to build
         return []
-    rows = _runs(
-        protocol, input_spec, [input_spec.alpha], resource_spec.kind, [resource_spec.beta],
-        cutoff, eta1s, (eta2s,),
-    )
-    return [
-        (eta1, eta2, summary.average_fidelity)
-        for eta1, summaries in zip(eta1s, rows)
-        for eta2, summary in zip(eta2s, summaries)
-    ]
+    average = _averages(protocol, input_spec, resource_spec, cutoff, eta1s, (eta2s,))
+    cells = itertools.product(eta1s, eta2s)
+    return [(eta1, eta2, _fidelity(f)) for (eta1, eta2), f in zip(cells, average.ravel().tolist())]
 
 
 def loss_diagonal_sweep(
@@ -197,8 +215,6 @@ def loss_diagonal_sweep(
     cutoff = _loss_cutoff(protocol, cutoff)
     eta_grid = _ETA_GRID if eta_grid is None else eta_grid
     etas = [LossConfig(float(eta), float(eta)).eta1 for eta in eta_grid]
-    rows = _runs(
-        protocol, input_spec, [input_spec.alpha], resource_spec.kind, [resource_spec.beta],
-        cutoff, etas, tuple((eta,) for eta in etas),
-    )
-    return [(eta, summary.average_fidelity) for eta, [summary] in zip(etas, rows)]
+    rows = tuple((eta,) for eta in etas)
+    average = _averages(protocol, input_spec, resource_spec, cutoff, etas, rows)
+    return [(eta, _fidelity(f)) for eta, f in zip(etas, average.ravel().tolist())]

@@ -33,15 +33,18 @@ builds all the states of a batch as one (b, d) array (``StateKind.rows``);
 ``_runs`` builds a sweep's inputs, Z targets and resources so, and ``_batch``
 heralds them. Lossless counters need only the edge counts (0, s) and (s, 0),
 in O(d^3) per circuit; detector loss mixes every count into the accepted
-ones, so lossy counters fill every count, in O(d^4), and one batched matmul
-maps the tables through a stack of eta2 responses. A summary builds its
-outcome records, and behind lossless counters its rejected counts'
-probabilities, only when read. Every build and contraction is per row, so a
-circuit's result is the same bits in any batch: ``run_teleportation`` and
-``run_entanglement_swap`` are the one-circuit case of the sweeps. A lossless
-run is the eta1 = eta2 = 1 case of the engine, and a summary holds nothing of
-its arguments, so there the lossy runners of ``cskit.loss`` return a summary
-equal to the lossless one.
+ones, so lossy counters fill every count, in O(d^4). A run's success
+probability and average fidelity are sums of the tables against count
+weights, one per set of counts and eta2 response (``_herald``), the same
+route behind lossless counters, where each weight is a mask. A summary
+builds its outcome tables and records, and behind lossless counters its
+rejected counts' probabilities, only when read; the loss sweeps and
+``success_probability_sweep`` read arrays and build no summary. Every build
+and contraction is per row, so a circuit's result is the same bits in any
+batch: ``run_teleportation`` and ``run_entanglement_swap`` are the
+one-circuit case of the sweeps. A lossless run is the eta1 = eta2 = 1 case
+of the engine, and a summary holds nothing of its arguments, so there the
+lossy runners of ``cskit.loss`` return a summary equal to the lossless one.
 """
 
 from __future__ import annotations
@@ -324,26 +327,58 @@ class ProtocolSummary:
     that need no Z correction (the odd detector counts for an odd-parity
     resource), or None for a degenerate run, one with zero accepted weight.
     The summary holds no copy of the run's arguments, so a lossy run at
-    eta1 = eta2 = 1 compares equal to the lossless run. It keeps the outcome
-    tables over the (n, m) counts, and ``outcomes`` and ``outcome(n, m)``
-    build their records when read. Behind lossless counters the rejected
-    counts' probabilities are built, from the run's factors, the first time
-    ``outcomes``, ``both_nonzero_weight`` or ``outcome`` reads one.
+    eta1 = eta2 = 1 compares equal to the lossless run. It keeps its
+    circuit's lossless outcome tables (``_tables``) and its counters'
+    response M, and builds the outcome tables over the (n, m) counts (M T M^T,
+    clipped, and the fidelity table) only when ``outcomes``, ``outcome(n, m)``
+    or ``both_nonzero_weight`` reads them. Behind lossless counters the
+    rejected counts' probabilities are built, from the run's factors, the
+    first time one is read.
     """
 
     success_probability: float
     average_fidelity: float
-    # Probability, fidelity (NaN where there is none) and correction label per (n, m).
-    _probabilities: np.ndarray = field(default=None, compare=False, repr=False)
-    _fidelities: np.ndarray = field(default=None, compare=False, repr=False)
+    # The probability table, then one overlap table per label of _table_labels (``_tables``).
+    _tables: np.ndarray = field(default=None, compare=False, repr=False)
+    _table_labels: tuple = field(default=(), compare=False, repr=False)
+    # The counters' response M, or None behind lossless counters.
+    _response: np.ndarray = field(default=None, compare=False, repr=False)
+    # The correction label per (n, m).
     _labels: np.ndarray = field(default=None, compare=False, repr=False)
-    # Builds the probabilities at the rejected counts, or None when _probabilities has them.
+    # Builds the probabilities at the rejected counts, or None when _tables has them.
     _rejected: Callable = field(default=None, compare=False, repr=False)
 
     @property
     def degenerate(self) -> bool:
         """True when no accepted outcome has weight, so there is no average fidelity."""
         return self.average_fidelity is None
+
+    @cached_property
+    def _outcome_tables(self) -> tuple:
+        """(probabilities, fidelities) per (n, m), NaN where there is no fidelity.
+
+        Detector loss maps every table T to M T M^T. Every probability is
+        clipped to [0, 1] and every fidelity, an overlap weight over its
+        probability, clamped at 1, as rounding can leave them a few ulps
+        outside.
+        """
+        tables = self._tables
+        if self._response is not None:
+            tables = self._response @ tables @ self._response.T
+        probs = np.clip(tables[0], 0.0, 1.0)
+        fids = np.full(probs.shape, np.nan)
+        nonzero = probs != 0.0
+        for label, table in zip(self._table_labels, tables[1:]):
+            np.divide(table, probs, out=fids, where=(self._labels == label) & nonzero)
+        return probs, np.minimum(fids, 1.0)
+
+    @property
+    def _probabilities(self) -> np.ndarray:
+        return self._outcome_tables[0]
+
+    @property
+    def _fidelities(self) -> np.ndarray:
+        return self._outcome_tables[1]
 
     @cached_property
     def _every_probability(self) -> np.ndarray:
@@ -401,45 +436,46 @@ def _bells(amps: np.ndarray, eta1=1.0) -> np.ndarray:
     return attenuate(state, etas.ndim, 0.5).amps
 
 
-@lru_cache(maxsize=1)
-def _responses(eta2s: tuple, cutoff: int):
-    """The counters over counts 0..cutoff at the detector transmitivities ``eta2s``.
+# The sets of counts a run sums over: every accepted count, then the counts of each label.
+_COUNT_SETS = ("accepted", "I", "X", "Z", "XZ")
+
+
+@lru_cache(maxsize=4)
+def _responses(eta2s: tuple, cutoff: int, parity: str):
+    """(responses, weights): the counters over counts 0..cutoff at the transmitivities ``eta2s``.
 
     ``eta2s`` holds a row of eta2 values per circuit, or one row that every
-    circuit shares, and a circuit gets one summary per eta2 of its row. The
-    stack holds a d x d response per eta2 in that layout
+    circuit shares, and a circuit gets one result per eta2 of its row.
+    ``responses`` stacks a d x d response M per eta2 in that layout
     (``detector_response``, the identity at eta2 = 1), or is None when every
-    row is (1.0,): lossless counters leave the tables as they are. The last
-    stack is kept, so the batches of one grid build it once.
+    row is (1.0,): lossless counters leave the tables as they are.
+    ``weights[..., k, :, :]`` is the count weight W_S = M^T 1_S M of the set S
+    = _COUNT_SETS[k] of counts under a resource of parity ``parity``, so that
+    the sum of M T M^T over S is <T, W_S> (``_herald``). Each W is built from
+    its own M alone; behind lossless counters it is the mask 1_S. The last few
+    stacks are kept, so that sweeps that alternate, a contour and a diagonal,
+    build each of theirs once.
     """
+    sets = _label_table(cutoff + 1, parity)[1]
     if all(row == (1.0,) for row in eta2s):
-        return None
+        return None, sets[None, None]
     responses = np.array([[detector_response(cutoff, eta) for eta in row] for row in eta2s])
-    responses.setflags(write=False)
-    return responses
+    weights = np.array([[m.T @ sets @ m for m in row] for row in responses])
+    for table in (responses, weights):
+        table.setflags(write=False)
+    return responses, weights
 
 
 @lru_cache(maxsize=64)
 def _label_table(d: int, parity: str):
-    """(labels, masks, cells): the correction label of every (n, m) count, a mask per label
-    and the flat indices of each label's counts, "accepted" holding every accepted count.
+    """(labels, sets): the correction label of every (n, m) count, and the mask of each
+    set of _COUNT_SETS over the counts, stacked as floats.
     """
     labels = np.array([[classify_outcome(n, m, parity)[1] for m in range(d)] for n in range(d)])
-    masks = {label: labels == label for label in ("I", "X", "Z", "XZ", "none")}
-    cells = {label: np.flatnonzero(mask) for label, mask in masks.items()}
-    cells["accepted"] = np.flatnonzero(~masks["none"])
-    for table in (labels, *masks.values(), *cells.values()):
+    sets = np.array([labels != "none", *(labels == label for label in _COUNT_SETS[1:])], float)
+    for table in (labels, sets):
         table.setflags(write=False)
-    return labels, masks, cells
-
-
-def _summed(tables, cells):
-    """Sum of each table of a stack over the flat indices ``cells``.
-
-    The gathered rows are contiguous, so each is summed as ``table[mask].sum()``
-    sums it, whatever the size of the stack.
-    """
-    return tables.reshape(len(tables), -1).take(cells, axis=1).sum(axis=1)
+    return labels, sets
 
 
 @lru_cache(maxsize=64)
@@ -621,72 +657,69 @@ def _targets(target, z_target, d):
     return stacked.reshape(len(target), len(targets), -1, d), tuple(targets)
 
 
-def _herald(tables, labels, responses, parity, include_z=False, rejected=None):
-    """One list of summaries per circuit of ``tables``, one summary per eta2 of its counters.
+def _herald(tables, labels, weights, include_z=False):
+    """(success, average) of every circuit of ``tables`` at every eta2 of its counters.
 
-    Detector loss maps every table T to M T M^T, for the whole stack of
-    ``responses`` M (``_responses``) in one batched matmul that broadcasts a
-    shared row over the circuits; with no stack (None) the tables are used as
-    they are, one summary per circuit. An outcome's fidelity is its overlap
-    weight over its probability.
-
-    No loop visits the outcomes, the circuits or the eta2 values: the success
-    probability, the fidelity table and the average, sum(weight) /
-    sum(probability) over the averaged labels, are masked reductions over the
-    stack, with the label masks cached per (d, parity). Every probability is
-    clipped to [0, 1] and every fidelity clamped at 1, as rounding can leave
-    them a few ulps outside. Where the tables hold the accepted counts alone,
-    ``rejected[i]`` builds circuit i's probabilities at the rejected counts
-    when its summaries read one.
+    Both are arrays over (circuit, eta2), the average NaN for a degenerate
+    run, one with no accepted weight. Detector loss maps a table T to
+    M T M^T, and a sum of that over a set S of counts is linear in T:
+    <T, W_S>, with the count weight W_S = M^T 1_S M of ``weights``
+    (``_responses``: one row that every circuit shares, or one per circuit).
+    So the success probability is <T_0, W_accepted>, and the average fidelity
+    is sum_l <T_l, W_l> / sum_l <T_0, W_l> over the averaged labels l, those
+    with no Z unless ``include_z``: T_0 is the probability table and T_l the
+    overlap table of label l of ``labels``. Behind lossless counters W_S is
+    the mask of S, so lossless and lossy runs take this one route, and no
+    outcome table is built. Each sum runs over one contiguous row of
+    elementwise products, so a cell's bits depend on neither its batch nor
+    the other eta2 of its row. The success probability is clipped to [0, 1]
+    and the average at 1 after the sums, as rounding can leave them a few
+    ulps outside.
     """
-    n_eta = 1 if responses is None else responses.shape[1]
-    if responses is not None:
-        responses = responses[:, :, None]
-        tables = responses @ tables[:, None] @ responses.swapaxes(-1, -2)
-        tables = tables.reshape(-1, *tables.shape[2:])
-    probs = np.clip(tables[:, 0], 0.0, 1.0)
-    d = probs.shape[-1]
-    label_table, masks, cells = _label_table(d, parity)
-    success = np.minimum(_summed(probs, cells["accepted"]), 1.0)
-
-    fids = np.full(probs.shape, np.nan)
-    weight = np.zeros(len(probs))
-    overlap_weight = np.zeros(len(probs))
-    nonzero = probs != 0.0
-    for label, table in zip(labels, tables[:, 1:].swapaxes(0, 1)):
-        np.divide(table, probs, out=fids, where=masks[label] & nonzero)
-        if include_z or "Z" not in label:
-            # outcomes of zero probability add nothing to either sum
-            weight += _summed(probs, cells[label])
-            overlap_weight += _summed(np.where(nonzero, table, 0.0), cells[label])
-    np.minimum(fids, 1.0, out=fids)
-
-    sums = zip(success.tolist(), weight.tolist(), overlap_weight.tolist(), probs, fids)
-    summaries = [
-        ProtocolSummary(
-            p_success, min(ow / w, 1.0) if w else None, p, f, label_table,
-            None if rejected is None else rejected[i // n_eta],
-        )
-        for i, (p_success, w, ow, p, f) in enumerate(sums)
-    ]
-    return [summaries[i : i + n_eta] for i in range(0, len(summaries), n_eta)]
+    b, d = len(tables), tables.shape[-1]
+    averaged = [k for k, label in enumerate(labels) if include_z or "Z" not in label]
+    t = tables.reshape(b, 1, -1, d * d)
+    w = weights.reshape(*weights.shape[:2], -1, d * d)
+    sets = [_COUNT_SETS.index(labels[k]) for k in averaged]
+    w_averaged = w[:, :, sets].reshape(*w.shape[:2], -1)
+    success = (t[:, :, 0] * w[:, :, 0]).sum(axis=2)
+    weight = (np.tile(t[:, :, 0], len(averaged)) * w_averaged).sum(axis=2)
+    overlap = (t[:, :, [1 + k for k in averaged]].reshape(b, 1, -1) * w_averaged).sum(axis=2)
+    average = np.full(weight.shape, np.nan)
+    np.divide(overlap, weight, out=average, where=weight > 0.0)
+    return np.clip(success, 0.0, 1.0), np.minimum(average, 1.0)
 
 
-def _heralded(left, pair, target, z_target, responses, parity, include_z=False):
-    """One list of summaries per circuit of a batch, one summary per eta2 of ``responses``.
+def _heralded(left, pair, target, z_target, counters, parity, include_z=False, summaries=True):
+    """The runs of a batch of circuits at every eta2 of ``counters``, a pair of ``_responses``.
 
     The circuits share a resource parity and a set of targets (``_tables``).
     Lossless counters fill only the accepted counts, and each summary builds
     its rejected ones from the same factors when it first reads one; lossy
-    counters fill every count, since detector loss mixes them.
+    counters fill every count, since detector loss mixes them. Returns one
+    list of summaries per circuit, one summary per eta2, or with
+    ``summaries`` false ``_herald``'s arrays alone.
     """
+    responses, weights = counters
     d = pair.shape[1]
-    if responses is not None:
-        tables = _tables((_edge_counts(d), _rejected_counts(d)), left, pair, target, z_target)
-        return _herald(*tables, responses, parity, include_z)
-    tables = _tables((_edge_counts(d),), left, pair, target, z_target)
-    rejected = [partial(_rejected_probabilities, left[i], pair[i]) for i in range(len(pair))]
-    return _herald(*tables, None, parity, include_z, rejected)
+    lossless = responses is None
+    count_lists = (_edge_counts(d),) if lossless else (_edge_counts(d), _rejected_counts(d))
+    tables, labels = _tables(count_lists, left, pair, target, z_target)
+    success, average = _herald(tables, labels, weights, include_z)
+    if not summaries:
+        return success, average
+    label_table = _label_table(d, parity)[0]
+    runs = []
+    for i, (p_row, f_row) in enumerate(zip(success.tolist(), average.tolist())):
+        rejected = partial(_rejected_probabilities, left[i], pair[i]) if lossless else None
+        row = [None] * len(p_row) if lossless else responses[i % len(responses)]
+        runs.append([
+            ProtocolSummary(
+                p, None if math.isnan(f) else f, tables[i], labels, m, label_table, rejected
+            )
+            for p, f, m in zip(p_row, f_row, row)
+        ])
+    return runs
 
 
 def _rejected_probabilities(left, pair):
@@ -746,8 +779,8 @@ def enumerate_outcomes(state3: MultiModeState, parity: str = "odd"):
     if state3.num_modes != 3:
         raise ValueError("expected a 3-mode teleporter state")
     probs = np.sum(np.abs(state3.amps) ** 2, axis=2)
-    [[summary]] = _herald(probs[None, None], (), None, parity)
-    return list(summary.outcomes)
+    labels = _label_table(len(probs), parity)[0]
+    return list(ProtocolSummary(None, None, probs[None], _labels=labels).outcomes)
 
 
 def _z_targets(spec, alphas, cutoff):
@@ -786,7 +819,7 @@ def _batches(count: int, circuit_bytes: int, pieces: int = 1) -> list:
 
 def _batch(
     left, resources, kind, eta1s=1.0, eta2s=((1.0,),), target=None, z_target=None,
-    include_z=False,
+    include_z=False, summaries=True,
 ):
     """One list of summaries per circuit, one per eta2 of its counters, batch by batch.
 
@@ -796,13 +829,16 @@ def _batch(
     circuit shares, or one row per circuit (``_responses``). It compares with
     row i of ``target`` and of ``z_target`` (``_z_targets``), where given.
     Each batch builds its Bell pairs and heralds in one ``_heralded`` call.
+    With ``summaries`` false it returns ``_herald``'s (success, average)
+    arrays over (circuit, eta2) instead, and builds no summary.
     """
     eta1s = np.asarray(eta1s, dtype=float)
-    responses = _responses(eta2s, len(resources[0]) - 1)
-    n_eta2 = 1 if responses is None else responses.shape[1]
+    parity = resource_parity(kind)
+    responses, weights = _responses(eta2s, len(resources[0]) - 1, parity)
+    n_eta2 = weights.shape[1]
     lossy = responses is not None or bool((eta1s < 1.0).any())
     circuit = _circuit_bytes(len(resources[0]) - 1, left.ndim == 3, lossy, n_eta2)
-    parity, runs = resource_parity(kind), []
+    runs = []
     for piece in _batches(len(left), circuit):
         index = np.arange(len(left))[piece]
         if eta1s.ndim == 0 and len(resources) < len(left):  # rows shared by several circuits
@@ -811,14 +847,17 @@ def _batch(
         else:
             pairs = _bells(resources[index % len(resources)], eta1s[piece] if eta1s.ndim else eta1s)
         t, z = (None if a is None else a[piece] for a in (target, z_target))
-        counters = responses if responses is None or len(eta2s) == 1 else responses[piece]
-        runs.extend(_heralded(left[piece], pairs, t, z, counters, parity, include_z))
-    return runs
+        counters = [a if a is None or len(a) == 1 else a[piece] for a in (responses, weights)]
+        runs.append(_heralded(left[piece], pairs, t, z, counters, parity, include_z, summaries))
+    if summaries:
+        return [run for batch in runs for run in batch]
+    empty = np.empty((0, n_eta2))
+    return tuple(np.concatenate([empty] + [batch[k] for batch in runs]) for k in (0, 1))
 
 
 def _runs(
     protocol, spec, alphas, resource_kind, betas, cutoff, eta1s=1.0, eta2s=((1.0,),),
-    include_z=False,
+    include_z=False, summaries=True,
 ):
     """Summaries per input of ``spec``'s family at each amplitude of ``alphas``, one per eta2.
 
@@ -829,7 +868,7 @@ def _runs(
     resource: built at sqrt(eta1) * alpha, exactly alpha at eta1 = 1, for one
     eta1 of ``eta1s`` per input or one for all. The resources, of kind
     ``resource_kind``, are at one amplitude of ``betas`` per input or one for
-    all; ``eta2s`` is ``_batch``'s. Each is one batched build.
+    all; ``eta2s`` and ``summaries`` are ``_batch``'s. Each is one batched build.
     """
     alphas = np.sqrt(eta1s) * np.asarray(alphas, dtype=float)
     if spec.kind == "superposition":
@@ -842,7 +881,9 @@ def _runs(
     else:
         inputs, z_target = _bells(inputs), None
     resources = _state_kind(resource_kind, "resource").rows(betas, cutoff)[0]
-    return _batch(inputs, resources, resource_kind, eta1s, eta2s, inputs, z_target, include_z)
+    return _batch(
+        inputs, resources, resource_kind, eta1s, eta2s, inputs, z_target, include_z, summaries
+    )
 
 
 def _betas(beta_grid) -> list:
@@ -936,7 +977,7 @@ def success_probability_sweep(
     alphas = np.array(betas, dtype=float) / math.sqrt(2.0)
     left = _qubit(mus.repeat(len(betas)), nus.repeat(len(betas)), alphas, cutoff)[0]
     p_success = [
-        [summary.success_probability for [summary] in _batch(left, rows, kind)]
+        _batch(left, rows, kind, summaries=False)[0][:, 0].tolist()
         for kind, rows in zip(resource_kinds, resources)
     ]
     return [

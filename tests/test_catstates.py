@@ -192,6 +192,13 @@ class TestSqueezedStates:
         with pytest.raises(TruncationError):
             state(math.inf, 15)
 
+    def test_kept_weight_floor(self):
+        # at cutoff 2 the squeezed vacuum keeps (1 + tanh(r)^2 / 2) / cosh(r) of its weight:
+        # 1.5e-6 at r = 14.5, above the 1e-6 floor, and 7.5e-7 at r = 15.2, below it
+        assert 1.0 - squeezed_vacuum(14.5, 2).leakage == pytest.approx(1.513e-6, rel=1e-3)
+        with pytest.raises(TruncationError, match="keeps 7.51e-07 of the state's weight"):
+            squeezed_vacuum(15.2, 2)
+
     def test_even_approximation_threshold(self):
         vec = squeezed_vacuum(r_opt_v(0.5), 15)
         assert fidelity(vec, cat_state(0.5, "even", 15)) > 0.99

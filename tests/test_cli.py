@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import cskit
-from cskit import cli, fock, protocols
+from cskit import cli, fock, loss, protocols
 from cskit.cli import main
 from cskit.protocols import RESOURCE_KINDS, STATE_KINDS
 from cskit.wigner import PhaseGrid, wigner_grid
@@ -145,7 +145,7 @@ class TestBadInput:
             raise AssertionError("a row ran before the grid was checked")
 
         monkeypatch.setattr(cli, "MAX_GRID_POINTS", 100)
-        monkeypatch.setattr(cli, "loss_contour_sweep", no_run)
+        monkeypatch.setattr(cli, "_averages", no_run)
         code = main(["loss", "--eta", "0:1:0.1", "--cutoff", "2"])
         captured = capsys.readouterr()
         assert code == 2
@@ -154,6 +154,7 @@ class TestBadInput:
             "error: eta grid '0:1:0.1' has 121 cells, more than 100"
         ]
         # the 11 points of its diagonal are under the cap
+        monkeypatch.setattr(cli, "_averages", loss._averages)
         assert main(["loss", "--eta", "0:1:0.1", "--cutoff", "2", "--diagonal"]) == 0
 
     @pytest.mark.parametrize(
@@ -577,20 +578,15 @@ def test_lossy_diagonal_peak_stays_within_the_budget(capsys):
 def test_loss_batches_fit_the_budget(capsys, monkeypatch, argv, swap, diagonal):
     """Each batch of a loss grid fits the byte budget, or holds one circuit, and is one sweep call.
 
-    The sweeps are stubbed, so the rule alone is checked, at any cutoff.
+    The sweep (``loss._averages``) is stubbed, so the rule alone is checked, at any cutoff.
     """
     batches = []
 
-    def contour(protocol, input_spec, resource_spec, eta1s, eta2s, cutoff):
-        batches.append((list(eta1s), list(eta2s)))
-        return [(eta1, eta2, 1.0) for eta1 in eta1s for eta2 in eta2s]
+    def averages(protocol, input_spec, resource_spec, cutoff, eta1s, eta2s):
+        batches.append((list(eta1s), [list(row) for row in eta2s]))
+        return np.ones((len(eta1s), len(eta2s[0])))
 
-    def diagonal_sweep(protocol, input_spec, resource_spec, etas, cutoff):
-        batches.append((list(etas), None))
-        return [(eta, 1.0) for eta in etas]
-
-    monkeypatch.setattr(cli, "loss_contour_sweep", contour)
-    monkeypatch.setattr(cli, "loss_diagonal_sweep", diagonal_sweep)
+    monkeypatch.setattr(cli, "_averages", averages)
     assert main(["loss", *argv]) == 0
     grid = cli._parse_grid(argv[argv.index("--eta") + 1])
     cells = 1 if diagonal else len(grid)
@@ -599,7 +595,7 @@ def test_loss_batches_fit_the_budget(capsys, monkeypatch, argv, swap, diagonal):
     assert len(capsys.readouterr().out.splitlines()) == 10 + len(grid) * cells
     assert [eta for eta1s, _ in batches for eta in eta1s] == grid
     for eta1s, eta2s in batches:
-        assert eta2s == (None if diagonal else grid)
+        assert eta2s == ([[eta] for eta in eta1s] if diagonal else [grid])
         assert len(eta1s) * circuit <= protocols.BATCH_BYTES or len(eta1s) == 1
     # as many circuits per batch as the budget allows
     assert len(batches[0][0]) == min(len(grid), max(1, protocols.BATCH_BYTES // circuit))

@@ -126,6 +126,25 @@ class TestCircuitAssembly:
         with pytest.raises(ValueError, match="zero vector"):
             QubitSuperposition(0.0, 0.0, 0.5).to_fock(CUTOFF)
 
+    @pytest.mark.parametrize("mu, nu", [(0.6 + 0.3j, 0.2 - 0.7j), (1.0, 0.5j), (0.3j, -0.8j)])
+    def test_complex_qubit_leakage_uses_the_exact_norm(self, mu, nu):
+        """The leakage is what the cutoff loses of |mu|^2 + |nu|^2 + 2 Re(mu* nu) e^(-2 alpha^2).
+
+        The cross term takes the conjugate of mu; Re(mu nu) differs from it
+        for each of these pairs.
+        """
+        alpha, cutoff = 1.0, 4
+        coherent = [
+            math.exp(-alpha**2 / 2) * alpha**n / math.sqrt(math.factorial(n))
+            for n in range(cutoff + 1)
+        ]
+        captured = sum(abs((mu + (-1) ** n * nu) * c) ** 2 for n, c in enumerate(coherent))
+        cross = 2 * (mu.conjugate() * nu).real * math.exp(-2 * alpha**2)
+        exact = abs(mu) ** 2 + abs(nu) ** 2 + cross
+        qubit = QubitSuperposition(mu, nu, alpha).to_fock(cutoff)
+        assert qubit.leakage == pytest.approx(1.0 - captured / exact, abs=1e-14)
+        assert qubit.leakage > 1e-3
+
     def test_cutoff_mismatch(self):
         with pytest.raises(ValueError):
             build_teleporter_input(

@@ -4,7 +4,8 @@
 pair alone. The oracle (``dense_circuit``) builds every amplitude at the
 counters through ``apply_beamsplitter`` and sums over them. Lossless counters
 fill only the accepted counts; their summaries are checked against the
-tables of every count and against the oracle's.
+masked reduction (``masked_herald``) of the tables of every count and of the
+oracle's.
 """
 
 import math
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 import cskit
 import dense_circuit
+import masked_herald
 from cskit import cli, fock, loss, protocols
 from cskit.protocols import (
     INPUT_FAMILIES,
@@ -24,9 +26,9 @@ from cskit.protocols import (
     ResourceSpec,
     _bells,
     _edge_counts,
-    _herald,
     _heralded,
     _rejected_counts,
+    _responses,
     _tables,
     _z_targets,
     entanglement_swap_sweep,
@@ -144,8 +146,8 @@ def test_accepted_counts_match_every_count(
 ):
     """Lossless counters fill the accepted counts alone, and give what every count gives.
 
-    The summary of the accepted counts is checked against the summaries of
-    every count and of the dense circuit: its success probability, its
+    The summary of the accepted counts is checked against the masked
+    reduction of every count and of the dense circuit: its success probability, its
     average fidelity, every accepted outcome, and the records and weight of
     the rejected counts, which it builds when they are read.
     """
@@ -157,12 +159,13 @@ def test_accepted_counts_match_every_count(
     elif targets == "no-z":
         z_target = None
     parity = resource_parity(resource_kind)
-    [[edge]] = _heralded(*_one_circuit(left, pair, target, z_target), None, parity, include_z)
+    lossless = _responses(((1.0,),), cutoff, parity)
+    [[edge]] = _heralded(*_one_circuit(left, pair, target, z_target), lossless, parity, include_z)
     assert np.all(edge._probabilities[edge._labels == "none"] == 0.0)
     tables, labels = _every_count(left, pair, target, z_target)
     dense, _ = dense_circuit.tables(dense_circuit.mixed(left, resource, eta1), target, z_target)
     for want_tables in (tables, dense):
-        [[want]] = _herald(want_tables[None], labels, None, parity, include_z)
+        [[want]] = masked_herald.herald(want_tables[None], labels, None, parity, include_z)
         assert abs(edge.success_probability - want.success_probability) <= TOL
         assert edge.degenerate == want.degenerate
         if not want.degenerate:
