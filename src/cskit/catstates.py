@@ -2,7 +2,9 @@
 
 Even/odd cat states N±(|beta> ± |-beta>), squeezed vacuum and squeezed single
 photon in the photon-number basis, plus the closed-form squeezing parameters
-that maximize the approximation fidelity at a given cat amplitude.
+that maximize the approximation fidelity at a given cat amplitude. The
+batched cat rows are ``fock._cat_rows``, which the coherent states of
+``cskit.fock`` are built from too; ``cat_state`` is their one-row case.
 """
 
 from __future__ import annotations
@@ -12,9 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import (
-    FockVector, TruncationError, _check_weight, _one_row, _refuse, _renormalized,
-)
+from .fock import FockVector, TruncationError, _cat_rows, _every_other, _one_row, _refuse
 
 __all__ = [
     "cat_state",
@@ -26,53 +26,6 @@ __all__ = [
     "approximation_fidelity_sweep",
     "SweepRow",
 ]
-
-
-def _every_other(cutoff, offset, firsts, ratios):
-    """(amps, leakage): complex rows over 0..cutoff, zero but at offset, offset + 2, ...
-
-    Row i runs from ``firsts[i]`` by its term ratios ``ratios[i]``: one cumprod, no factorial.
-    """
-    amps = np.zeros((len(ratios), cutoff + 1), dtype=complex)
-    slots = amps[:, offset::2]
-    slots[:] = np.cumprod(np.column_stack([firsts, ratios]), axis=1)[:, : slots.shape[1]]
-    return _renormalized(amps)
-
-
-def _cat_first(beta, square, odd):
-    """The first term 2 exp(-beta^2 / 2) beta^odd / N, N^2 = 2 (1 ± exp(-2 beta^2)) (expm1 if odd).
-
-    Below beta^2 = the smallest normal float the limit |0> or |1> is exact: 1, with ratios 0.
-    """
-    if square < np.finfo(float).tiny:
-        return 1.0
-    norm_sq = -2.0 * math.expm1(-2.0 * square) if odd else 2.0 * (1.0 + math.exp(-2.0 * square))
-    return 2.0 * math.exp(-square / 2.0) / math.sqrt(norm_sq) * beta**odd
-
-
-def _cat_rows(betas, parity: str, cutoff: int):
-    """(amps, leakage) of ``cat_state`` at each beta of ``betas``, its checks run as vector checks.
-
-    The beta -> 0 limit forms no 0/0 (``_cat_first``). Each row's scalars
-    are taken with ``math``.
-    """
-    if parity not in ("even", "odd"):
-        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    betas = np.asarray(betas, dtype=float)
-    _refuse(betas < 0, lambda i: ValueError("beta must be >= 0"))
-    values = betas.tolist()
-    # beta > cutoff implies beta^2 > cutoff / 3, and keeps beta**2 from overflowing
-    squares = np.array([min(beta, cutoff) ** 2 for beta in values], dtype=float)
-    _refuse((betas > cutoff) | (squares > cutoff / 3), lambda i: TruncationError(
-        f"cutoff {cutoff} too small for beta={values[i]:.4g} (need beta^2 <= cutoff/3)"
-    ))
-    _check_weight(values, squares, "beta")
-    odd = int(parity == "odd")
-    firsts = [_cat_first(beta, square, odd) for beta, square in zip(values, squares.tolist())]
-    n = np.arange(odd + 2, cutoff + 1, 2)
-    limit = squares < np.finfo(float).tiny
-    ratios = np.where(limit, 0.0, squares)[:, None] / np.sqrt(n * (n - 1))
-    return _every_other(cutoff, odd, firsts, ratios)
 
 
 def cat_state(beta: float, parity: str, cutoff: int) -> FockVector:

@@ -4,6 +4,14 @@ Single-mode pure states live in a photon-number basis truncated at a cutoff N
 (inclusive). Multimode states are dense complex tensors with one axis per
 mode. All operations are pure functions returning new values; nothing here
 mutates its inputs.
+
+The batched cat rows (``_cat_rows``) live here, and every coherent-state
+row is built from them: mu|alpha> + nu|-alpha> is the even and the odd cat
+of amplitude |alpha|, weighted and renormalized (``_qubit_rows``), and
+``coherent_state`` is its mu = 1, nu = 0 case. ``_loss_amplitudes`` is the
+table of a vacuum-port coupling, one product per amplitude: ``attenuate``
+reads it on a ``MultiModeState``, and ``cskit.protocols`` gathers it on
+plain arrays for its Bell pairs.
 """
 
 from __future__ import annotations
@@ -145,19 +153,6 @@ def _refuse(refused, error):
         raise error(int(np.argmax(refused)))
 
 
-def _check_weight(amplitudes, squares, name: str):
-    """Refuse each amplitude, of square ``squares``, whose exp(-amplitude^2 / 2) is not normal.
-
-    The expansion starts from that weight, and its largest terms are about its
-    inverse: below it the weight loses precision, and from |alpha|^2 ~ 1,420
-    on they overflow. ``catstates._squeezed_rows`` refuses a squeezing so.
-    """
-    _refuse(np.exp(-squares / 2) < np.finfo(float).tiny, lambda i: TruncationError(
-        f"{name}={amplitudes[i]:.4g} leaves the state no representable weight"
-        " (need exp(-amplitude^2 / 2) >= the smallest normal float)"
-    ))
-
-
 def _renormalized(amps):
     """(amps, leakage): each row renormalized in its dtype, and the weight it lacks."""
     captured = np.sum(np.abs(amps) ** 2, axis=1)
@@ -174,24 +169,90 @@ def _one_row(rows) -> FockVector:
     return FockVector(len(amps) - 1, amps, float(leakage))
 
 
-def _coherent_rows(alphas, cutoff: int):
-    """(amps, leakage) of ``coherent_state`` at each alpha, its checks run as vector checks."""
+def _every_other(cutoff, offset, firsts, ratios):
+    """(amps, leakage): complex rows over 0..cutoff, zero but at offset, offset + 2, ...
+
+    Row i runs from ``firsts[i]`` by its term ratios ``ratios[i]``: one cumprod, no factorial.
+    """
+    amps = np.zeros((len(ratios), cutoff + 1), dtype=complex)
+    slots = amps[:, offset::2]
+    slots[:] = np.cumprod(np.column_stack([firsts, ratios]), axis=1)[:, : slots.shape[1]]
+    return _renormalized(amps)
+
+
+def _cat_first(beta, square, odd):
+    """The first term 2 exp(-beta^2 / 2) beta^odd / N, N^2 = 2 (1 ± exp(-2 beta^2)) (expm1 if odd).
+
+    Below beta^2 = the smallest normal float the limit |0> or |1> is exact: 1, with ratios 0.
+    """
+    if square < np.finfo(float).tiny:
+        return 1.0
+    norm_sq = -2.0 * math.expm1(-2.0 * square) if odd else 2.0 * (1.0 + math.exp(-2.0 * square))
+    return 2.0 * math.exp(-square / 2.0) / math.sqrt(norm_sq) * beta**odd
+
+
+def _cat_rows(betas, parity: str, cutoff: int):
+    """(amps, leakage) of ``catstates.cat_state`` at each beta of ``betas``, checked as vectors.
+
+    The beta -> 0 limit forms no 0/0 (``_cat_first``). Each row's scalars
+    are taken with ``math``. The expansion starts from exp(-beta^2 / 2), and
+    its largest terms are about its inverse: where that weight is not a
+    normal float (from beta^2 ~ 1,420 on) the row is refused, as
+    ``catstates._squeezed_rows`` refuses a squeezing.
+    """
+    if parity not in ("even", "odd"):
+        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+    betas = np.asarray(betas, dtype=float)
+    _refuse(betas < 0, lambda i: ValueError("beta must be >= 0"))
+    values = betas.tolist()
+    # beta > cutoff implies beta^2 > cutoff / 3, and keeps beta**2 from overflowing
+    squares = np.array([min(beta, cutoff) ** 2 for beta in values], dtype=float)
+    _refuse((betas > cutoff) | (squares > cutoff / 3), lambda i: TruncationError(
+        f"cutoff {cutoff} too small for beta={values[i]:.4g} (need beta^2 <= cutoff/3)"
+    ))
+    _refuse(np.exp(-squares / 2) < np.finfo(float).tiny, lambda i: TruncationError(
+        f"beta={values[i]:.4g} leaves the state no representable weight"
+        " (need exp(-beta^2 / 2) >= the smallest normal float)"
+    ))
+    odd = int(parity == "odd")
+    firsts = [_cat_first(beta, square, odd) for beta, square in zip(values, squares.tolist())]
+    n = np.arange(odd + 2, cutoff + 1, 2)
+    limit = squares < np.finfo(float).tiny
+    ratios = np.where(limit, 0.0, squares)[:, None] / np.sqrt(n * (n - 1))
+    return _every_other(cutoff, odd, firsts, ratios)
+
+
+def _qubit_rows(mu, nu, alphas, cutoff: int):
+    """(amps, leakage) of mu|alpha> + nu|-alpha>, renormalized, at each alpha of ``alphas``.
+
+    ``mu`` and ``nu`` hold one coefficient for every row, or one per row.
+    Row i is at ``alphas[i % len(alphas)]``, so families over one grid build
+    their even and their odd cat rows once. With a = |alpha| the state is the
+    even and the odd cat of amplitude a at the weights (mu ± nu) sqrt((1 ±
+    exp(-2 a^2)) / 2), turned by exp(i n arg alpha) on |n>. Each weight is
+    taken over the exact norm and times the square root of its cat row's kept
+    weight, so the leakage is 1 - kept/exact. Where mu = -nu and both weights
+    are 0 (a^2 underflows) the row is |1>, the odd cat's limit.
+    """
     alphas = np.asarray(alphas, dtype=complex if np.iscomplexobj(alphas) else float)
     values = alphas.tolist()
     _refuse(~np.isfinite(alphas), lambda i: ValueError(f"alpha must be finite, got {values[i]}"))
-    if cutoff < 1:
-        raise ValueError("cutoff must be >= 1")
-    mags = [abs(alpha) for alpha in values]
-    # |alpha| > cutoff implies |alpha|^2 > cutoff / 3, and keeps the square from overflowing
-    squares = np.array([min(mag, cutoff) ** 2 for mag in mags], dtype=float)
-    _refuse(np.greater(mags, cutoff) | (squares > cutoff / 3), lambda i: TruncationError(
-        f"cutoff {cutoff} too small for |alpha|={mags[i]:.4g} (need |alpha|^2 <= cutoff/3)"
-    ))
-    _check_weight(mags, squares, "|alpha|")
-    # a_n = a_{n-1} alpha / sqrt(n), in floats: no power or factorial to overflow or wrap
-    ratios = np.ones((len(alphas), cutoff + 1), alphas.dtype)
-    ratios[:, 1:] = alphas[:, None] / np.sqrt(np.arange(1, cutoff + 1))
-    return _renormalized(np.exp(-squares / 2)[:, None] * np.cumprod(ratios, axis=1))
+    mags = np.abs(alphas)
+    (even, even_leakage), (odd, odd_leakage) = (_cat_rows(mags, p, cutoff) for p in ("even", "odd"))
+    rows = max(np.size(mu), np.size(nu), len(alphas)) if len(alphas) else 0
+    at = np.arange(rows) % len(alphas)
+    mu, nu = np.broadcast_arrays(mu, nu, at)[:2]
+    squares = mags[at] ** 2
+    w_even = (mu + nu) * np.sqrt((1.0 + np.exp(-2.0 * squares)) / 2.0)
+    w_odd = (mu - nu) * np.sqrt(-np.expm1(-2.0 * squares) / 2.0)
+    norm = np.hypot(np.abs(w_even), np.abs(w_odd))  # the exact norm, with no square to underflow
+    limit = (norm == 0.0) & (mu + nu == 0.0) & (mu != 0.0)
+    _refuse((norm == 0.0) & ~limit, lambda i: ValueError("cannot normalize a zero vector"))
+    w_odd, norm = np.where(limit, 1.0, w_odd), np.where(limit, 1.0, norm)
+    kept = lambda w, leakage: (w / norm * np.sqrt(1.0 - leakage[at]))[:, None]
+    amps = kept(w_even, even_leakage) * even[at] + kept(w_odd, odd_leakage) * odd[at]
+    turns = np.divide(alphas, mags, out=np.ones_like(alphas), where=mags > 0.0)[at]
+    return _renormalized(amps * turns[:, None] ** np.arange(cutoff + 1))
 
 
 def coherent_state(alpha: complex, cutoff: int) -> FockVector:
@@ -199,9 +260,9 @@ def coherent_state(alpha: complex, cutoff: int) -> FockVector:
 
     Requires |alpha|^2 <= cutoff/3 so that truncation leakage stays below
     ~1e-10; the discarded weight is reported in ``leakage``. The one-row
-    case of ``_coherent_rows``.
+    case of ``_qubit_rows`` at mu = 1, nu = 0.
     """
-    return _one_row(_coherent_rows([alpha], cutoff))
+    return _one_row(_qubit_rows(1.0, 0.0, [alpha], cutoff))
 
 
 def fock_basis_state(n: int, cutoff: int) -> FockVector:

@@ -3,9 +3,11 @@
 eta1 models imperfect resource creation, applied just after the source, and
 eta2 models detector inefficiency, applied just before each detector. Both
 are the pure-loss channel of a transmitivity-eta beamsplitter whose second
-port starts in vacuum. Source loss is ``attenuate``: it appends an
-environment mode, kept as a purification whose count indexes the Kraus
-branches. Detector loss is no mode: a lossless outcome table T becomes
+port starts in vacuum. Source loss appends an environment mode, kept as a
+purification whose count indexes the Kraus branches: in the engine it is
+the vacuum-port gather of ``protocols._bells`` on the resource's plain
+array, and in ``conditional_output_density`` it is ``attenuate`` on a
+``MultiModeState``. Detector loss is no mode: a lossless outcome table T becomes
 M T M^T through the binomial response M of an inefficient counter
 (``fock.detector_response``), which is exact. A sum of M T M^T over a set S
 of counts is <T, W_S> with W_S = M^T 1_S M, so a run's success probability

@@ -16,7 +16,8 @@ included for diagnostics. Their target absorbs an ideal Z (sign flip of the
 |-alpha> component); at alpha = 0 with mu = nu that is |1>, the limit.
 
 Both protocols, lossless and lossy, are one circuit: a Bell pair made from
-the resource (``_bells``, ``attenuate``'s gather into a vacuum port) and one
+the resource (``_bells``, plain gathers of ``fock._loss_amplitudes`` into a
+vacuum port, with no ``MultiModeState``) and one
 50:50 beamsplitter that mixes its near half with the input, or with one half
 of phi's Bell pair, in front of the two counters. ``_tables`` heralds every
 outcome at once, from one probability table and one overlap table per
@@ -30,8 +31,8 @@ The engine runs a batch of circuits along a leading axis, one per beta of a
 grid or per eta1 of a loss sweep, from the states to the summaries, in
 batches of at most BATCH_BYTES (``_batches``). Each kind of ``STATE_KINDS``
 builds all the states of a batch as one (b, d) array (``StateKind.rows``);
-``_runs`` builds a sweep's inputs, Z targets and resources so, and ``_batch``
-heralds them. Lossless counters need only the edge counts (0, s) and (s, 0),
+``_runs`` builds a sweep's inputs, Z targets and resources so, the qubit
+ones by ``fock._qubit_rows``, and ``_batch`` heralds them. Lossless counters need only the edge counts (0, s) and (s, 0),
 in O(d^3) per circuit; detector loss mixes every count into the accepted
 ones, so lossy counters fill every count, in O(d^4). A run's success
 probability and average fidelity are sums of the tables against count
@@ -62,12 +63,10 @@ from .fock import (
     FockVector,
     MultiModeState,
     _beamsplitter_blocks,
-    _coherent_rows,
     _loss_amplitudes,
     _one_row,
-    _refuse,
+    _qubit_rows,
     apply_beamsplitter,
-    attenuate,
     detector_response,
     fock_basis_state,
     tensor,
@@ -143,7 +142,8 @@ STATE_KINDS = {
     "vacuum": StateKind(("wigner",), _number(0), "even"),
     "single-photon": StateKind(("wigner",), _number(1), "odd"),
     "coherent": StateKind(
-        ("input", "wigner"), lambda amplitudes, cutoff, rs=None: _coherent_rows(amplitudes, cutoff),
+        ("input", "wigner"),
+        lambda amplitudes, cutoff, rs=None: _qubit_rows(1.0, 0.0, amplitudes, cutoff),
         None, (1.0, 0.0),
     ),
     "odd-cat": StateKind(("input", "wigner"), _cat("odd"), "odd", (1.0, -1.0)),
@@ -186,46 +186,17 @@ class QubitSuperposition:
     alpha: float
 
     def to_fock(self, cutoff: int) -> FockVector:
-        """The normalized state over photon numbers 0..cutoff.
+        """The normalized state over photon numbers 0..cutoff, the one-row case of ``_qubit_rows``.
 
         Where mu = -nu and the norm is 0 (alpha is 0, or so small that the
         norm underflows) it is |1>, the odd cat's limit as alpha -> 0, up to
         a global phase.
         """
-        return _one_row(_qubit(self.mu, self.nu, [self.alpha], cutoff))
+        return _one_row(_qubit_rows(self.mu, self.nu, [self.alpha], cutoff))
 
     def z_flipped(self) -> "QubitSuperposition":
         """Qubit after an ideal Z: the |-alpha> component changes sign."""
         return QubitSuperposition(self.mu, -self.nu, self.alpha)
-
-
-def _qubit(mu, nu, alphas, cutoff):
-    """(amps, leakage) of mu|alpha> + nu|-alpha> at each alpha of ``alphas``, as in ``to_fock``.
-
-    ``mu`` and ``nu`` hold one coefficient for every row, or one per row.
-    Row i is at ``alphas[i % len(alphas)]``, so families over one grid build
-    each coherent row once. |-alpha> is |alpha> with the sign of its odd
-    photon numbers flipped. Each norm is ``np.linalg.norm``'s reduction of a
-    lone vector, one dot per part. The leakage is the weight the cutoff loses
-    from the exact norm |mu + nu|^2 + 2 Re(mu* nu) (exp(-2 |alpha|^2) - 1), 0
-    in the |1> limit.
-    """
-    plus, plus_leakage = _coherent_rows(alphas, cutoff)
-    rows = max(np.size(mu), np.size(nu), len(plus)) if len(plus) else 0
-    at = np.arange(rows) % len(plus)
-    plus, plus_leakage = np.asarray(plus, dtype=complex)[at], plus_leakage[at]
-    alphas = np.asarray(alphas)[at]
-    minus = np.where(np.arange(plus.shape[1]) % 2 == 0, plus, -plus)
-    mu, nu = np.broadcast_arrays(mu, nu, at)[:2]
-    amps = mu[:, None] * plus + nu[:, None] * minus
-    norms = np.sqrt(sum(p[:, None] @ p[:, :, None] for p in (amps.real, amps.imag))).ravel()
-    zero = norms == 0.0
-    limit = zero & (mu + nu == 0.0) & (mu != 0.0)
-    _refuse(zero & ~limit, lambda i: ValueError("cannot normalize a zero vector"))
-    exact = np.abs(mu + nu) ** 2 + 2 * (mu.conj() * nu).real * np.expm1(-2 * np.abs(alphas) ** 2)
-    leakage = np.maximum(0.0, 1.0 - norms**2 * (1.0 - plus_leakage) / np.where(limit, 1.0, exact))
-    amps[limit] = np.eye(plus.shape[1])[1]
-    return amps / np.where(limit, 1.0, norms)[:, None], np.where(limit, 0.0, leakage)
 
 
 @dataclass(frozen=True)
@@ -420,20 +391,22 @@ def _bells(amps: np.ndarray, eta1=1.0) -> np.ndarray:
 
     The pairs have axes (..., near, [env,] far). ``eta1`` is one source
     transmitivity per state, or one for all; one state is split at each eta1
-    of an array, built once and broadcast. Where any is below 1, each state
-    first meets a vacuum environment mode through ``attenuate``'s gather at
-    its own eta1 (exact zeros at env > 0 where eta1 = 1); where every eta1 is
-    1 no environment is added. The split is ``attenuate``'s gather at eta =
-    0.5, whose new axis is the far half.
+    of an array, built once and broadcast. Both couplings are the vacuum-port
+    gather of ``fock._loss_amplitudes``, out[..., p, e] = c[p, e] a[..., k[p, e]]
+    on the last axis. Where any eta1 is below 1, each state first meets a
+    vacuum environment mode at its own eta1 (exact zeros at env > 0 where
+    eta1 = 1); where every eta1 is 1 no environment is added. The split is the
+    gather at eta = 0.5, whose new axis is the far half.
     """
     amps, etas = np.broadcast_arrays(amps, np.expand_dims(eta1, -1))
     etas = etas[..., 0]
-    if (etas < 1.0).any():
-        d = np.shape(amps)[-1]
-        ks, cs = zip(*(_loss_amplitudes(d, float(eta)) for eta in etas.ravel()))
-        amps = amps[..., ks[0]] * np.reshape(cs, etas.shape + (d, d))
-    state = MultiModeState(tuple(n - 1 for n in np.shape(amps)), amps)
-    return attenuate(state, etas.ndim, 0.5).amps
+    d = np.shape(amps)[-1]
+    k, c = _loss_amplitudes(d, 0.5)
+    if not (etas < 1.0).any():
+        return amps[..., k] * c
+    cs = [_loss_amplitudes(d, float(eta))[1] for eta in etas.ravel()]
+    lost = amps[..., k] * np.reshape(cs, etas.shape + (d, d))
+    return np.swapaxes(np.swapaxes(lost, -1, -2)[..., k] * c, -3, -2)
 
 
 # The sets of counts a run sums over: every accepted count, then the counts of each label.
@@ -787,10 +760,10 @@ def _z_targets(spec, alphas, cutoff):
     """The Z-flipped qubit of each input, as rows, or None for a squeezed input.
 
     The ideal Z flips the sign of nu (``QubitSuperposition.z_flipped``). At
-    alpha = 0 with mu = nu (the even cat) it is |1>, the limit ``_qubit`` takes.
+    alpha = 0 with mu = nu (the even cat) it is |1>, the limit ``_qubit_rows`` takes.
     """
     qubit = spec.qubit()
-    return None if qubit is None else _qubit(qubit.mu, -qubit.nu, alphas, cutoff)[0]
+    return None if qubit is None else _qubit_rows(qubit.mu, -qubit.nu, alphas, cutoff)[0]
 
 
 # A batch of circuits holds at most this many bytes, as ``_circuit_bytes``
@@ -828,7 +801,8 @@ def _batch(
     for all), in front of counters at its row of ``eta2s``: one row that every
     circuit shares, or one row per circuit (``_responses``). It compares with
     row i of ``target`` and of ``z_target`` (``_z_targets``), where given.
-    Each batch builds its Bell pairs and heralds in one ``_heralded`` call.
+    Each batch builds its Bell pairs in one ``_bells`` call and heralds
+    them in one ``_heralded`` call.
     With ``summaries`` false it returns ``_herald``'s (success, average)
     arrays over (circuit, eta2) instead, and builds no summary.
     """
@@ -841,11 +815,7 @@ def _batch(
     runs = []
     for piece in _batches(len(left), circuit):
         index = np.arange(len(left))[piece]
-        if eta1s.ndim == 0 and len(resources) < len(left):  # rows shared by several circuits
-            kept, shared = np.unique(index % len(resources), return_inverse=True)
-            pairs = _bells(resources[kept], eta1s)[shared]
-        else:
-            pairs = _bells(resources[index % len(resources)], eta1s[piece] if eta1s.ndim else eta1s)
+        pairs = _bells(resources[index % len(resources)], eta1s[piece] if eta1s.ndim else eta1s)
         t, z = (None if a is None else a[piece] for a in (target, z_target))
         counters = [a if a is None or len(a) == 1 else a[piece] for a in (responses, weights)]
         runs.append(_heralded(left[piece], pairs, t, z, counters, parity, include_z, summaries))
@@ -873,7 +843,7 @@ def _runs(
     alphas = np.sqrt(eta1s) * np.asarray(alphas, dtype=float)
     if spec.kind == "superposition":
         qubit = spec.qubit()
-        inputs = _qubit(qubit.mu, qubit.nu, alphas, cutoff)[0]
+        inputs = _qubit_rows(qubit.mu, qubit.nu, alphas, cutoff)[0]
     else:
         inputs = _state_kind(spec.kind, "input").rows(alphas, cutoff)[0]
     if protocol == "teleport":
@@ -975,7 +945,7 @@ def success_probability_sweep(
     # family-major rows: row j * len(betas) + i is family j at beta i
     mus, nus = np.array(list(families.values())).T
     alphas = np.array(betas, dtype=float) / math.sqrt(2.0)
-    left = _qubit(mus.repeat(len(betas)), nus.repeat(len(betas)), alphas, cutoff)[0]
+    left = _qubit_rows(mus.repeat(len(betas)), nus.repeat(len(betas)), alphas, cutoff)[0]
     p_success = [
         _batch(left, rows, kind, summaries=False)[0][:, 0].tolist()
         for kind, rows in zip(resource_kinds, resources)

@@ -525,6 +525,34 @@ def test_benchmark_grids_are_one_batch(capsys, monkeypatch):
     assert [len(slices) for slices in batches] == [2, 1, 1]
 
 
+def test_tiny_beta_success_rows_are_those_at_zero(capsys):
+    """At beta = 1.4e-162, where alpha^2 underflows, every family reads its beta = 0 row."""
+    rows = {}
+    for beta in ("1.4e-162", "0"):
+        argv = ["success-prob", "--beta", f"{beta}:{beta}:1", "--resource", "ideal-odd-cat"]
+        code, out = _run(capsys, argv)
+        assert code == 0
+        rows[beta] = [row.split(",")[1:] for row in _parse(out)[2]]
+    assert rows["1.4e-162"] == rows["0"]
+    assert [float(row[-1]) for row in rows["0"]] == [1.0, 0.5, 0.5, 0.5]
+
+
+@pytest.mark.parametrize("command", ["success-prob", "teleport", "entswap", "loss"])
+def test_sweeps_build_no_mode_by_mode_state(capsys, monkeypatch, command):
+    """The default sweeps split their Bell pairs by plain gathers: no attenuate, no MultiModeState."""
+    code, want = _run(capsys, [command])
+    assert code == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sweep built a mode-by-mode state")
+
+    for module in (fock, loss):
+        monkeypatch.setattr(module, "attenuate", refuse)
+    for module in (fock, protocols):
+        monkeypatch.setattr(module, "MultiModeState", refuse)
+    assert _run(capsys, [command]) == (0, want)
+
+
 def test_entswap_peak_does_not_grow_with_the_grid(capsys):
     """A long beta grid is swept batch by batch, so its allocation peak stays that of a batch.
 

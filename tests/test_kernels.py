@@ -23,8 +23,10 @@ from cskit.fock import (
     detector_response,
 )
 from cskit.protocols import (
+    STATE_KINDS,
     InputSpec,
     ResourceSpec,
+    _bells,
     _by_count,
     run_entanglement_swap,
     run_teleportation,
@@ -199,3 +201,42 @@ def test_vacuum_port_split_of_a_lossy_source(cutoff):
     source = attenuate(MultiModeState((cutoff,), amps), 0, 0.7)
     want = _split_into_vacuum(source, 0, 1)
     assert np.max(np.abs(_gathered(source, 0, 1) - want)) <= TOL
+
+
+def _bells_by_mode(amps, eta1=1.0):
+    """Each Bell pair built mode by mode: ``attenuate`` on a one-mode MultiModeState.
+
+    Where any eta1 is below 1 every state first loses to an environment mode
+    at its own eta1, then its mode 0 is split 50:50 into a vacuum port; the
+    axes come out as (near, [env,] far).
+    """
+    amps, etas = np.broadcast_arrays(amps, np.expand_dims(eta1, -1))
+    etas = etas[..., 0]
+    lossy = bool((etas < 1.0).any())
+    d = amps.shape[-1]
+    pairs = []
+    for row, eta in zip(amps.reshape(-1, d), etas.ravel()):
+        state = MultiModeState((d - 1,), row)
+        if lossy:
+            state = attenuate(state, 0, float(eta))
+        pairs.append(attenuate(state, 0, 0.5).amps)
+    return np.reshape(pairs, etas.shape + pairs[0].shape)
+
+
+@pytest.mark.parametrize("cutoff", [1, 6, 15])
+def test_bell_pairs_are_the_mode_by_mode_build(cutoff):
+    """``_bells``' gathers give the values of ``attenuate`` on a MultiModeState, to the bit."""
+    rng = np.random.default_rng(cutoff)
+    resources = STATE_KINDS["squeezed-single-photon"].rows([0.2, 0.5, 0.8, 1.0], cutoff)[0]
+    random = rng.normal(size=(4, cutoff + 1)) + 1j * rng.normal(size=(4, cutoff + 1))
+    etas = np.array([0.0, 0.05, 0.7, 1.0])
+    # the swapper's phi pairs: the lossless split of the matched inputs
+    phis = STATE_KINDS["odd-cat"].rows(np.sqrt(etas[1:]) * 0.5, cutoff)[0]
+    cases = [
+        (resources, 1.0), (random, 1.0), (resources, etas), (random, etas),
+        (resources[1], etas), (resources, 0.7), (phis, 1.0),
+    ]
+    for amps, eta1 in cases:
+        got, want = _bells(amps, eta1), _bells_by_mode(amps, eta1)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)

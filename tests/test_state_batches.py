@@ -4,7 +4,8 @@ Each kind of STATE_KINDS builds a batch of states as one (b, d) array
 (``StateKind.rows``), and its public one-row build (``StateKind.build``, the
 builders of ``cskit.catstates`` and ``cskit.fock``) is that batch's one-row
 case. The qubit families of INPUT_FAMILIES are built the same way, from one
-batch of coherent rows. A batch that holds one refused amplitude raises what
+batch of even and one of odd cat rows, and match the closed form of
+mu|alpha> + nu|-alpha>. A batch that holds one refused amplitude raises what
 that amplitude's own build raises, and no build warns.
 """
 
@@ -160,6 +161,29 @@ def test_squeezed_rows_at_given_squeezings(kind, cutoff, rs):
     )
 
 
+def _closed_form(mu, nu, alpha, cutoff):
+    """mu|alpha> + nu|-alpha> over 0..cutoff from its terms exp(-|alpha|^2 / 2) alpha^n / sqrt(n!),
+    renormalized; |1> where every term of the superposition is 0 (mu = -nu at alpha -> 0).
+
+    The terms run by the ratio alpha / sqrt(n) in Python complex arithmetic;
+    the row is scaled by its largest entry before the norm, so no square underflows.
+    """
+    terms = [math.exp(-abs(alpha) ** 2 / 2)]
+    for n in range(1, cutoff + 1):
+        terms.append(terms[-1] * alpha / math.sqrt(n))
+    amps = np.array([(mu + (-1) ** n * nu) * t for n, t in enumerate(terms)], dtype=complex)
+    largest = np.max(np.abs(amps))
+    if largest == 0.0:
+        return np.eye(cutoff + 1)[1]
+    amps = amps / largest
+    return amps / np.linalg.norm(amps)
+
+
+def _check_closed_form(mu, nu, alphas, cutoff, rows):
+    for alpha, row in zip(alphas, rows):
+        assert np.max(np.abs(row - _closed_form(mu, nu, alpha, cutoff))) <= 1e-14, alpha
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     family=st.sampled_from(list(INPUT_FAMILIES)),
@@ -168,26 +192,19 @@ def test_squeezed_rows_at_given_squeezings(kind, cutoff, rs):
     ),
 )
 def test_qubit_family_rows_are_their_one_row_builds(family, values):
+    """A batch row is the bits of its one-row build, and the closed form to within 1e-14."""
     cutoff, alphas = values
     mu, nu = INPUT_FAMILIES[family]
 
     def batched(batch):
-        return protocols._qubit(mu, nu, batch, cutoff)
+        return fock._qubit_rows(mu, nu, batch, cutoff)
 
-    def lone(alpha):
-        """mu|alpha> + nu|-alpha> over the 1-D ``np.linalg.norm``, as a lone vector is normalized.
-
-        The leakage is the one-row build's: ``test_qubit_leakage_is_the_cats``
-        checks it against the cat builds.
-        """
-        qubit = QubitSuperposition(mu, nu, alpha).to_fock(cutoff)
-        plus = coherent_state(alpha, cutoff).amps
-        amps = mu * plus + nu * np.where(np.arange(cutoff + 1) % 2 == 0, plus, -plus)
-        norm = float(np.linalg.norm(amps))
-        return qubit if norm == 0.0 else fock.FockVector(cutoff, amps / norm, qubit.leakage)
-
-    one_row = [lambda alpha: QubitSuperposition(mu, nu, alpha).to_fock(cutoff), lone]
+    one_row = [lambda alpha: QubitSuperposition(mu, nu, alpha).to_fock(cutoff)]
     _check_batch(batched, one_row, alphas)
+    for alpha in alphas:
+        built = _quietly(one_row[0], alpha)
+        if not isinstance(built, ValueError):
+            _check_closed_form(mu, nu, [alpha], cutoff, [built.amps])
 
 
 @pytest.mark.parametrize("cutoff", [3, 6, 15])
@@ -204,16 +221,40 @@ def test_qubit_leakage_is_the_cats(cutoff, alpha):
 
 
 @pytest.mark.parametrize("cutoff", [2, 15])
-def test_qubit_families_over_one_grid_build_each_coherent_row_once(cutoff, monkeypatch):
-    """Row i of a family-major batch reads alpha i mod len(alphas): the bits of the tiled build."""
+def test_qubit_families_over_one_grid_build_each_cat_row_once(cutoff, monkeypatch):
+    """Row i of a family-major batch reads alpha i mod len(alphas): the bits of the tiled build.
+
+    The grid's even and odd cat rows are built once each, for every family,
+    and every row is the closed form of its family at its alpha.
+    """
     alphas = np.array([0.0, 1e-160, 0.3, 0.7, 0.9 * math.sqrt(cutoff / 3)])
     mus, nus = np.array(list(INPUT_FAMILIES.values())).T
     mus, nus = mus.repeat(len(alphas)), nus.repeat(len(alphas))
-    tiled = protocols._qubit(mus, nus, np.tile(alphas, len(INPUT_FAMILIES)), cutoff)
+    tiled = fock._qubit_rows(mus, nus, np.tile(alphas, len(INPUT_FAMILIES)), cutoff)
     built = []
-    rows = protocols._coherent_rows
-    monkeypatch.setattr(protocols, "_coherent_rows", lambda a, c: built.append(len(a)) or rows(a, c))
-    gathered = protocols._qubit(mus, nus, alphas, cutoff)
-    assert built == [len(alphas)]
+    rows = fock._cat_rows
+    monkeypatch.setattr(
+        fock, "_cat_rows", lambda a, p, c: built.append((len(a), p)) or rows(a, p, c)
+    )
+    gathered = fock._qubit_rows(mus, nus, alphas, cutoff)
+    assert built == [(len(alphas), "even"), (len(alphas), "odd")]
     for got, want in zip(gathered, tiled):
         assert np.array_equal(got, want)
+    family_rows = gathered[0].reshape(len(INPUT_FAMILIES), len(alphas), -1)
+    for (mu, nu), rows in zip(INPUT_FAMILIES.values(), family_rows):
+        _check_closed_form(mu, nu, alphas, cutoff, rows)
+
+
+@pytest.mark.parametrize("mu", [1.0, 2.5, 1j])
+@pytest.mark.parametrize("alpha", [1e-157, 1e-160, 1e-162])
+def test_tiny_odd_superposition_is_the_single_photon(mu, alpha):
+    """mu|alpha> - mu|-alpha> keeps norm 1 and is |1> up to a phase where alpha^2 is subnormal or 0.
+
+    Its odd cat weight is about 2 mu alpha: sqrt(alpha^2) of a subnormal square,
+    and 0 once the square underflows.
+    """
+    vec = _quietly(lambda: QubitSuperposition(mu, -mu, alpha).to_fock(10))
+    assert abs(np.linalg.norm(vec.amps) - 1.0) <= 1e-15
+    assert abs(abs(vec.amps[1]) - 1.0) <= 1e-15
+    assert np.array_equal(np.delete(vec.amps, 1), np.zeros(10))
+    assert vec.leakage == 0.0

@@ -1,13 +1,16 @@
 """Run cskit commands on two source trees and compare their CSV rows.
 
     python tools/compare_rows.py OLD_TREE NEW_TREE [--command "ARGV" ...] [--file FILE]
-        [--tol TOL]
+        [--bench] [--tol TOL]
 
 Each command is a ``cskit`` argv, for example ``"loss --eta 0:1:0.1"``, run
 as ``python -m cskit.cli`` with ``src`` of each tree on ``PYTHONPATH``.
 ``--file`` reads one command per line (blank lines and ``#`` lines are
-skipped). With no command, the default of every gridded subcommand and the
-four ``loss`` variants run. Per command it reports:
+skipped). ``--bench`` adds the argv of every CLI sweep of the benchmark's
+workloads at seed 0, read from NEW_TREE's ``perfbench/workloads.py`` (its
+library sweeps have no argv and stay out). With no command, the default of
+every gridded subcommand and the four ``loss`` variants run. Per command it
+reports:
 
 - the exit code on each tree;
 - the number of data rows on each tree;
@@ -25,6 +28,7 @@ suite.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import math
 import os
 import shlex
@@ -41,6 +45,22 @@ DEFAULT_COMMANDS = (
     "loss --protocol entswap",
     "loss --protocol entswap --diagonal",
 )
+
+
+def bench_commands(tree: str) -> list:
+    """The argv of every CLI sweep of ``tree``'s benchmark workloads at seed 0, as commands."""
+    spec = importlib.util.spec_from_file_location(
+        "_bench_workloads", os.path.join(tree, "perfbench", "workloads.py")
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look their module up there
+    spec.loader.exec_module(workloads)
+    return [
+        shlex.join(sweep.argv)
+        for name in workloads.NAMES
+        for sweep in workloads.build(name, workloads.DEFAULT_SEED).sweeps
+        if sweep.argv is not None
+    ]
 
 
 def run(tree: str, argv: list) -> tuple:
@@ -104,12 +124,17 @@ def main(argv=None) -> int:
     parser.add_argument("new_tree")
     parser.add_argument("--command", action="append", default=[], help="one cskit argv")
     parser.add_argument("--file", help="one cskit argv per line")
+    parser.add_argument(
+        "--bench", action="store_true", help="add the CLI sweeps of the benchmark at seed 0"
+    )
     parser.add_argument("--tol", type=float, default=1e-12)
     args = parser.parse_args(argv)
     commands = list(args.command)
     if args.file:
         with open(args.file, encoding="utf-8") as fh:
             commands += [line.strip() for line in fh if line.strip() and not line.startswith("#")]
+    if args.bench:
+        commands += bench_commands(args.new_tree)
     commands = commands or list(DEFAULT_COMMANDS)
     differs = False
     print(
