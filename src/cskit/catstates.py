@@ -48,7 +48,7 @@ def _squeezed_rows(rs, photons: int, cutoff: int):
     photons + 1) r): r is refused where that bound is not a normal float.
     """
     rs = np.asarray(rs, dtype=float)
-    _refuse(rs < 0, lambda i: ValueError("squeezing parameter r must be >= 0"))
+    _refuse(~(rs >= 0), lambda i: ValueError(f"squeezing parameter r must be >= 0, got {rs[i]}"))
     _refuse(np.exp(-(2 * photons + 1) * rs) < np.finfo(float).tiny, lambda i: TruncationError(
         f"squeezing r={rs[i]:g} leaves S_r|{photons}> no representable weight"
     ))
@@ -90,8 +90,8 @@ def r_opt(beta: float) -> float:
     Above _LARGE_BETA, where the 9 is lost to rounding, it is ln(beta sqrt(4/3)),
     which keeps beta^4 from overflowing.
     """
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
+    if not beta >= 0:
+        raise ValueError(f"beta must be >= 0, got {beta}")
     if beta > _LARGE_BETA:
         return math.log(beta) + math.log(4.0 / 3.0) / 2.0
     return math.log(math.sqrt(2.0 * beta**2 / 3.0 + math.sqrt(9.0 + 4.0 * beta**4) / 3.0))
@@ -103,8 +103,8 @@ def r_opt_v(beta: float) -> float:
     Closed form: ln sqrt(2 beta^2 + sqrt(1 + 4 beta^4)), which is ln(2 beta)
     above _LARGE_BETA.
     """
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
+    if not beta >= 0:
+        raise ValueError(f"beta must be >= 0, got {beta}")
     if beta > _LARGE_BETA:
         return math.log(2.0 * beta)
     return math.log(math.sqrt(2.0 * beta**2 + math.sqrt(1.0 + 4.0 * beta**4)))

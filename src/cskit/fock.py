@@ -12,6 +12,13 @@ of amplitude |alpha|, weighted and renormalized (``_qubit_rows``), and
 table of a vacuum-port coupling, one product per amplitude: ``attenuate``
 reads it on a ``MultiModeState``, and ``cskit.protocols`` gathers it on
 plain arrays for its Bell pairs.
+
+Every beamsplitter is one stack of blocks (``_beamsplitter_blocks``). The
+50:50 one, the only one a lossless run needs, is built from the integer
+coefficients of (x + y)^m (x - y)^(s - m), with the sign convention of the
+exponential of the rotation generator and exact zeros where a coefficient
+is 0. Other transmitivities use that exponential, and only they import
+``scipy.linalg``.
 """
 
 from __future__ import annotations
@@ -21,7 +28,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm
 
 __all__ = [
     "TruncationError",
@@ -203,8 +209,8 @@ def _cat_rows(betas, parity: str, cutoff: int):
     if parity not in ("even", "odd"):
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
     betas = np.asarray(betas, dtype=float)
-    _refuse(betas < 0, lambda i: ValueError("beta must be >= 0"))
     values = betas.tolist()
+    _refuse(~(betas >= 0), lambda i: ValueError(f"beta must be >= 0, got {values[i]}"))
     # beta > cutoff implies beta^2 > cutoff / 3, and keeps beta**2 from overflowing
     squares = np.array([min(beta, cutoff) ** 2 for beta in values], dtype=float)
     _refuse((betas > cutoff) | (squares > cutoff / 3), lambda i: TruncationError(
@@ -291,29 +297,54 @@ def _beamsplitter_blocks(dim: int, eta: float) -> np.ndarray:
 
     Convention: coherent amplitudes map as a -> sqrt(eta) a + sqrt(1-eta) b,
     b -> sqrt(1-eta) a - sqrt(eta) b. The beamsplitter conserves s = m + n, so
-    it is one block per s: the exponential of the rotation generator
-    restricted to it, followed by a pi phase on the second mode.
-    ``stack[s, p, m]``, read-only and of shape (2 dim - 1, dim, dim), is the
-    amplitude of |p>|s - p> from |m>|s - m>, and exactly 0 off block s. Blocks
-    with s > cutoff are clipped to the representable p, m >= s - cutoff; the
-    discarded entries are genuine truncation leakage. Every consumer of the
-    blocks reads this one table.
+    it is one block per s. ``stack[s, p, m]``, read-only and of shape
+    (2 dim - 1, dim, dim), is the amplitude of |p>|s - p> from |m>|s - m>,
+    and exactly 0 off block s. Blocks with s > cutoff are clipped to the
+    representable p, m >= s - cutoff; the discarded entries are genuine
+    truncation leakage. Every consumer of the blocks reads this one table.
+
+    At eta = 0.5, a+ -> (x + y) / sqrt 2 and b+ -> (x - y) / sqrt 2 on the
+    output creation operators x, y, so column m of block s holds the integer
+    coefficients c[p] of x^p y^(s - p) in (x + y)^m (x - y)^(s - m), and
+    the entry is c[p] sqrt(C(s, m) / (C(s, p) 2^s)), the same as
+    sign(c) sqrt(c^2 p! (s - p)! / (m! (s - m)! 2^s)). The coefficients are
+    Python integers, exact at every cutoff: column s is the binomial row
+    (x + y)^s, and every other column is the column of block s - 1 times
+    (x - y). The entry is within about an ulp of its exact value, and exactly
+    0 where c is. Any other eta takes the exponential of the rotation
+    generator restricted to each block, followed by a pi phase on the second
+    mode; the sign convention is the same, and scipy is imported only there.
     """
     nmax = dim - 1
-    theta = math.atan2(math.sqrt(1.0 - eta), math.sqrt(eta))
     stack = np.zeros((2 * nmax + 1, dim, dim))
-    for s in range(2 * nmax + 1):
-        size = s + 1
-        g = np.zeros((size, size))
-        for m in range(s):
-            val = math.sqrt((m + 1) * (s - m))
-            g[m + 1, m] = val
-            g[m, m + 1] = -val
-        block = expm(theta * g) if size > 1 else np.ones((1, 1))
-        signs = np.array([(-1.0) ** (s - p) for p in range(size)])
-        block = signs[:, None] * block
-        lo, hi = max(0, s - nmax), min(s, nmax)
-        stack[s, lo : hi + 1, lo : hi + 1] = block[lo : hi + 1, lo : hi + 1]
+    if eta == 0.5:
+        coeffs = np.zeros((dim + 1, dim), dtype=object)  # row p + 1 holds c[p]; row 0 is c[-1] = 0
+        for s in range(2 * nmax + 1):
+            lo, hi = max(0, s - nmax), min(s, nmax)
+            on, block = slice(lo, hi + 1), (slice(lo + 1, hi + 2), slice(lo, hi + 1))
+            coeffs[block] = coeffs[on, on] - coeffs[block]  # times (x - y)
+            binom = [math.comb(s, k) for k in range(lo, hi + 1)]
+            if s <= nmax:
+                coeffs[1 : s + 2, s] = binom  # (x + y)^s
+            binom = np.array(binom, dtype=float)
+            weights = np.sqrt(binom / 2.0**s) / np.sqrt(binom)[:, None]
+            stack[s, on, on] = coeffs[block].astype(float) * weights
+    else:
+        from scipy.linalg import expm
+
+        theta = math.atan2(math.sqrt(1.0 - eta), math.sqrt(eta))
+        for s in range(2 * nmax + 1):
+            size = s + 1
+            g = np.zeros((size, size))
+            for m in range(s):
+                val = math.sqrt((m + 1) * (s - m))
+                g[m + 1, m] = val
+                g[m, m + 1] = -val
+            block = expm(theta * g) if size > 1 else np.ones((1, 1))
+            signs = np.array([(-1.0) ** (s - p) for p in range(size)])
+            block = signs[:, None] * block
+            lo, hi = max(0, s - nmax), min(s, nmax)
+            stack[s, lo : hi + 1, lo : hi + 1] = block[lo : hi + 1, lo : hi + 1]
     stack.setflags(write=False)
     return stack
 

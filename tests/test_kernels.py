@@ -1,8 +1,11 @@
 """Property tests of the block beamsplitter, attenuation and detector kernels.
 
 The reference is the dense d^2 x d^2 beamsplitter matrix, assembled from the
-same per-block exponentials and applied as one matrix product, as cskit did
-before it applied the blocks one at a time.
+per-block exponentials of the rotation generator and applied as one matrix
+product, as cskit did before it applied the blocks one at a time. The 50:50
+blocks, which cskit builds from integer coefficients, are also checked
+against those coefficients summed by convolution and against each entry's
+exact value.
 """
 
 import gc
@@ -18,6 +21,7 @@ from scipy.linalg import expm
 from cskit.fock import (
     MultiModeState,
     _beamsplitter_blocks,
+    _loss_amplitudes,
     apply_beamsplitter,
     attenuate,
     detector_response,
@@ -38,21 +42,26 @@ PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples
 etas = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 
 
+def _expm_block(s: int, eta: float) -> np.ndarray:
+    """Unclipped block s: the exponential of the rotation generator, then a pi phase on mode b."""
+    theta = math.atan2(math.sqrt(1.0 - eta), math.sqrt(eta))
+    size = s + 1
+    g = np.zeros((size, size))
+    for m in range(s):
+        val = math.sqrt((m + 1) * (s - m))
+        g[m + 1, m] = val
+        g[m, m + 1] = -val
+    block = expm(theta * g) if size > 1 else np.ones((1, 1))
+    signs = np.array([(-1.0) ** (s - p) for p in range(size)])
+    return signs[:, None] * block
+
+
 def _dense_beamsplitter(dim: int, eta: float) -> np.ndarray:
     """Two-mode beamsplitter unitary on the flattened |m>|n> basis."""
     nmax = dim - 1
-    theta = math.atan2(math.sqrt(1.0 - eta), math.sqrt(eta))
     u = np.zeros((dim * dim, dim * dim))
     for s in range(2 * nmax + 1):
-        size = s + 1
-        g = np.zeros((size, size))
-        for m in range(s):
-            val = math.sqrt((m + 1) * (s - m))
-            g[m + 1, m] = val
-            g[m, m + 1] = -val
-        block = expm(theta * g) if size > 1 else np.ones((1, 1))
-        signs = np.array([(-1.0) ** (s - p) for p in range(size)])
-        block = signs[:, None] * block
+        block = _expm_block(s, eta)
         for m in range(max(0, s - nmax), min(s, nmax) + 1):
             for p in range(max(0, s - nmax), min(s, nmax) + 1):
                 u[p * dim + (s - p), m * dim + (s - m)] = block[p, m]
@@ -103,7 +112,69 @@ def test_block_stack_is_the_dense_unitary_zero_padded(dim, eta):
     assert np.all(stack[~on_block] == 0.0)
 
 
-@pytest.mark.parametrize("dim", [1, 2, 7, 16])
+def _integer_block(s: int):
+    """(c, exact): unclipped 50:50 block s from its integer coefficients.
+
+    c[p, m], a Python int, is the coefficient of x^p y^(s - p) in (x + y)^m
+    (x - y)^(s - m), the two binomial rows convolved. ``exact`` is
+    sign(c) sqrt(c^2 p! (s - p)! / (m! (s - m)! 2^s)): one correctly rounded
+    division of integers, then one square root.
+    """
+    f = [math.factorial(k) for k in range(s + 1)]
+    binomial = lambda n, sign: np.array([sign**k * math.comb(n, k) for k in range(n + 1)][::-1], object)
+    c = np.array([np.convolve(binomial(m, 1), binomial(s - m, -1)) for m in range(s + 1)], object).T
+    exact = [
+        [math.copysign(math.sqrt(c[p, m] ** 2 * f[p] * f[s - p] / (f[m] * f[s - m] << s)), c[p, m])
+         for m in range(s + 1)]
+        for p in range(s + 1)
+    ]
+    return c, np.array(exact)
+
+
+# (dims, s): block s of the stacks at every d of dims. Those of d <= 32 hold coefficients that
+# fit int64; d = 90 is past int64 (d > 32) and past a float 171! (d >= 86).
+BALANCED = [(range(1, 33), s) for s in range(63)] + [
+    ((90,), s) for s in (0, 1, 61, 63, 89, 90, 121, 150, 178)
+]
+
+
+@pytest.mark.parametrize(
+    "dims, s", BALANCED, ids=[f"d{dims[0]}-{dims[-1]}-s{s}" for dims, s in BALANCED]
+)
+def test_balanced_blocks_are_their_integer_coefficients(dims, s):
+    """The 50:50 block s, clipped at each d, is the exact one to 2.2e-16 and expm's to 2.5e-13.
+
+    It is exactly 0 where its integer coefficient is, and unclipped it is
+    orthogonal to 1e-14. The gap to expm is expm's own error: it reaches
+    1.1e-13 from d = 29 on, and 2.4e-13 at d = 90.
+    """
+    c, exact = _integer_block(s)
+    reference = _expm_block(s, 0.5)
+    for d in (d for d in dims if s <= 2 * (d - 1)):
+        on = slice(max(0, s - d + 1), min(s, d - 1) + 1)
+        block = _beamsplitter_blocks(d, 0.5)[s, on, on]
+        assert np.max(np.abs(block - exact[on, on])) <= 2.2e-16
+        assert np.max(np.abs(block - reference[on, on])) <= 2.5e-13
+        assert np.array_equal(block == 0.0, c[on, on] == 0)
+        if s < d:
+            assert np.max(np.abs(block @ block.T - np.eye(s + 1))) <= 1e-14
+
+
+@pytest.mark.parametrize("dim", [1, 2, 7, 16, 33])
+def test_loss_amplitudes_and_detector_response_read_the_balanced_stack(dim):
+    # c[p, e] is stack[p + e, p, p + e] where p + e is a photon number, else 0; M is c squared
+    stack = _beamsplitter_blocks(dim, 0.5)
+    k, c = _loss_amplitudes(dim, 0.5)
+    p, e = np.indices((dim, dim))
+    inside = p + e < dim
+    assert np.array_equal(k, np.minimum(p + e, dim - 1))
+    assert np.array_equal(c[inside], stack[(p + e)[inside], p[inside], (p + e)[inside]])
+    assert np.all(c[~inside] == 0.0)
+    n, total = np.indices((dim, dim))
+    assert np.array_equal(detector_response(dim - 1, 0.5), stack[total, n, total] ** 2)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 7, 16, 33])
 def test_by_count_reads_the_one_block_stack(dim):
     # by_count[n, m, l] is stack[n + m, n, n + m - l] where that is a photon number, else 0
     stack, by_count = _beamsplitter_blocks(dim, 0.5), _by_count(dim)

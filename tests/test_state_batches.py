@@ -161,6 +161,41 @@ def test_squeezed_rows_at_given_squeezings(kind, cutoff, rs):
     )
 
 
+@pytest.mark.parametrize("kind", [k for k in STATE_KINDS if k not in ("vacuum", "single-photon")])
+def test_nan_amplitude_is_refused(kind):
+    """A NaN amplitude raises a ValueError naming it, alone and at every place in a batch."""
+    cutoff = 5
+    refused = _quietly(PUBLIC[kind], math.nan, cutoff)
+    assert isinstance(refused, ValueError) and str(refused).endswith("got nan")
+    _check_batch(
+        lambda batch: STATE_KINDS[kind].rows(batch, cutoff),
+        [
+            lambda amplitude: PUBLIC[kind](amplitude, cutoff),
+            lambda amplitude: STATE_KINDS[kind].build(amplitude, cutoff),
+        ],
+        [0.0, 0.7, math.nan],
+    )
+
+
+@pytest.mark.parametrize("kind", SQUEEZED)
+def test_nan_squeezing_is_refused(kind):
+    public = squeezed_single_photon if kind in ("squeezed-single-photon", "sq1") else squeezed_vacuum
+    refused = _quietly(public, math.nan, 5)
+    assert isinstance(refused, ValueError) and str(refused).endswith("got nan")
+    _check_batch(
+        lambda batch: STATE_KINDS[kind].rows([1.0] * len(batch), 5, batch),
+        [lambda r: public(r, 5), lambda r: STATE_KINDS[kind].build(1.0, 5, r)],
+        [0.0, 0.4, math.nan],
+    )
+
+
+def test_nan_cat_resource_is_refused():
+    with pytest.raises(ValueError, match="^beta must be >= 0, got nan$"):
+        cat_state(math.nan, "odd", 5)
+    with pytest.raises(ValueError, match="^beta must be >= 0, got nan$"):
+        protocols.ResourceSpec("ideal-odd-cat", math.nan).to_fock(5)
+
+
 def _closed_form(mu, nu, alpha, cutoff):
     """mu|alpha> + nu|-alpha> over 0..cutoff from its terms exp(-|alpha|^2 / 2) alpha^n / sqrt(n!),
     renormalized; |1> where every term of the superposition is 0 (mu = -nu at alpha -> 0).
