@@ -4,8 +4,10 @@ One subcommand per figure-class result: approximation fidelities, success
 probabilities, teleportation and entanglement-swapping fidelity sweeps, loss
 contours, and Wigner grids. Every output starts with a '#'-prefixed header
 echoing the resolved configuration; identical headers produce byte-identical
-data rows. Rows are computed fully, one batch of the engine at a time,
-before anything is written, so a failing sweep writes nothing.
+data rows. Rows are computed fully before anything is written, so a
+failing sweep writes nothing. The engine alone cuts a grid into batches
+(``protocols._batch``); ``--jobs N`` only cuts it into contiguous pieces,
+one per worker process.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import math
 import operator
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from decimal import Decimal
 from functools import lru_cache, partial
 
@@ -24,17 +25,14 @@ from . import __version__
 from .catstates import approximation_fidelity_sweep
 from .loss import LOSS_CUTOFFS, _averages
 from .protocols import (
-    INPUT_FAMILIES,
     RESOURCE_KINDS,
     STATE_KINDS,
     InputSpec,
     ResourceSpec,
-    _batches,
-    _circuit_bytes,
-    entanglement_swap_sweep,
+    _beta_runs,
+    _joined,
     state_kinds,
     success_probability_sweep,
-    teleportation_sweep,
 )
 from .wigner import PhaseGrid, wigner_grid
 
@@ -149,51 +147,45 @@ def _jobs(args) -> int:
 def _pmap(fn, items, jobs):
     if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor  # only a pool pays for the import
+
     with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
         return list(pool.map(fn, items))
 
 
-def _lines(rows_of, batch) -> list:
-    """The CSV lines of ``rows_of(batch)``; module-level, so that a process pool can pickle it."""
-    return _csv_lines(rows_of(batch))
+def _grid_lines(lines_of, grid, args) -> list:
+    """The CSV lines ``lines_of`` gives over the grid, joined in grid order.
 
-
-def _batched_lines(lines_of, grid, args, cutoff, swap, lossy, n_eta2=1, circuits=1) -> list:
-    """The CSV lines ``lines_of`` gives over the grid in contiguous batches, joined in grid order.
-
-    A point of the grid is ``circuits`` circuits of ``protocols._circuit_bytes``
-    each, and the engine's rule (``protocols._batches``) cuts at least one
-    batch per job. Each batch is swept and turned into lines where it runs, so
-    no sweep result outlives it; a point's rows do not depend on its batch.
+    N jobs cut the grid into min(N, points, CPUs) contiguous pieces, mapped over as
+    many worker processes; a point's rows depend on neither its piece nor its batch.
     """
     jobs = _jobs(args)
-    point_bytes = circuits * _circuit_bytes(cutoff, swap, lossy, n_eta2)
-    batches = [grid[piece] for piece in _batches(len(grid), point_bytes, jobs)]
-    return [line for lines in _pmap(lines_of, batches, jobs) for line in lines]
+    count = min(jobs, len(grid), len(os.sched_getaffinity(0)))
+    pieces = [grid[k * len(grid) // count : (k + 1) * len(grid) // count] for k in range(count)]
+    return [line for lines in _pmap(lines_of, pieces, jobs) for line in lines]
 
 
-def _fidelity_rows(betas, summaries) -> list:
-    """(beta, avg_fidelity, p_success) for each beta of the grid and its summary."""
-    return [
-        (beta, summary.average_fidelity, summary.success_probability)
-        for beta, summary in zip(betas, summaries)
-    ]
+def _success_lines(resource_kinds, cutoff, betas) -> list:
+    return _csv_lines(success_probability_sweep(betas, None, resource_kinds, cutoff))
 
 
-def _teleport_rows(input_kind, resource_kind, cutoff, m_max, betas) -> list:
-    """Fidelity rows, or with ``m_max`` the (beta, m, fidelity) of each outcome (0, m)."""
-    summaries = teleportation_sweep(betas, input_kind, resource_kind, cutoff)
+def _outcome_fidelities(m_max, batch) -> list:
+    """The fidelity of each outcome (0, m), m = 1 .. m_max, of each circuit of a batch."""
+    return [summary.outcome(0, m).fidelity for [summary] in batch for m in range(1, m_max + 1)]
+
+
+def _beta_lines(protocol, input_kind, resource_kind, cutoff, m_max, betas) -> list:
+    """CSV lines of (beta, avg_fidelity, p_success), read from the engine's arrays, or with
+    ``m_max`` the (beta, m, fidelity) of each outcome (0, m), read from the summaries of
+    one batch at a time."""
+    batches = _beta_runs(protocol, betas, input_kind, resource_kind, cutoff, m_max is not None)
     if m_max is None:
-        return _fidelity_rows(betas, summaries)
-    return [
-        (beta, m, summary.outcome(0, m).fidelity)
-        for beta, summary in zip(betas, summaries)
-        for m in range(1, m_max + 1)
-    ]
-
-
-def _entswap_rows(phi_kind, resource_kind, cutoff, betas) -> list:
-    return _fidelity_rows(betas, entanglement_swap_sweep(betas, phi_kind, resource_kind, cutoff))
+        success, average = (array[:, 0].tolist() for array in _joined(batches))
+        return _csv_lines(zip(betas, average, success))
+    # map drops each batch once its fidelities are read, before the next batch runs
+    fidelities = itertools.chain.from_iterable(map(partial(_outcome_fidelities, m_max), batches))
+    cells = itertools.product(betas, range(1, m_max + 1))
+    return _csv_lines((beta, m, fidelity) for (beta, m), fidelity in zip(cells, fidelities))
 
 
 def _loss_lines(protocol, input_spec, resource_spec, cutoff, eta2s, eta1s) -> list:
@@ -223,9 +215,7 @@ def _cmd_approx(args):
 def _cmd_success_prob(args):
     grid = _parse_grid(args.beta)
     kinds = tuple(args.resource)
-    rows_of = partial(success_probability_sweep, resource_kinds=kinds, cutoff=args.cutoff)
-    lines_of, circuits = partial(_lines, rows_of), len(INPUT_FAMILIES)
-    lines = _batched_lines(lines_of, grid, args, args.cutoff, False, False, circuits=circuits)
+    lines = _grid_lines(partial(_success_lines, kinds, args.cutoff), grid, args)
     extra = [
         ("resource", " ".join(kinds)),
         ("beta-grid", args.beta),
@@ -240,7 +230,7 @@ def _cmd_teleport(args):
         if m_max is not None:
             raise UsageError("--m-max is read only with --per-outcome")
     else:
-        m_max = 5 if m_max is None else m_max
+        m_max = min(5, args.cutoff) if m_max is None else m_max
         if not 1 <= m_max <= args.cutoff:
             raise UsageError(f"--m-max {m_max} outside [1, cutoff={args.cutoff}]")
     grid = _parse_grid(args.beta)
@@ -250,8 +240,8 @@ def _cmd_teleport(args):
         ("beta-grid", args.beta),
         ("cutoff", args.cutoff),
     ]
-    rows_of = partial(_teleport_rows, args.input, args.resource, args.cutoff, m_max)
-    lines = _batched_lines(partial(_lines, rows_of), grid, args, args.cutoff, False, False)
+    lines_of = partial(_beta_lines, "teleport", args.input, args.resource, args.cutoff, m_max)
+    lines = _grid_lines(lines_of, grid, args)
     if args.per_outcome:
         extra.append(("m-max", m_max))
         columns = ["beta", "m", "fidelity"]
@@ -262,8 +252,8 @@ def _cmd_teleport(args):
 
 def _cmd_entswap(args):
     grid = _parse_grid(args.beta)
-    rows_of = partial(_entswap_rows, args.phi, args.resource, args.cutoff)
-    lines = _batched_lines(partial(_lines, rows_of), grid, args, args.cutoff, True, False)
+    lines_of = partial(_beta_lines, "entswap", args.phi, args.resource, args.cutoff, None)
+    lines = _grid_lines(lines_of, grid, args)
     extra = [
         ("phi", args.phi),
         ("resource", args.resource),
@@ -277,9 +267,8 @@ def _cmd_loss(args):
     grid = _parse_grid(args.eta)
     if grid[-1] > 1.0:
         raise UsageError(f"eta grid {args.eta!r} leaves [0, 1]")
-    cells = 1 if args.diagonal else len(grid)
-    if len(grid) * cells > MAX_GRID_POINTS:
-        count = len(grid) * cells
+    count = len(grid) * (1 if args.diagonal else len(grid))
+    if count > MAX_GRID_POINTS:
         raise UsageError(f"eta grid {args.eta!r} has {count} cells, more than {MAX_GRID_POINTS}")
     cutoff = LOSS_CUTOFFS[args.protocol] if args.cutoff is None else args.cutoff
     amplitude = args.amplitude
@@ -287,7 +276,7 @@ def _cmd_loss(args):
     specs = (InputSpec(args.input, amplitude), ResourceSpec(args.resource, resource_beta))
     eta2s = None if args.diagonal else grid
     lines_of = partial(_loss_lines, args.protocol, *specs, cutoff, eta2s)
-    lines = _batched_lines(lines_of, grid, args, cutoff, args.protocol == "entswap", True, cells)
+    lines = _grid_lines(lines_of, grid, args)
     extra = [
         ("protocol", args.protocol),
         ("input", args.input),
@@ -368,7 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", default="0.05:1.2:0.05")
     p.add_argument("--per-outcome", action="store_true", help="emit per-(n=0,m) fidelities")
     p.add_argument(
-        "--m-max", type=int, default=None, help="largest m with --per-outcome (default 5)"
+        "--m-max", type=int, default=None,
+        help="largest m with --per-outcome (default 5, or the cutoff when smaller)",
     )
     common(p, 15, True)
     p.set_defaults(func=_cmd_teleport)

@@ -21,7 +21,7 @@ Every amplitude comes from the specs: the input's, or phi's, alpha and the
 resource's beta. The engine matches each input to the lossy resource: a
 nominal alpha becomes sqrt(eta1) * alpha. Both runners and both sweeps are
 one ``protocols._runs`` call, as the lossless runners are, and every eta1 of
-a sweep is one circuit of the engine's batches (``protocols._batches``).
+a sweep is one circuit of the engine's batches (``protocols._batch``).
 Detector loss is a plain row of eta2 values: a contour's circuits share one
 row, whose stack of responses and count weights is built once per grid, and
 a diagonal's circuit i sees eta_i alone. The two sweeps read the engine's
@@ -49,6 +49,7 @@ from .protocols import (
     LossConfig,
     ProtocolSummary,
     ResourceSpec,
+    _joined,
     _runs,
 )
 
@@ -78,10 +79,10 @@ def _averages(protocol, input_spec, resource_spec, cutoff, eta1s, eta2s):
     built. ``eta2s`` is one row that every eta1 shares or one row per eta1,
     as ``protocols._runs`` reads it, and every eta is one already checked.
     """
-    return _runs(
+    return _joined(_runs(
         protocol, input_spec, [input_spec.alpha], resource_spec.kind, [resource_spec.beta],
         cutoff, eta1s, eta2s, summaries=False,
-    )[1]
+    ))[1]
 
 
 def _fidelity(average: float):
@@ -111,7 +112,7 @@ def run_lossy_teleportation(
     LOSS_CUTOFFS['teleport']. At eta1 = eta2 = 1 this is the lossless run.
     """
     cutoff = _loss_cutoff("teleport", cutoff)
-    [[summary]] = _runs(
+    [[[summary]]] = _runs(
         "teleport", input_spec, [input_spec.alpha], resource_spec.kind, [resource_spec.beta],
         cutoff, [loss.eta1], ((loss.eta2,),), include_z_outcomes,
     )
@@ -166,7 +167,7 @@ def run_lossy_entswap(
     the lossless run.
     """
     cutoff = _loss_cutoff("entswap", cutoff)
-    [[summary]] = _runs(
+    [[[summary]]] = _runs(
         "entswap", phi_spec, [phi_spec.alpha], resource_spec.kind, [resource_spec.beta], cutoff,
         [loss.eta1], ((loss.eta2,),),
     )
@@ -196,7 +197,7 @@ def loss_contour_sweep(
     eta2_grid = _ETA_GRID if eta2_grid is None else eta2_grid
     eta1s = [LossConfig(eta1=float(eta)).eta1 for eta in eta1_grid]
     eta2s = tuple(LossConfig(eta2=float(eta)).eta2 for eta in eta2_grid)
-    if not eta2s:  # no cell, and no counters to build
+    if not (eta1s and eta2s):  # no cell, and no circuit or counters to build
         return []
     average = _averages(protocol, input_spec, resource_spec, cutoff, eta1s, (eta2s,))
     cells = itertools.product(eta1s, eta2s)
@@ -217,6 +218,8 @@ def loss_diagonal_sweep(
     cutoff = _loss_cutoff(protocol, cutoff)
     eta_grid = _ETA_GRID if eta_grid is None else eta_grid
     etas = [LossConfig(float(eta), float(eta)).eta1 for eta in eta_grid]
+    if not etas:
+        return []
     rows = tuple((eta,) for eta in etas)
     average = _averages(protocol, input_spec, resource_spec, cutoff, etas, rows)
     return [(eta, _fidelity(f)) for eta, f in zip(etas, average.ravel().tolist())]

@@ -27,25 +27,27 @@ number, so each count (n, m) sees one block of it, and the probability table
 needs only the two factors' Gram matrices. Source loss (see ``cskit.loss``)
 adds an environment mode that the resource's Gram matrix sums over.
 
-The engine runs a batch of circuits along a leading axis, one per beta of a
-grid or per eta1 of a loss sweep, from the states to the summaries, in
-batches of at most BATCH_BYTES (``_batches``). Each kind of ``STATE_KINDS``
-builds all the states of a batch as one (b, d) array (``StateKind.rows``);
-``_runs`` builds a sweep's inputs, Z targets and resources so, the qubit
-ones by ``fock._qubit_rows``, and ``_batch`` heralds them. Lossless counters need only the edge counts (0, s) and (s, 0),
-in O(d^3) per circuit; detector loss mixes every count into the accepted
-ones, so lossy counters fill every count, in O(d^4). A run's success
-probability and average fidelity are sums of the tables against count
-weights, one per set of counts and eta2 response (``_herald``), the same
-route behind lossless counters, where each weight is a mask. A summary
-builds its outcome tables and records, and behind lossless counters its
-rejected counts' probabilities, only when read; the loss sweeps and
-``success_probability_sweep`` read arrays and build no summary. Every build
-and contraction is per row, so a circuit's result is the same bits in any
-batch: ``run_teleportation`` and ``run_entanglement_swap`` are the
-one-circuit case of the sweeps. A lossless run is the eta1 = eta2 = 1 case
-of the engine, and a summary holds nothing of its arguments, so there the
-lossy runners of ``cskit.loss`` return a summary equal to the lossless one.
+The engine runs circuits along a leading axis, one per beta of a grid or
+per eta1 of a loss sweep, from the states to the summaries. Each kind of
+``STATE_KINDS`` builds all the states of a grid as one (b, d) array
+(``StateKind.rows``); ``_runs`` builds a sweep's inputs, Z targets and
+resources so, the qubit ones by ``fock._qubit_rows``, and ``_batch``, the
+one place that cuts a grid, heralds them in batches of at most BATCH_BYTES
+(``_batches``) and streams the batches. Lossless counters need only the
+edge counts (0, s) and (s, 0), in O(d^3) per circuit; detector loss mixes
+every count into the accepted ones, so lossy counters fill every count, in
+O(d^4). A run's success probability and average fidelity are sums of the
+tables against count weights, one per set of counts and eta2 response
+(``_herald``), the same route behind lossless counters, where each weight
+is a mask. A summary builds its outcome tables and records, and behind
+lossless counters its rejected counts' probabilities, only when read; the
+loss sweeps, ``success_probability_sweep`` and the CLI, but for its
+per-outcome rows, read arrays and build no summary. Every build and contraction is per row, so a
+circuit's result is the same bits in any batch: ``run_teleportation`` and
+``run_entanglement_swap`` are the one-circuit case of the sweeps. A
+lossless run is the eta1 = eta2 = 1 case of the engine, and a summary holds
+nothing of its arguments, so there the lossy runners of ``cskit.loss``
+return a summary equal to the lossless one.
 """
 
 from __future__ import annotations
@@ -784,52 +786,54 @@ def _circuit_bytes(cutoff: int, swap: bool, lossy: bool, n_eta2: int = 1) -> int
     return (4 * (2 * d - 1) + 165 if swap else 56) * d * d + summaries
 
 
-def _batches(count: int, circuit_bytes: int, pieces: int = 1) -> list:
-    """Contiguous slices of ``count`` circuits within BATCH_BYTES, or of one; ``pieces`` or more."""
-    size = max(1, min(BATCH_BYTES // circuit_bytes, -(-count // pieces)))
+def _batches(count: int, circuit_bytes: int) -> list:
+    """Contiguous slices of ``count`` circuits within BATCH_BYTES, or of one."""
+    size = max(1, BATCH_BYTES // circuit_bytes)
     return [slice(start, min(start + size, count)) for start in range(0, count, size)]
 
 
 def _batch(
-    left, resources, kind, eta1s=1.0, eta2s=((1.0,),), target=None, z_target=None,
+    left, resources, kind, eta1s=1.0, eta2s=((1.0,),), protocol=None, z_target=None,
     include_z=False, summaries=True,
 ):
-    """One list of summaries per circuit, one per eta2 of its counters, batch by batch.
+    """``_heralded``'s result for each batch of circuits, one batch at a time.
 
     Circuit i mixes row i of ``left`` with the Bell pair of resource row i
     mod len(``resources``), of kind ``kind``, at its eta1 of ``eta1s`` (or one
     for all), in front of counters at its row of ``eta2s``: one row that every
-    circuit shares, or one row per circuit (``_responses``). It compares with
-    row i of ``target`` and of ``z_target`` (``_z_targets``), where given.
-    Each batch builds its Bell pairs in one ``_bells`` call and heralds
-    them in one ``_heralded`` call.
-    With ``summaries`` false it returns ``_herald``'s (success, average)
-    arrays over (circuit, eta2) instead, and builds no summary.
+    circuit shares, built once, or one row per circuit (``_responses``). With
+    ``protocol`` 'teleport' it compares with row i of ``left`` and of
+    ``z_target`` (``_z_targets``); with 'entswap' row i of ``left`` is phi,
+    whose Bell pair enters the circuit and is the target; with None it
+    compares with nothing. Bell pairs and per-circuit counters are built per
+    batch, so no array of the grid is larger than its rows of amplitudes.
     """
     eta1s = np.asarray(eta1s, dtype=float)
     parity = resource_parity(kind)
-    responses, weights = _responses(eta2s, len(resources[0]) - 1, parity)
-    n_eta2 = weights.shape[1]
-    lossy = responses is not None or bool((eta1s < 1.0).any())
-    circuit = _circuit_bytes(len(resources[0]) - 1, left.ndim == 3, lossy, n_eta2)
-    runs = []
+    cutoff = len(resources[0]) - 1
+    shared = _responses(eta2s, cutoff, parity) if len(eta2s) == 1 else None
+    lossy = bool((eta1s < 1.0).any()) or any(row != (1.0,) for row in eta2s)
+    circuit = _circuit_bytes(cutoff, protocol == "entswap", lossy, len(eta2s[0]))
     for piece in _batches(len(left), circuit):
         index = np.arange(len(left))[piece]
         pairs = _bells(resources[index % len(resources)], eta1s[piece] if eta1s.ndim else eta1s)
-        t, z = (None if a is None else a[piece] for a in (target, z_target))
-        counters = [a if a is None or len(a) == 1 else a[piece] for a in (responses, weights)]
-        runs.append(_heralded(left[piece], pairs, t, z, counters, parity, include_z, summaries))
-    if summaries:
-        return [run for batch in runs for run in batch]
-    empty = np.empty((0, n_eta2))
-    return tuple(np.concatenate([empty] + [batch[k] for batch in runs]) for k in (0, 1))
+        rows = _bells(left[piece]) if protocol == "entswap" else left[piece]
+        target = None if protocol is None else rows
+        z = None if z_target is None else z_target[piece]
+        counters = _responses(eta2s[piece], cutoff, parity) if shared is None else shared
+        yield _heralded(rows, pairs, target, z, counters, parity, include_z, summaries)
+
+
+def _joined(batches) -> tuple:
+    """``_herald``'s (success, average) arrays, joined over a nonempty stream of ``_batch``."""
+    return tuple(map(np.concatenate, zip(*batches)))
 
 
 def _runs(
     protocol, spec, alphas, resource_kind, betas, cutoff, eta1s=1.0, eta2s=((1.0,),),
     include_z=False, summaries=True,
 ):
-    """Summaries per input of ``spec``'s family at each amplitude of ``alphas``, one per eta2.
+    """The batches of ``_batch`` for each input of ``spec``'s family at each amplitude of ``alphas``.
 
     'teleport' teleports each input, its own target, with the Z-flipped input
     as Z target (``_z_targets``); 'entswap' swaps each phi, whose Bell pair
@@ -846,13 +850,10 @@ def _runs(
         inputs = _qubit_rows(qubit.mu, qubit.nu, alphas, cutoff)[0]
     else:
         inputs = _state_kind(spec.kind, "input").rows(alphas, cutoff)[0]
-    if protocol == "teleport":
-        z_target = _z_targets(spec, alphas, cutoff)
-    else:
-        inputs, z_target = _bells(inputs), None
+    z_target = _z_targets(spec, alphas, cutoff) if protocol == "teleport" else None
     resources = _state_kind(resource_kind, "resource").rows(betas, cutoff)[0]
     return _batch(
-        inputs, resources, resource_kind, eta1s, eta2s, inputs, z_target, include_z, summaries
+        inputs, resources, resource_kind, eta1s, eta2s, protocol, z_target, include_z, summaries
     )
 
 
@@ -878,7 +879,7 @@ def run_teleportation(
     average as a diagnostic. This is the one-circuit case of
     ``teleportation_sweep``'s batch.
     """
-    [[summary]] = _runs(
+    [[[summary]]] = _runs(
         "teleport", input_spec, [input_spec.alpha], resource_spec.kind, [resource_spec.beta],
         cutoff, include_z=include_z_outcomes,
     )
@@ -891,18 +892,24 @@ def teleportation_sweep(
     resource_kind: str = "squeezed-single-photon",
     cutoff: int = 15,
 ) -> list:
-    """``run_teleportation`` over a beta grid, every beta heralded in one batch.
+    """``run_teleportation`` over a beta grid, the betas heralded in the engine's batches.
 
     At each beta the input of kind ``input_kind`` has amplitude alpha = beta /
     sqrt(2), the resource of kind ``resource_kind`` amplitude beta, and the
     average covers the no-Z outcomes. Returns one ProtocolSummary per beta,
     each equal, bit for bit, to the run of its beta alone.
     """
+    batches = _beta_runs("teleport", beta_grid, input_kind, resource_kind, cutoff)
+    return [summary for batch in batches for [summary] in batch]
+
+
+def _beta_runs(protocol, beta_grid, input_kind, resource_kind, cutoff, summaries=True):
+    """The batches of ``_runs`` over a nonempty beta grid: the resource at each beta, and the
+    input at alpha = beta / sqrt(2) ('teleport') or phi at beta ('entswap')."""
     betas = _betas(beta_grid)
-    alphas = np.array(betas, dtype=float) / math.sqrt(2.0)
+    alphas = np.array(betas, dtype=float) / (math.sqrt(2.0) if protocol == "teleport" else 1.0)
     family = InputSpec(input_kind, None)
-    runs = _runs("teleport", family, alphas, resource_kind, betas, cutoff)
-    return [summary for [summary] in runs]
+    return _runs(protocol, family, alphas, resource_kind, betas, cutoff, summaries=summaries)
 
 
 def per_outcome_fidelity(
@@ -947,7 +954,7 @@ def success_probability_sweep(
     alphas = np.array(betas, dtype=float) / math.sqrt(2.0)
     left = _qubit_rows(mus.repeat(len(betas)), nus.repeat(len(betas)), alphas, cutoff)[0]
     p_success = [
-        _batch(left, rows, kind, summaries=False)[0][:, 0].tolist()
+        _joined(_batch(left, rows, kind, summaries=False))[0][:, 0].tolist()
         for kind, rows in zip(resource_kinds, resources)
     ]
     return [
@@ -973,7 +980,7 @@ def run_entanglement_swap(
     modes matched by position. Z-type outcomes carry no fidelity. This is
     the one-circuit case of ``entanglement_swap_sweep``'s batch.
     """
-    [[summary]] = _runs(
+    [[[summary]]] = _runs(
         "entswap", phi_spec, [phi_spec.alpha], resource_spec.kind, [resource_spec.beta], cutoff
     )
     return summary
@@ -985,13 +992,11 @@ def entanglement_swap_sweep(
     resource_kind: str = "squeezed-single-photon",
     cutoff: int = 15,
 ) -> list:
-    """``run_entanglement_swap`` over a beta grid, every beta heralded in one batch.
+    """``run_entanglement_swap`` over a beta grid, the betas heralded in the engine's batches.
 
     At each beta phi of kind ``phi_kind`` and the resource of kind
     ``resource_kind`` both have amplitude beta. Returns one ProtocolSummary
     per beta, each equal, bit for bit, to the run of its beta alone.
     """
-    betas = _betas(beta_grid)
-    family = InputSpec(phi_kind, None)
-    runs = _runs("entswap", family, betas, resource_kind, betas, cutoff)
-    return [summary for [summary] in runs]
+    batches = _beta_runs("entswap", beta_grid, phi_kind, resource_kind, cutoff)
+    return [summary for batch in batches for [summary] in batch]

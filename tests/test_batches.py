@@ -35,9 +35,6 @@ ETAS = [0.0, 0.3, 0.7, 1.0]
 def test_batches_cut_the_circuits_by_the_budget():
     assert _batches(10, BATCH_BYTES // 4) == [slice(0, 4), slice(4, 8), slice(8, 10)]
     assert _batches(3, 10 * BATCH_BYTES) == [slice(0, 1), slice(1, 2), slice(2, 3)]
-    assert _batches(6, 1, pieces=2) == [slice(0, 3), slice(3, 6)]
-    assert _batches(7, 1, pieces=2) == [slice(0, 4), slice(4, 7)]
-    assert _batches(1, 1, pieces=64) == [slice(0, 1)]
     assert _batches(0, 1) == []
 
 

@@ -1,4 +1,5 @@
 import ast
+import concurrent.futures
 import math
 import os
 import subprocess
@@ -32,7 +33,7 @@ def _parse(text):
 
 
 def _record_batches(monkeypatch):
-    """Every list of slices the byte rule returns, to the CLI and to the engine alike."""
+    """Every list of slices the engine's byte rule returns, the one cut of every grid."""
     calls = []
     rule = protocols._batches
 
@@ -41,7 +42,6 @@ def _record_batches(monkeypatch):
         return calls[-1]
 
     monkeypatch.setattr(protocols, "_batches", recorded)
-    monkeypatch.setattr(cli, "_batches", recorded)
     return calls
 
 
@@ -263,6 +263,17 @@ class TestSubcommands:
         odd_fids = fids[0::2]  # m = 1, 3, 5
         assert odd_fids[0] > odd_fids[1] > odd_fids[2]
 
+    def test_per_outcome_m_max_defaults_to_the_cutoff_below_5(self, capsys):
+        argv = ["teleport", "--per-outcome", "--cutoff", "3", "--beta", "0.5:0.5:1"]
+        code, out = _run(capsys, argv)
+        assert code == 0
+        header, _, rows = _parse(out)
+        assert "# m-max: 3" in header
+        assert [row.split(",")[1] for row in rows] == ["1", "2", "3"]
+        # an explicit --m-max above the cutoff is still refused
+        assert main(argv + ["--m-max", "5"]) == 2
+        assert "error: --m-max 5 outside [1, cutoff=3]" in capsys.readouterr().err
+
     def test_entswap(self, capsys):
         code, out = _run(
             capsys,
@@ -344,18 +355,20 @@ class TestSubcommands:
 
 LOADED_PROBE = """
 import contextlib, io, sys
+MODULES = ("scipy", "scipy.linalg", "multiprocessing", "concurrent.futures.process")
 import cskit.cli
-loaded = ["scipy" in sys.modules]
+loaded = [[name in sys.modules for name in MODULES]]
 for argv in sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
         code = cskit.cli.main(argv.split())
-    loaded.append((argv, code, "scipy" in sys.modules, "scipy.linalg" in sys.modules))
+    loaded.append((argv, code, [name in sys.modules for name in MODULES]))
 print(repr(loaded))
 """
 
 
 def test_lossless_commands_leave_out_scipy():
-    """Only the 50:50 beamsplitter runs behind lossless counters, so scipy is never imported.
+    """Only the 50:50 beamsplitter runs behind lossless counters, so scipy is never imported,
+    and the process pool's modules are imported only when a pool runs.
 
     ``cskit loss`` needs other transmitivities, so the same process then
     imports ``scipy.linalg`` for ``expm`` and still exits 0.
@@ -366,8 +379,8 @@ def test_lossless_commands_leave_out_scipy():
         [sys.executable, "-c", LOADED_PROBE, *commands],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
     )
-    assert ast.literal_eval(done.stdout) == [False] + [
-        (command, 0, command == "loss", command == "loss") for command in commands
+    assert ast.literal_eval(done.stdout) == [[False] * 4] + [
+        (command, 0, [command == "loss"] * 2 + [False] * 2) for command in commands
     ]
 
 
@@ -450,10 +463,11 @@ class TestJobs:
         assert jobs == [2, 1]
 
     def test_pool_has_no_more_workers_than_chunks(self, capsys, monkeypatch):
-        workers = []
+        """--jobs N maps min(N, points, CPUs) contiguous pieces over as many workers."""
+        workers, pieces = [], []
 
         class Pool:
-            """Records its size and maps in this process: no worker is started."""
+            """Records its size and pieces and maps in this process: no worker is started."""
 
             def __init__(self, max_workers):
                 workers.append(max_workers)
@@ -465,13 +479,17 @@ class TestJobs:
                 return False
 
             def map(self, fn, items):
+                pieces.append([len(item) for item in items])
                 return map(fn, items)
 
         argv = ["loss", "--eta", "0:1:0.5", "--cutoff", "2"]
         _, serial = _run(capsys, argv)
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
-        assert _run(capsys, argv + ["--jobs", "64"]) == (0, serial)
-        assert workers == [3]
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        for cpus, jobs in ((64, "64"), (2, "100000")):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+            assert _run(capsys, argv + ["--jobs", jobs]) == (0, serial)
+        assert workers == [3, 2]
+        assert pieces == [[1, 1, 1], [1, 2]]
 
     @pytest.mark.parametrize(
         "argv",
@@ -525,7 +543,7 @@ def test_default_grids_are_one_batch(capsys, monkeypatch, argv):
 
 def test_benchmark_grids_are_one_batch(capsys, monkeypatch):
     """The figure and contour grids of the benchmark are one batch each, and with --jobs 2
-    the pool's contours are two pieces of three eta1, one batch each."""
+    on two CPUs the pool's contours are two pieces of three eta1, one batch each."""
     from test_golden_rows import workloads
 
     monkeypatch.delenv("CSKIT_JOBS", raising=False)
@@ -539,11 +557,12 @@ def test_benchmark_grids_are_one_batch(capsys, monkeypatch):
     pmap = cli._pmap
     # the pool's pieces, mapped in this process
     monkeypatch.setattr(cli, "_pmap", lambda fn, items, _: pieces.append(items) or pmap(fn, items, 1))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     batches = _record_batches(monkeypatch)
     sweep = workloads.build("loss-contour-jobs2", workloads.DEFAULT_SEED).sweeps[0]
     assert main([*sweep.argv, "--jobs", "2"]) == 0
     assert [len(piece) for piece in pieces[0]] == [3, 3]
-    assert [len(slices) for slices in batches] == [2, 1, 1]
+    assert [len(slices) for slices in batches] == [1, 1]
 
 
 def test_tiny_beta_success_rows_are_those_at_zero(capsys):
@@ -585,9 +604,9 @@ def test_sweeps_build_no_mode_by_mode_state(capsys, monkeypatch, command):
 def test_entswap_peak_does_not_grow_with_the_grid(capsys):
     """A long beta grid is swept batch by batch, so its allocation peak stays that of a batch.
 
-    At cutoff 10 the byte rule puts 118 betas in a batch. Holding every
-    beta's summary to the end of this grid peaks near 38 MB; one batch at a
-    time stays under 5 MB.
+    At cutoff 10 the byte rule puts 117 betas in a batch. Each batch builds
+    its own Bell pairs and gives the engine's arrays, with no summary, so the
+    1,000 betas peak near 4.9 MB.
     """
     argv = ["entswap", "--cutoff", "10"]
     assert main(argv + ["--beta", "0.5:0.5:1"]) == 0
@@ -601,6 +620,31 @@ def test_entswap_peak_does_not_grow_with_the_grid(capsys):
     assert code == 0
     assert len(capsys.readouterr().out.splitlines()) == 1000 + 7
     assert peak < 6e6
+
+
+def test_per_outcome_holds_one_batch_of_summaries(capsys, monkeypatch):
+    """--per-outcome reads each batch's summaries and drops them before the next batch runs.
+
+    At cutoff 15 the byte rule puts 144 betas in a batch, whose summaries
+    hold about 2.2 MB once read. One batch peaks near 4.4 MB and 1,000
+    betas, seven batches, near 5.2 MB; keeping one batch more peaked at
+    7.4 MB, and keeping every summary at 16 MB.
+    """
+    argv = ["teleport", "--per-outcome"]
+    assert main(argv + ["--beta", "0.5:0.5:1"]) == 0
+    batches = _record_batches(monkeypatch)
+    peaks = []
+    for grid in ("0.001:0.144:0.001", "0.001:1:0.001"):
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            assert main(argv + ["--beta", grid]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert len(capsys.readouterr().out.splitlines()) == 1000 * 5 + 8
+    assert [len(slices) for slices in batches] == [1, 7]
+    assert peaks[1] <= 1.3 * peaks[0]
 
 
 def test_lossy_diagonal_peak_stays_within_the_budget(capsys):
@@ -633,29 +677,41 @@ def test_lossy_diagonal_peak_stays_within_the_budget(capsys):
     ids=["one-batch", "several-batches", "circuit-by-circuit", "diagonal"],
 )
 def test_loss_batches_fit_the_budget(capsys, monkeypatch, argv, swap, diagonal):
-    """Each batch of a loss grid fits the byte budget, or holds one circuit, and is one sweep call.
+    """Each batch of a loss grid fits the byte budget, or holds one circuit, and the batches
+    cover the grid in order: a contour's share one row of counters, built once, and a
+    diagonal's batch builds the counters of its own etas.
 
-    The sweep (``loss._averages``) is stubbed, so the rule alone is checked, at any cutoff.
+    The engine's Bell pairs, counters and heralding are stubbed, so the cut alone is
+    checked, at any cutoff.
     """
-    batches = []
+    sizes, rows = [], []
 
-    def averages(protocol, input_spec, resource_spec, cutoff, eta1s, eta2s):
-        batches.append((list(eta1s), [list(row) for row in eta2s]))
-        return np.ones((len(eta1s), len(eta2s[0])))
+    def responses(eta2s, cutoff, parity):
+        rows.append([list(row) for row in eta2s])
+        return None, np.zeros((1, len(eta2s[0])))
 
-    monkeypatch.setattr(cli, "_averages", averages)
+    def heralded(left, pair, target, z_target, counters, *args):
+        sizes.append(len(left))
+        return (np.ones((len(left), counters[1].shape[1])),) * 2
+
+    monkeypatch.setattr(protocols, "_bells", lambda amps, eta1=1.0: amps)
+    monkeypatch.setattr(protocols, "_responses", responses)
+    monkeypatch.setattr(protocols, "_heralded", heralded)
     assert main(["loss", *argv]) == 0
     grid = cli._parse_grid(argv[argv.index("--eta") + 1])
     cells = 1 if diagonal else len(grid)
     cutoff = int(argv[argv.index("--cutoff") + 1]) if "--cutoff" in argv else 6
     circuit = protocols._circuit_bytes(cutoff, swap, True, cells)
     assert len(capsys.readouterr().out.splitlines()) == 10 + len(grid) * cells
-    assert [eta for eta1s, _ in batches for eta in eta1s] == grid
-    for eta1s, eta2s in batches:
-        assert eta2s == ([[eta] for eta in eta1s] if diagonal else [grid])
-        assert len(eta1s) * circuit <= protocols.BATCH_BYTES or len(eta1s) == 1
+    assert sum(sizes) == len(grid)
+    if diagonal:
+        assert [len(batch) for batch in rows] == sizes
+        assert [eta for batch in rows for [eta] in batch] == grid
+    else:
+        assert rows == [[grid]]
+    assert all(size * circuit <= protocols.BATCH_BYTES or size == 1 for size in sizes)
     # as many circuits per batch as the budget allows
-    assert len(batches[0][0]) == min(len(grid), max(1, protocols.BATCH_BYTES // circuit))
+    assert sizes[0] == min(len(grid), max(1, protocols.BATCH_BYTES // circuit))
 
 
 def test_loss_contour_builds_each_response_once_per_command(capsys, monkeypatch):
@@ -703,6 +759,6 @@ def test_loss_peak_does_not_grow_with_the_grid(capsys, monkeypatch, protocol, on
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    # the CLI's cut and then the engine's, one per batch
-    assert [len(slices) for slices in batches] == [1, 1] + [4] + [1] * 4
+    # the engine's one cut of each grid
+    assert [len(slices) for slices in batches] == [1, 4]
     assert peaks[1] <= 1.1 * peaks[0]

@@ -85,7 +85,7 @@ def test_runs_match_the_masked_reduction(
     beta = math.sqrt(2.0) * amplitude if protocol == "teleport" else amplitude
     resource = ResourceSpec(resource_kind, beta)
     try:
-        [row] = _runs(
+        [[row]] = _runs(
             protocol, spec, [amplitude], resource_kind, [beta], cutoff, [eta1], (tuple(eta2s),),
             include_z,
         )

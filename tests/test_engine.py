@@ -315,7 +315,7 @@ def _row(protocol, input_kind, resource_kind, amplitude, eta1, eta2s, cutoff, in
     spec = InputSpec(input_kind, amplitude).at_alpha(math.sqrt(eta1) * amplitude)
     if protocol == "teleport":
         resource = ResourceSpec(resource_kind, math.sqrt(2.0) * amplitude)
-        [row] = _runs(
+        [[row]] = _runs(
             "teleport", spec, [amplitude], resource.kind, [resource.beta], cutoff, [eta1],
             (tuple(eta2s),), include_z,
         )
@@ -329,7 +329,7 @@ def _row(protocol, input_kind, resource_kind, amplitude, eta1, eta2s, cutoff, in
         left = spec.to_fock(cutoff).amps
     else:
         resource = ResourceSpec(resource_kind, amplitude)
-        [row] = _runs(
+        [[row]] = _runs(
             "entswap", spec, [amplitude], resource.kind, [resource.beta], cutoff, [eta1],
             (tuple(eta2s),),
         )

@@ -264,7 +264,7 @@ class TestLosslessIsTheLossyRunAtEtaOne:
         rows = loss_contour_sweep(protocol, spec, res, [1.0], [1.0, 1.0], 5)
         assert rows == [(1.0, 1.0, lossless.average_fidelity)] * 2
         assert protocols._responses(((1.0, 1.0),), 5, res.parity)[0] is not None
-        [summaries] = protocols._runs(
+        [[summaries]] = protocols._runs(
             protocol, spec, [spec.alpha], res.kind, [res.beta], 5, [1.0], ((1.0, 1.0),)
         )
         assert len(summaries) == 2
